@@ -6,9 +6,12 @@ set A is
     h(x) = min_{a in A} ||D a - x||_2,
 
 with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
-(L1Ball).  `exact_ksparse` enumerates supports and is the ground truth;
-`greedy_ksparse` is the fast heuristic; `l1_solve` is an accelerated
-projected-gradient method that is exact up to its fixed-point tolerance.
+(L1Ball).  `exact_ksparse` and `exact_ksparse_batch` share one exhaustive
+engine, the ground truth: it scores each support by the energy its QR
+projection captures, refits the winners, and sends ties to the smallest
+support in lexicographic order.  `greedy_ksparse` is the fast heuristic;
+both fit through `_ls_fit` and its one rank policy, a 1e-12 ridge.
+`l1_solve` is accelerated projected gradient, exact up to its tolerance.
 """
 
 from __future__ import annotations
@@ -57,11 +60,16 @@ class CodingResult:
     ridge_used: bool = False
 
 
+def _full_rank(r: np.ndarray) -> bool:
+    """Rank test on the R factor of a support's atoms (wide blocks fail it)."""
+    diag = np.abs(np.diag(r))
+    return r.shape[0] == r.shape[1] and diag.max() > 0.0 and diag.min() > RANK_RTOL * diag.max()
+
+
 def _ls_fit(a_sub: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Least squares via QR; falls back to a 1e-12 ridge on rank deficiency."""
     q, r = np.linalg.qr(a_sub)
-    diag = np.abs(np.diag(r))
-    if diag.size and diag.max() > 0.0 and diag.min() > RANK_RTOL * diag.max():
+    if _full_rank(r):
         return solve_triangular(r, q.T @ rhs), False
     gram = a_sub.T @ a_sub + RIDGE * np.eye(a_sub.shape[1])
     return np.linalg.solve(gram, a_sub.T @ rhs), True
@@ -74,6 +82,15 @@ def _check_signal(d: Dictionary, x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("signal entries must be finite")
     return v
+
+
+def _check_signals(d: Dictionary, signals) -> np.ndarray:
+    signals = np.asarray(signals, dtype=float)
+    if signals.ndim != 2 or signals.shape[0] != d.n:
+        raise ValueError(f"signals must be an {d.n} x N matrix, got shape {signals.shape}")
+    if not np.all(np.isfinite(signals)):
+        raise ValueError("signal entries must be finite")
+    return signals
 
 
 def _result(d: Dictionary, x: np.ndarray, dense: np.ndarray, support, method: str,
@@ -111,68 +128,68 @@ def greedy_ksparse(d: Dictionary, x, k: int) -> CodingResult:
     return _result(d, x, dense, support, "greedy", ridge_used=ridge_used)
 
 
-def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
-    """Exhaustive k-sparse coder: least squares on every size-k support.
+def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
+    """Exhaustive k-sparse coding of the columns of an n x N matrix.
 
-    Ties break toward the lexicographically smallest support.  Refuses
-    instances with more than EXACT_GUARD supports.
+    A support scores a column by the energy it captures: ||Q^T x||^2, or
+    ||x||^2 - ||x - A_S c||^2 at _ls_fit's ridge fit if the rank test fails.
+    Only a strictly higher score wins; each winner is refit once.  Returns
+    (coeffs p x N, refit errors N, supports k x N, ridge_used N).
     """
-    x = _check_signal(d, x)
     k = int(k)
     if not 1 <= k <= d.p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {d.p}, got {k}")
     if comb(d.p, k) > EXACT_GUARD:
         raise GuardExceededError(f"C({d.p},{k}) = {comb(d.p, k)} exceeds guard {EXACT_GUARD}")
-    atoms = d.atoms
-    best_err = np.inf
-    best_subset: tuple[int, ...] = ()
-    best_coef = np.zeros(0)
-    best_ridge = False
-    for subset in combinations(range(d.p), k):
-        coef, ridge = _ls_fit(atoms[:, subset], x)
-        err = float(np.linalg.norm(x - atoms[:, subset] @ coef))
-        if err < best_err:
-            best_err, best_subset, best_coef, best_ridge = err, subset, coef, ridge
-    dense = np.zeros(d.p)
-    dense[list(best_subset)] = best_coef
-    return _result(d, x, dense, best_subset, "exact", ridge_used=best_ridge)
+    atoms, n_sig = d.atoms, signals.shape[1]
+    subsets = list(combinations(range(d.p), k))
+    best_score = np.full(n_sig, -np.inf)
+    best_sub = np.zeros(n_sig, dtype=int)
+    for si, subset in enumerate(subsets):
+        a_sub = atoms[:, subset]
+        q, r = np.linalg.qr(a_sub)
+        if _full_rank(r):
+            proj = q.T @ signals
+            score = np.einsum("ij,ij->j", proj, proj)
+        else:
+            resid = signals - a_sub @ _ls_fit(a_sub, signals)[0]
+            score = np.einsum("ij,ij->j", signals, signals) - np.einsum("ij,ij->j", resid, resid)
+        better = score > best_score
+        best_score[better] = score[better]
+        best_sub[better] = si
+    dense = np.zeros((d.p, n_sig))
+    errors = np.empty(n_sig)
+    supports = np.empty((k, n_sig), dtype=int)
+    ridge_used = np.zeros(n_sig, dtype=bool)
+    for si in np.unique(best_sub):
+        cols = np.flatnonzero(best_sub == si)
+        subset = list(subsets[si])
+        coef, ridge_used[cols] = _ls_fit(atoms[:, subset], signals[:, cols])
+        dense[np.ix_(subset, cols)] = coef
+        errors[cols] = np.linalg.norm(signals[:, cols] - atoms[:, subset] @ coef, axis=0)
+        supports[:, cols] = np.array(subset)[:, None]
+    return dense, errors, supports, ridge_used
+
+
+def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
+    """Exhaustive k-sparse coder: the best of every size-k support.
+
+    Ties break toward the lexicographically smallest support.  Refuses
+    instances with more than EXACT_GUARD supports.
+    """
+    x = _check_signal(d, x)
+    dense, _errors, supports, ridge_used = _exact_columns(d, x[:, None], k)
+    return _result(d, x, dense[:, 0], supports[:, 0], "exact", ridge_used=bool(ridge_used[0]))
 
 
 def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive coder over a batch: signals as columns of an n x N matrix.
 
     Returns (coeffs, errors) with coeffs p x N dense and errors length N.
-    Same minimization as exact_ksparse, vectorized per support.
+    Same engine as exact_ksparse, run on all columns at once.
     """
-    signals = np.asarray(signals, dtype=float)
-    if signals.ndim != 2 or signals.shape[0] != d.n:
-        raise ValueError(f"signals must be an {d.n} x N matrix, got shape {signals.shape}")
-    k = int(k)
-    if not 1 <= k <= d.p:
-        raise ValueError(f"k must satisfy 1 <= k <= p = {d.p}, got {k}")
-    if comb(d.p, k) > EXACT_GUARD:
-        raise GuardExceededError(f"C({d.p},{k}) = {comb(d.p, k)} exceeds guard {EXACT_GUARD}")
-    n_sig = signals.shape[1]
-    subsets = list(combinations(range(d.p), k))
-    best_err = np.full(n_sig, np.inf)
-    best_sub = np.zeros(n_sig, dtype=int)
-    best_coef = np.zeros((k, n_sig))
-    for si, subset in enumerate(subsets):
-        a_sub = d.atoms[:, subset]
-        coef = np.linalg.lstsq(a_sub, signals, rcond=None)[0]
-        resid = signals - a_sub @ coef
-        errs = np.sqrt((resid * resid).sum(axis=0))
-        better = errs < best_err
-        if better.any():
-            best_err[better] = errs[better]
-            best_sub[better] = si
-            best_coef[:, better] = coef[:, better]
-    dense = np.zeros((d.p, n_sig))
-    for si, subset in enumerate(subsets):
-        cols = np.flatnonzero(best_sub == si)
-        if cols.size:
-            dense[np.ix_(list(subset), cols)] = best_coef[:, cols]
-    return dense, best_err
+    dense, errors, _supports, _ridge = _exact_columns(d, _check_signals(d, signals), k)
+    return dense, errors
 
 
 def project_l1(v, radius: float) -> np.ndarray:
@@ -216,23 +233,15 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
 
     Returns (coeffs p x N, errors N, iterations, final residual).
     """
-    signals = np.asarray(signals, dtype=float)
-    if signals.ndim != 2 or signals.shape[0] != d.n:
-        raise ValueError(f"signals must be an {d.n} x N matrix, got shape {signals.shape}")
+    signals = _check_signals(d, signals)
     lam = float(lam)
     if not lam >= 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     atoms = d.atoms
     p, n_sig = d.p, signals.shape[1]
-    if lam == 0.0:
-        zeros = np.zeros((p, n_sig))
-        errors = np.sqrt((signals * signals).sum(axis=0))
-        return zeros, errors, 0, 0.0
     lip = float(np.linalg.norm(atoms, 2)) ** 2
-    if lip == 0.0:
-        zeros = np.zeros((p, n_sig))
-        errors = np.sqrt((signals * signals).sum(axis=0))
-        return zeros, errors, 0, 0.0
+    if lam == 0.0 or lip == 0.0:
+        return np.zeros((p, n_sig)), np.linalg.norm(signals, axis=0), 0, 0.0
     step = 1.0 / lip
     a = np.zeros((p, n_sig))
     y = a.copy()

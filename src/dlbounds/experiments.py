@@ -60,9 +60,7 @@ class TrialRecord:
 
     k doubles as the l1 radius for l1-constrained runs; m and bound may be
     absent (the Monte Carlo harness has no sample size; inapplicable bound
-    evaluations keep their row with an empty bound).  timestamp is never
-    set by the harnesses themselves — reruns must match byte-for-byte —
-    and is excluded from CSV output.
+    evaluations keep their row with an empty bound).
     """
 
     trial: int
@@ -75,7 +73,6 @@ class TrialRecord:
     bound: float | None = None
     applicable: bool = True
     delta: float | None = None
-    timestamp: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.stat):

@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import CoeffVector, InapplicableError, NORM_TOL, as_vector
 from .coherence import BabelValue, babel_from_gram
-from .bounds import BoundInputs, BoundReport, _check_delta, _check_mx, _check_np, _require
+from .bounds import (BoundInputs, BoundReport, _check_delta, _check_mx, _check_np, _require,
+                     slow_rate_generic)
 
 # Tolerances for kernel sanity checks.
 SYMMETRY_TOL = 1e-12
@@ -342,7 +343,8 @@ def kernel_gen_bound(inputs: BoundInputs, variant: str) -> BoundReport:
     slow: plain scale for gamma-capped feature norms,
 
         E h <= E_m h + gamma (sqrt(np ln(sqrt(m) C^alpha k gamma^2 L /
-              (1 - delta)) / (2 alpha m)) + sqrt(x / (2m))) + sqrt(4/m).
+              (1 - delta)) / (2 alpha m)) + sqrt(x / (2m))) + sqrt(4/m),
+        computed as slow_rate_generic(gamma, C^alpha k gamma^2 L / (1 - delta), np / alpha).
     """
     if variant not in KERNEL_VARIANTS:
         raise ValueError(f"variant must be one of {KERNEL_VARIANTS}, got {variant!r}")
@@ -365,17 +367,7 @@ def kernel_gen_bound(inputs: BoundInputs, variant: str) -> BoundReport:
     _require(inputs.holder_alpha is not None and float(inputs.holder_alpha) > 0.0,
              f"holder_alpha must be > 0, got {inputs.holder_alpha}")
     _require(float(inputs.gamma) >= 1.0, f"gamma must be >= 1, got {inputs.gamma}")
-    k = int(inputs.k)
-    c_cov, hol_l, hol_a = float(inputs.cover_c), float(inputs.holder_l), float(inputs.holder_alpha)
-    gamma = float(inputs.gamma)
-    log_arg = math.sqrt(m) * c_cov ** hol_a * k * gamma ** 2 * hol_l / (1.0 - delta)
-    log_cover = n * p * math.log(log_arg) / hol_a
-    if not log_cover > 1.0 - 2.0 * math.log(gamma):
-        raise InapplicableError(
-            f"cover size exp({log_cover:.6g}) does not exceed e/gamma^2")
-    parts = {
-        "cover": gamma * math.sqrt(n * p * math.log(log_arg) / (2.0 * hol_a * m)),
-        "confidence": gamma * math.sqrt(x / (2.0 * m)),
-        "discretization": math.sqrt(4.0 / m),
-    }
-    return BoundReport(multiplier=1.0, parts=parts, loss_scale="plain")
+    gamma, hol_a = float(inputs.gamma), float(inputs.holder_alpha)
+    c_slow = (float(inputs.cover_c) ** hol_a * int(inputs.k) * gamma ** 2
+              * float(inputs.holder_l) / (1.0 - delta))
+    return slow_rate_generic(B=gamma, C=c_slow, d=n * p / hol_a, m=m, x=x)

@@ -110,14 +110,74 @@ def test_exact_guard():
     assert math.comb(40, 15) > EXACT_GUARD
 
 
+def _repeated_atom(n, p, seed):
+    atoms = uniform_sphere_matrix(n, p, substream(seed, 0))
+    atoms[:, p - 1] = atoms[:, 0]
+    return atoms
+
+
 def test_exact_batch_matches_single():
-    d = Dictionary(uniform_sphere_matrix(5, 8, substream(5, 0)))
-    signals = uniform_sphere_matrix(5, 6, substream(5, 1))
-    coeffs, errors = exact_ksparse_batch(d, signals, 2)
+    cases = [  # (atoms, k, whether the winning supports need the ridge)
+        (uniform_sphere_matrix(5, 8, substream(5, 0)), 2, False),
+        (_repeated_atom(5, 8, 5), 2, False),
+        (_repeated_atom(4, 4, 5), 4, True),  # the only support repeats an atom
+    ]
+    for atoms, k, ridge in cases:
+        d = Dictionary(atoms)
+        signals = uniform_sphere_matrix(d.n, 6, substream(5, 1))
+        coeffs, errors = exact_ksparse_batch(d, signals, k)
+        for j in range(6):
+            single = exact_ksparse(d, signals[:, j], k)
+            assert errors[j] == pytest.approx(single.error, abs=1e-12)
+            assert coeffs[:, j] == pytest.approx(single.coeffs.values, abs=1e-10)
+            assert single.ridge_used == ridge
+    # k > n: every support is wide, takes the ridge and fits exactly; the
+    # coefficients are not unique, so only the errors are compared
+    d = Dictionary(uniform_sphere_matrix(3, 5, substream(5, 4)))
+    signals = uniform_sphere_matrix(3, 6, substream(5, 1))
+    _coeffs, errors = exact_ksparse_batch(d, signals, 4)
     for j in range(6):
-        single = exact_ksparse(d, signals[:, j], 2)
+        single = exact_ksparse(d, signals[:, j], 4)
         assert errors[j] == pytest.approx(single.error, abs=1e-12)
-        assert coeffs[:, j] == pytest.approx(single.coeffs.values, abs=1e-10)
+        assert single.error <= 1e-10 and single.ridge_used
+    # exact tie between atoms 0 and 2: both coders keep the smaller support
+    d = Dictionary(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    x = np.array([1.0, 0.0])
+    assert exact_ksparse(d, x, 1).coeffs.support == (0,)
+    assert np.array_equal(exact_ksparse_batch(d, x[:, None], 1)[0][:, 0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("batch_coder", [
+    lambda d, signals: exact_ksparse_batch(d, signals, 2),
+    lambda d, signals: l1_solve_batch(d, signals, 1.0),
+], ids=["exact", "l1"])
+def test_batch_coders_reject_nonfinite(batch_coder):
+    d = Dictionary(uniform_sphere_matrix(4, 6, substream(5, 2)))
+    signals = uniform_sphere_matrix(4, 3, substream(5, 3))
+    for bad in (np.nan, np.inf):
+        signals[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            batch_coder(d, signals)
+
+
+def test_greedy_and_exact_recover_under_tropp_condition():
+    # Tropp (2004): mu_{k-1} + mu_k < 1 makes greedy pursuit recover every
+    # exactly k-sparse signal, and the k-sparse representation is unique
+    k, kept = 2, 0
+    for i in range(20):
+        d = near_orthogonal_dictionary(8, 10, substream(19, i))
+        if babel(d, k - 1).value + babel(d, k).value >= 1.0:
+            continue
+        kept += 1
+        rng = substream(20, i)
+        for _ in range(10):
+            support = tuple(sorted(rng.choice(d.p, size=k, replace=False)))
+            coef = rng.choice([-1.0, 1.0], size=k) * rng.uniform(0.5, 2.0, size=k)
+            x = d.atoms[:, list(support)] @ coef
+            g, e = greedy_ksparse(d, x, k), exact_ksparse(d, x, k)
+            assert g.error <= 1e-10 and e.error <= 1e-10
+            assert g.coeffs.support == e.coeffs.support == support
+    assert kept >= 10
 
 
 # ----------------------------------------------------------------------- l1

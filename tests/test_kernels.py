@@ -382,4 +382,8 @@ def test_kernel_bound_validation():
     with pytest.raises(InapplicableError):
         kernel_gen_bound(BoundInputs(n=2, p=2, m=100, x=1.0, k=1, delta=1.5,
                                      cover_c=4.0, holder_l=1.0, holder_alpha=1.0), "slow")
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        # holder_alpha > np leaves the cover dimension np / alpha below 1
+        kernel_gen_bound(BoundInputs(n=1, p=1, m=100, x=1.0, k=1, delta=0.0,
+                                     cover_c=4.0, holder_l=1.0, holder_alpha=2.0), "slow")
     assert KERNEL_VARIANTS == ("maurer_k", "slow")
