@@ -7,11 +7,13 @@ a on atoms d_1..d_p is
     ||sum_i a_i phi(d_i) - phi(x)||^2
         = a' G a + kappa(x, x) - 2 sum_i a_i kappa(x, d_i)
 
-with G the atom Gram matrix.  Smoothness metadata (L, alpha) means kappa
-is L-Holder of order alpha in each argument on its stated domain, which
-makes phi Holder of order alpha/2 with constant sqrt(2 L); that constant
-is conservative (not sharp for the Gaussian kernel) but is what the
-covering-number bounds consume.
+with G the atom Gram matrix.  Kernels are pairwise: KernelFn.fn maps an
+a x n and a b x n block of points (rows) to the a x b block of values,
+and the scalar kappa(x, y) is its 1 x 1 case.  Smoothness metadata
+(L, alpha) means kappa is L-Holder of order alpha in each argument on its
+stated domain, which makes phi Holder of order alpha/2 with constant
+sqrt(2 L); that constant is conservative (not sharp for the Gaussian
+kernel) but is what the covering-number bounds consume.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import CoeffVector, InapplicableError, NORM_TOL, as_vector
 from .coherence import BabelValue, babel_from_gram
@@ -37,23 +40,40 @@ PSD_QUAD_FLOOR = -1e-8
 class KernelFn:
     """A positive-semidefinite kernel with optional smoothness metadata.
 
+    fn maps points as rows, xs a x n and ys b x n, to the a x b array of
+    kernel values; calling the KernelFn on two vectors is the 1 x 1 case.
     smoothness = (L, alpha): kappa is L-Holder of order alpha in each
     argument on the domain the kernel is meant for (the unit ball for the
     shipped kernels).  feature_norm_cap bounds sqrt(kappa(x, x)) there.
     """
 
-    fn: Callable[[np.ndarray, np.ndarray], float]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str
     smoothness: tuple[float, float] | None = None
     feature_norm_cap: float | None = None
 
     def __call__(self, x, y) -> float:
-        return float(self.fn(as_vector(x), as_vector(y)))
+        return float(_kernel_block(self, as_vector(x)[None], as_vector(y)[None])[0, 0])
+
+
+def _kernel_block(kf: KernelFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    block = np.asarray(kf.fn(xs, ys), dtype=float)
+    if block.shape != (len(xs), len(ys)):
+        raise ValueError(f"kernel {kf.name!r} returned shape {block.shape}, "
+                         f"expected the pairwise block {(len(xs), len(ys))}")
+    return block
+
+
+def _check_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError(f"points must be a nonempty 2-d array, got shape {pts.shape}")
+    return pts
 
 
 def linear_kernel() -> KernelFn:
     """kappa(x, y) = <x, y>; on the unit ball it is 1-Lipschitz per argument."""
-    return KernelFn(fn=lambda x, y: float(np.dot(x, y)), name="linear",
+    return KernelFn(fn=lambda xs, ys: xs @ ys.T, name="linear",
                     smoothness=(1.0, 1.0), feature_norm_cap=1.0)
 
 
@@ -66,12 +86,9 @@ def gaussian_kernel(sigma: float) -> KernelFn:
     sigma = float(sigma)
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-
-    def fn(x, y):
-        diff = x - y
-        return math.exp(-float(np.dot(diff, diff)) / (2.0 * sigma * sigma))
-
-    return KernelFn(fn=fn, name=f"gaussian:{sigma:g}",
+    # cdist is exactly 0 on equal rows (Gram diagonal 1) and makes no a x b x n temporary.
+    return KernelFn(fn=lambda xs, ys: np.exp(-cdist(xs, ys, "sqeuclidean") / (2.0 * sigma * sigma)),
+                    name=f"gaussian:{sigma:g}",
                     smoothness=(math.exp(-0.5) / sigma, 1.0), feature_norm_cap=1.0)
 
 
@@ -84,7 +101,7 @@ def polynomial_kernel(degree: int) -> KernelFn:
     degree = int(degree)
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    return KernelFn(fn=lambda x, y: (1.0 + float(np.dot(x, y))) ** degree,
+    return KernelFn(fn=lambda xs, ys: (1.0 + xs @ ys.T) ** degree,
                     name=f"poly:{degree}",
                     smoothness=(degree * 2.0 ** (degree - 1), 1.0),
                     feature_norm_cap=2.0 ** (degree / 2.0))
@@ -106,35 +123,19 @@ def kernel_from_name(name: str) -> KernelFn:
 
 
 def gram_matrix(kf: KernelFn, points: np.ndarray) -> np.ndarray:
-    """Gram matrix of kappa over rows of points (symmetric fill of the
-    upper triangle; each unordered pair is evaluated once)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"points must be a nonempty 2-d array, got shape {pts.shape}")
-    p = pts.shape[0]
-    g = np.empty((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            g[i, j] = g[j, i] = kf(pts[i], pts[j])
-    return g
+    """Gram matrix of kappa over rows of points, filled symmetrically from its upper triangle."""
+    pts = _check_points(points)
+    block = _kernel_block(kf, pts, pts)
+    return np.triu(block) + np.triu(block, 1).T
 
 
 def validate_kernel(kf: KernelFn, points: np.ndarray) -> list[str]:
     """Report kernel sanity violations on sample points: asymmetry beyond
     SYMMETRY_TOL, or Gram minimum eigenvalue below EIG_FLOOR."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"points must be a nonempty 2-d array, got shape {pts.shape}")
-    p = pts.shape[0]
+    pts = _check_points(points)
     report: list[str] = []
-    g = np.empty((p, p))
-    worst_asym = 0.0
-    for i in range(p):
-        for j in range(p):
-            g[i, j] = kf(pts[i], pts[j])
-    for i in range(p):
-        for j in range(i + 1, p):
-            worst_asym = max(worst_asym, abs(g[i, j] - g[j, i]))
+    g = _kernel_block(kf, pts, pts)
+    worst_asym = float(np.abs(g - g.T).max())
     if worst_asym > SYMMETRY_TOL:
         report.append(f"asymmetry {worst_asym:.3g} exceeds {SYMMETRY_TOL:g}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
@@ -157,10 +158,8 @@ class KernelDictionary:
     gamma: float = 1.0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _check_points(self.points)
         g = np.asarray(self.gram, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"points must be a nonempty 2-d array, got shape {pts.shape}")
         if g.shape != (pts.shape[0], pts.shape[0]):
             raise ValueError(f"gram shape {g.shape} does not match {pts.shape[0]} points")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(g))):
@@ -222,7 +221,7 @@ def kernel_repr_error(x, coeffs, kd: KernelDictionary, kf: KernelFn) -> float:
     quad_form = float(kf(xv, xv))
     if idx.size:
         g_ss = kd.gram[np.ix_(idx, idx)]
-        kx = np.array([kf(xv, kd.points[i]) for i in idx])
+        kx = _kernel_block(kf, xv[None], kd.points[idx])[0]
         quad_form += float(vals @ g_ss @ vals) - 2.0 * float(vals @ kx)
     if quad_form < PSD_QUAD_FLOOR:
         raise ValueError(f"squared error {quad_form:.3g} below PSD floor {PSD_QUAD_FLOOR:g}; "
@@ -243,7 +242,7 @@ def kernel_greedy_ksparse(x, kd: KernelDictionary, kf: KernelFn, k: int):
     k = int(k)
     if not 1 <= k <= kd.p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {kd.p}, got {k}")
-    kx = np.array([kf(xv, kd.points[i]) for i in range(kd.p)])
+    kx = _kernel_block(kf, xv[None], kd.points)[0]
     support: list[int] = []
     coef = np.zeros(0)
     ridge_used = False

@@ -75,14 +75,33 @@ def test_kernel_from_name():
             kernel_from_name(bad)
 
 
-def test_gram_matrix_matches_pairwise():
+@pytest.mark.parametrize("kf", [linear_kernel(), gaussian_kernel(1.0), polynomial_kernel(3)],
+                         ids=["linear", "gaussian", "poly"])
+def test_gram_matrix_matches_pairwise(kf):
     pts = sphere_points(5, 3, seed=0)
-    kf = gaussian_kernel(1.0)
     g = gram_matrix(kf, pts)
     assert g.shape == (5, 5)
     assert np.array_equal(g, g.T)
     for i, j in itertools.product(range(5), repeat=2):
         assert g[i, j] == pytest.approx(kf(pts[i], pts[j]), abs=1e-15)
+    block = kf.fn(pts[:3], pts)
+    assert block.shape == (3, 5)
+    for i, j in itertools.product(range(3), range(5)):
+        assert block[i, j] == pytest.approx(kf(pts[i], pts[j]), abs=1e-15)
+
+
+def test_non_pairwise_kernel_is_rejected():
+    # a row-wise kernel returns shape (p,), which would broadcast into a
+    # constant Gram matrix if the block shape went unchecked
+    kf = KernelFn(fn=lambda xs, ys: np.exp(-((xs - ys) ** 2).sum(-1)), name="rowwise")
+    pts = sphere_points(4, 3, seed=0)
+    with pytest.raises(ValueError, match="pairwise block"):
+        gram_matrix(kf, pts)
+    with pytest.raises(ValueError, match="pairwise block"):
+        validate_kernel(kf, pts)
+    kd = KernelDictionary.build(pts, gaussian_kernel(1.0))
+    with pytest.raises(ValueError, match="pairwise block"):
+        kernel_greedy_ksparse(pts[0], kd, kf, 1)
 
 
 def test_validate_kernel_accepts_shipped_kernels():
@@ -92,13 +111,14 @@ def test_validate_kernel_accepts_shipped_kernels():
 
 
 def test_validate_kernel_flags_asymmetry():
-    kf = KernelFn(fn=lambda x, y: float(x[0] - 2 * y[0]), name="asym")
+    kf = KernelFn(fn=lambda xs, ys: xs[:, :1] - 2 * ys[:, :1].T, name="asym")
     report = validate_kernel(kf, sphere_points(3, 2, seed=2))
     assert any("asymmetry" in line for line in report)
 
 
 def test_validate_kernel_flags_indefinite():
-    kf = KernelFn(fn=lambda x, y: 1.0 if np.array_equal(x, y) else -1.0, name="bad")
+    kf = KernelFn(fn=lambda xs, ys: np.where((xs[:, None] == ys[None]).all(-1), 1.0, -1.0),
+                  name="bad")
     report = validate_kernel(kf, sphere_points(3, 2, seed=3))
     assert any("eigenvalue" in line for line in report)
 
@@ -166,7 +186,7 @@ def test_kernel_repr_error_linear_reduction():
 
 
 def test_kernel_repr_error_psd_floor():
-    kf = KernelFn(fn=lambda x, y: -float(np.dot(x, y)), name="neg")
+    kf = KernelFn(fn=lambda xs, ys: -(xs @ ys.T), name="neg")
     pts = np.array([[1.0, 0.0]])
     kd = KernelDictionary(points=pts, gram=np.array([[-1.0]]))
     with pytest.raises(ValueError):
@@ -292,7 +312,7 @@ def test_holder_shipped_kernels_on_unit_ball(kf):
 
 
 def test_holder_requires_metadata():
-    bare = KernelFn(fn=lambda x, y: float(np.dot(x, y)), name="bare")
+    bare = KernelFn(fn=lambda xs, ys: xs @ ys.T, name="bare")
     with pytest.raises(ValueError):
         holder_feature_check(bare, [(np.zeros(2), np.ones(2))])
     with pytest.raises(ValueError):
