@@ -40,6 +40,7 @@ from .coders import (
     exact_ksparse,
     exact_ksparse_batch,
     greedy_ksparse,
+    greedy_ksparse_batch,
     l1_solve,
     l1_solve_batch,
     project_l1,

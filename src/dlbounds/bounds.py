@@ -121,6 +121,12 @@ def _check_delta(delta) -> float:
     return float(delta)
 
 
+def _ksparse_lam(k, delta) -> float:
+    """The l1 radius k / (1 - delta) that covers the k-sparse class."""
+    _require(k is not None and int(k) >= 1, f"k must be a positive integer, got {k}")
+    return int(k) / (1.0 - _check_delta(delta))
+
+
 def log_cover_l1(n: int, p: int, lam: float, eps: float) -> float:
     """log of the covering number (4 lam / eps)^(np) of the l1-constrained
     error-function class at radius eps, clamped at 0."""
@@ -131,12 +137,10 @@ def log_cover_l1(n: int, p: int, lam: float, eps: float) -> float:
 
 
 def log_cover_ksparse(n: int, p: int, k: int, delta: float, eps: float) -> float:
-    """log of the covering number (4k / (eps (1 - delta)))^(np), clamped at 0."""
-    n, p = _check_np(n, p)
-    _require(k is not None and int(k) >= 1, f"k must be a positive integer, got {k}")
-    _check_delta(delta)
-    _require(float(eps) > 0.0, f"eps must be > 0, got {eps}")
-    return max(0.0, n * p * math.log(4.0 * int(k) / (float(eps) * (1.0 - float(delta)))))
+    """log of the covering number (4k / (eps (1 - delta)))^(np), clamped at 0:
+    the l1 cover at lam = k / (1 - delta)."""
+    _check_np(n, p)
+    return log_cover_l1(n, p, _ksparse_lam(k, delta), eps)
 
 
 def slow_rate_generic(B: float, C: float, d: float, m: int, x: float) -> BoundReport:
@@ -227,17 +231,10 @@ def l1_generalization_bound(inputs: BoundInputs, variant: str) -> BoundReport:
     return fast_rate_generic(C=4.0 * lam, d=n * p, m=m, x=x, K=inputs.K, alpha=inputs.alpha)
 
 
-def _ksparse_lam(inputs: BoundInputs) -> float:
-    _require(inputs.k is not None and int(inputs.k) >= 1,
-             f"k must be a positive integer, got {inputs.k}")
-    delta = _check_delta(inputs.delta)
-    return int(inputs.k) / (1.0 - delta)
-
-
 def ksparse_generalization_bound(inputs: BoundInputs, variant: str) -> BoundReport:
     """k-sparse generalization bound: the l1 bound at lam = k / (1 - delta),
     delta an upper bound on mu_{k-1} of the dictionary class."""
-    lam_eff = _ksparse_lam(inputs)
+    lam_eff = _ksparse_lam(inputs.k, inputs.delta)
     return l1_generalization_bound(replace(inputs, lam=lam_eff), variant)
 
 

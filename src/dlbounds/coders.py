@@ -9,8 +9,9 @@ with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 (L1Ball).  `exact_ksparse` and `exact_ksparse_batch` share one exhaustive
 engine, the ground truth: it scores each support by the energy its QR
 projection captures, refits the winners, and sends ties to the smallest
-support in lexicographic order.  `greedy_ksparse` is the fast heuristic;
-both fit through `_ls_fit` and its one rank policy, a 1e-12 ridge.
+support in lexicographic order.  `greedy_ksparse` and its batch form are
+the fast heuristic, a batch OMP on D^T D and D^T X that the kernel coder
+runs on a Gram matrix.  Both take a 1e-12 ridge on rank-deficient supports.
 `l1_solve` is accelerated projected gradient, exact up to its tolerance.
 """
 
@@ -75,10 +76,11 @@ def _ls_fit(a_sub: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.solve(gram, a_sub.T @ rhs), True
 
 
-def _check_signal(d: Dictionary, x) -> np.ndarray:
+def _check_signal(n: int, x) -> np.ndarray:
+    """x as a finite vector of dimension n (the atoms' dimension)."""
     v = as_vector(x)
-    if v.shape[0] != d.n:
-        raise ValueError(f"signal has dimension {v.shape[0]}, dictionary expects {d.n}")
+    if v.shape[0] != n:
+        raise ValueError(f"signal has dimension {v.shape[0]}, dictionary expects {n}")
     if not np.all(np.isfinite(v)):
         raise ValueError("signal entries must be finite")
     return v
@@ -100,32 +102,67 @@ def _result(d: Dictionary, x: np.ndarray, dense: np.ndarray, support, method: st
     return CodingResult(coeffs=coeffs, error=error, method=method, **extra)
 
 
-def greedy_ksparse(d: Dictionary, x, k: int) -> CodingResult:
-    """Greedy pursuit: repeatedly pick the atom most correlated with the
-    residual (ties break toward the lowest index), then refit by least
-    squares on the selected support."""
-    x = _check_signal(d, x)
+def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
+    """Batch OMP (Rubinstein, Zibulevsky & Elad, 2008) from the p x p atom
+    Gram and the p x N atom-signal inner products.  Each round a column picks
+    the unpicked atom with the largest |corr - G_S a_S| (ties to the lowest
+    index; a column stops once that is 0) and refits on G_SS, adding RIDGE
+    unless eig_min > RANK_RTOL eig_max.  That bounds cond(G_SS), the matrix
+    solved; RANK_RTOL^2, the QR test's threshold in Gram terms, is below what
+    eigvalsh resolves and passes exactly repeated atoms.  Returns (coeffs
+    p x N, supports N x k padded with -1, ridge_used N)."""
+    p, n_sig = corr.shape
+    supports = np.full((n_sig, k), -1)
+    coef = np.zeros((n_sig, k))
+    ridge_used = np.zeros(n_sig, dtype=bool)
+    live = np.arange(n_sig)
+    for t in range(k):
+        sup = supports[live, :t]
+        # gather the support columns: a full G @ coeffs costs p^2 per column
+        score = np.abs(corr[:, live] - np.einsum("pnt,nt->pn", gram[:, sup], coef[live, :t]))
+        score[sup.T, np.arange(live.size)] = -1.0
+        pick = np.argmax(score, axis=0)
+        keep = score[pick, np.arange(live.size)] > 0.0
+        live = live[keep]
+        if not live.size:
+            break
+        supports[live, t] = pick[keep]
+        sup = supports[live, :t + 1]
+        g_ss = gram[sup[:, :, None], sup[:, None, :]]
+        eigs = np.linalg.eigvalsh(g_ss)
+        ridge = ~(eigs[:, 0] > RANK_RTOL * eigs[:, -1])
+        if ridge.any():
+            g_ss[ridge] += RIDGE * np.eye(t + 1)
+        coef[live, :t + 1] = np.linalg.solve(g_ss, corr[sup, live[:, None]][..., None])[..., 0]
+        ridge_used[live] = ridge
+    dense = np.zeros((p, n_sig))
+    picked = supports >= 0
+    dense[supports[picked], np.nonzero(picked)[0]] = coef[picked]
+    return dense, supports, ridge_used
+
+
+def _greedy_signals(d: Dictionary, signals: np.ndarray, k: int):
     k = int(k)
     if not 1 <= k <= min(d.n, d.p):
         raise ValueError(f"k must satisfy 1 <= k <= min(n, p) = {min(d.n, d.p)}, got {k}")
-    atoms = d.atoms
-    support: list[int] = []
-    coef = np.zeros(0)
-    residual = x.copy()
-    ridge_used = False
-    for _ in range(k):
-        corr = np.abs(atoms.T @ residual)
-        if support:
-            corr[support] = -1.0
-        i = int(np.argmax(corr))
-        if corr[i] <= 0.0:
-            break  # residual orthogonal to every remaining atom
-        support.append(i)
-        coef, ridge_used = _ls_fit(atoms[:, support], x)
-        residual = x - atoms[:, support] @ coef
-    dense = np.zeros(d.p)
-    dense[support] = coef
-    return _result(d, x, dense, support, "greedy", ridge_used=ridge_used)
+    return _greedy_columns(d.atoms.T @ d.atoms, d.atoms.T @ signals, k)
+
+
+def greedy_ksparse(d: Dictionary, x, k: int) -> CodingResult:
+    """Greedy pursuit: repeatedly pick the atom most correlated with the
+    residual (ties break toward the lowest index), then refit by least
+    squares on the selected support.  The N=1 case of greedy_ksparse_batch."""
+    x = _check_signal(d.n, x)
+    dense, supports, ridge_used = _greedy_signals(d, x[:, None], k)
+    return _result(d, x, dense[:, 0], supports[0][supports[0] >= 0], "greedy",
+                   ridge_used=bool(ridge_used[0]))
+
+
+def greedy_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy coder over the columns of an n x N matrix: (coeffs p x N, errors N)."""
+    signals = _check_signals(d, signals)
+    dense = _greedy_signals(d, signals, k)[0]
+    return dense, np.linalg.norm(d.atoms @ dense - signals, axis=0)
 
 
 def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
@@ -177,7 +214,7 @@ def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
     Ties break toward the lexicographically smallest support.  Refuses
     instances with more than EXACT_GUARD supports.
     """
-    x = _check_signal(d, x)
+    x = _check_signal(d.n, x)
     dense, _errors, supports, ridge_used = _exact_columns(d, x[:, None], k)
     return _result(d, x, dense[:, 0], supports[:, 0], "exact", ridge_used=bool(ridge_used[0]))
 
@@ -276,7 +313,7 @@ def l1_solve(d: Dictionary, x, lam: float) -> CodingResult:
 
     lam = 0 returns the zero vector as a valid result.
     """
-    x = _check_signal(d, x)
+    x = _check_signal(d.n, x)
     coeffs, _errors, iterations, residual = l1_solve_batch(d, x[:, None], float(lam))
     dense = coeffs[:, 0]
     coeff_vec = CoeffVector.from_dense(dense)

@@ -26,8 +26,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import CoeffVector, InapplicableError, NORM_TOL, as_vector
+from .coders import CodingResult, _check_signal, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
-from .bounds import (BoundInputs, BoundReport, _check_delta, _check_mx, _check_np, _require,
+from .bounds import (BoundInputs, BoundReport, _check_mx, _check_np, _ksparse_lam, _require,
                      slow_rate_generic)
 
 # Tolerances for kernel sanity checks.
@@ -209,6 +210,15 @@ def _coeff_support(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, dense[idx]
 
 
+def _feature_error(kxx: float, vals: np.ndarray, g_ss: np.ndarray, kx_s: np.ndarray) -> float:
+    """sqrt(kappa(x, x) + a' G_SS a - 2 a' kappa_S(x)), floored at the PSD check."""
+    quad_form = kxx + (float(vals @ g_ss @ vals) - 2.0 * float(vals @ kx_s))
+    if quad_form < PSD_QUAD_FLOOR:
+        raise ValueError(f"squared error {quad_form:.3g} below PSD floor {PSD_QUAD_FLOOR:g}; "
+                         "kernel is not positive semidefinite on these points")
+    return math.sqrt(max(quad_form, 0.0))
+
+
 def kernel_repr_error(x, coeffs, kd: KernelDictionary, kf: KernelFn) -> float:
     """sqrt of the feature-space squared error of the given coefficients.
 
@@ -216,62 +226,29 @@ def kernel_repr_error(x, coeffs, kd: KernelDictionary, kf: KernelFn) -> float:
     applications).  Raises if the quadratic form dips below the PSD floor
     -1e-8; small negatives above it clamp to 0.
     """
-    xv = as_vector(x)
+    xv = _check_signal(kd.points.shape[1], x)
     idx, vals = _coeff_support(coeffs, kd.p)
-    quad_form = float(kf(xv, xv))
-    if idx.size:
-        g_ss = kd.gram[np.ix_(idx, idx)]
-        kx = _kernel_block(kf, xv[None], kd.points[idx])[0]
-        quad_form += float(vals @ g_ss @ vals) - 2.0 * float(vals @ kx)
-    if quad_form < PSD_QUAD_FLOOR:
-        raise ValueError(f"squared error {quad_form:.3g} below PSD floor {PSD_QUAD_FLOOR:g}; "
-                         "kernel is not positive semidefinite on these points")
-    return math.sqrt(max(quad_form, 0.0))
+    kxx = float(kf(xv, xv))
+    kx_s = _kernel_block(kf, xv[None], kd.points[idx])[0] if idx.size else np.zeros(0)
+    return _feature_error(kxx, vals, kd.gram[np.ix_(idx, idx)], kx_s)
 
 
 def kernel_greedy_ksparse(x, kd: KernelDictionary, kf: KernelFn, k: int):
-    """Greedy pursuit in feature space, using only kernel values.
+    """Greedy pursuit in feature space, using only kernel values: the
+    coders' batch OMP run on the atom Gram matrix and kappa(x, d_i).
 
-    Residual correlations are kappa(x, d_i) - (G a)_i; the support refit
-    solves G_SS a = kappa_S(x) (with a 1e-12 ridge if G_SS is numerically
-    singular).  Under the linear kernel this matches greedy_ksparse.
+    Under the linear kernel this matches greedy_ksparse.
     """
-    from .coders import RANK_RTOL, RIDGE, CodingResult
-
-    xv = as_vector(x)
+    xv = _check_signal(kd.points.shape[1], x)
     k = int(k)
     if not 1 <= k <= kd.p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {kd.p}, got {k}")
     kx = _kernel_block(kf, xv[None], kd.points)[0]
-    support: list[int] = []
-    coef = np.zeros(0)
-    ridge_used = False
-    for _ in range(k):
-        corr = np.abs(kx - (kd.gram[:, support] @ coef if support else 0.0))
-        if support:
-            corr[support] = -1.0
-        i = int(np.argmax(corr))
-        if corr[i] <= 0.0:
-            break
-        support.append(i)
-        g_ss = kd.gram[np.ix_(support, support)]
-        rhs = kx[support]
-        eigs = np.linalg.eigvalsh(g_ss)
-        if eigs.min() > RANK_RTOL ** 2 * max(eigs.max(), 0.0) and eigs.min() > 0.0:
-            ridge_used = False
-        else:
-            g_ss = g_ss + RIDGE * np.eye(len(support))
-            ridge_used = True
-        coef = np.linalg.solve(g_ss, rhs)
-        # Normal equations square the conditioning; two rounds of iterative
-        # refinement claw back the digits the Euclidean QR path keeps.
-        for _ in range(2):
-            coef += np.linalg.solve(g_ss, rhs - g_ss @ coef)
-    dense = np.zeros(kd.p)
-    dense[support] = coef
-    coeffs = CoeffVector(dense, tuple(support))
-    error = kernel_repr_error(xv, coeffs, kd, kf)
-    return CodingResult(coeffs=coeffs, error=error, method="greedy", ridge_used=ridge_used)
+    dense, supports, ridge_used = _greedy_columns(kd.gram, kx[:, None], k)
+    idx = supports[0][supports[0] >= 0]
+    error = _feature_error(float(kf(xv, xv)), dense[idx, 0], kd.gram[np.ix_(idx, idx)], kx[idx])
+    return CodingResult(coeffs=CoeffVector(dense[:, 0], tuple(idx)), error=error,
+                        method="greedy", ridge_used=bool(ridge_used[0]))
 
 
 def feature_babel(kd: KernelDictionary, k: int) -> BabelValue:
@@ -320,13 +297,10 @@ def kernel_cover_log(n: int, p: int, eps: float, *, cover_c: float, holder_l: fl
     _require(float(gamma) >= 1.0, f"gamma must be >= 1, got {gamma}")
     if (lam is None) == (k is None):
         raise ValueError("set exactly one of lam or (k, delta)")
-    if lam is not None:
-        _require(float(lam) > 0.0, f"lam must be > 0, got {lam}")
-        scale = float(lam) * float(gamma) * float(holder_l)
-    else:
-        _require(int(k) >= 1, f"k must be a positive integer, got {k}")
-        delta = _check_delta(delta)
-        scale = int(k) * float(gamma) ** 2 * float(holder_l) / (1.0 - delta)
+    if lam is None:
+        lam = _ksparse_lam(k, delta) * float(gamma)
+    _require(float(lam) > 0.0, f"lam must be > 0, got {lam}")
+    scale = float(lam) * float(gamma) * float(holder_l)
     value = n * p * (math.log(float(cover_c)) + math.log(scale / float(eps)) / float(holder_alpha))
     return max(0.0, value)
 
@@ -356,9 +330,7 @@ def kernel_gen_bound(inputs: BoundInputs, variant: str) -> BoundReport:
         return ksparse_generalization_bound(inputs, "maurer")
     n, p = _check_np(inputs.n, inputs.p)
     m, x = _check_mx(inputs.m, inputs.x)
-    _require(inputs.k is not None and int(inputs.k) >= 1,
-             f"k must be a positive integer, got {inputs.k}")
-    delta = _check_delta(inputs.delta)
+    lam = _ksparse_lam(inputs.k, inputs.delta)
     _require(inputs.cover_c is not None and float(inputs.cover_c) > 0.0,
              f"cover_c must be > 0, got {inputs.cover_c}")
     _require(inputs.holder_l is not None and float(inputs.holder_l) > 0.0,
@@ -367,6 +339,5 @@ def kernel_gen_bound(inputs: BoundInputs, variant: str) -> BoundReport:
              f"holder_alpha must be > 0, got {inputs.holder_alpha}")
     _require(float(inputs.gamma) >= 1.0, f"gamma must be >= 1, got {inputs.gamma}")
     gamma, hol_a = float(inputs.gamma), float(inputs.holder_alpha)
-    c_slow = (float(inputs.cover_c) ** hol_a * int(inputs.k) * gamma ** 2
-              * float(inputs.holder_l) / (1.0 - delta))
+    c_slow = float(inputs.cover_c) ** hol_a * lam * gamma ** 2 * float(inputs.holder_l)
     return slow_rate_generic(B=gamma, C=c_slow, d=n * p / hol_a, m=m, x=x)

@@ -26,7 +26,7 @@ from .core import (
     uniform_sphere_matrix,
     validate_dictionary,
 )
-from .coders import exact_ksparse_batch, greedy_ksparse, l1_solve_batch
+from .coders import exact_ksparse_batch, greedy_ksparse_batch, l1_solve_batch
 from .coherence import babel
 
 SOURCE_KINDS = ("dictionary", "sphere")
@@ -164,16 +164,8 @@ def _code_batch(atoms: np.ndarray, x: np.ndarray, config: LearnerConfig) -> tupl
     if isinstance(config.constraint, L1Ball):
         coeffs, errors, _, _ = l1_solve_batch(d, x, config.constraint.lam)
         return coeffs, errors
-    k = config.constraint.k
-    if config.exact_coder:
-        return exact_ksparse_batch(d, x, k)
-    coeffs = np.zeros((config.p, x.shape[1]))
-    errors = np.empty(x.shape[1])
-    for j in range(x.shape[1]):
-        res = greedy_ksparse(d, x[:, j], k)
-        coeffs[:, j] = res.coeffs.values
-        errors[j] = res.error
-    return coeffs, errors
+    coder = exact_ksparse_batch if config.exact_coder else greedy_ksparse_batch
+    return coder(d, x, config.constraint.k)
 
 
 def _normalize_columns(atoms: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,10 +12,12 @@ from dlbounds.coders import (
     exact_ksparse,
     exact_ksparse_batch,
     greedy_ksparse,
+    greedy_ksparse_batch,
     l1_solve,
     l1_solve_batch,
     project_l1,
     repr_error,
+    _ls_fit,
 )
 from dlbounds.core import (
     Dictionary,
@@ -74,6 +76,72 @@ def test_greedy_k_range():
         greedy_ksparse(d, np.ones(3), 4)
     with pytest.raises(ValueError):
         greedy_ksparse(d, np.ones(2), 1)  # dimension mismatch
+
+
+def _qr_greedy_reference(d, x, k):
+    """Greedy pursuit on the residual vector, refit through the exact
+    coder's QR least squares: (support in pick order, coeffs, ridge_used)."""
+    support, coef, ridge_used = [], np.zeros(0), False
+    residual = x.copy()
+    for _ in range(k):
+        corr = np.abs(d.atoms.T @ residual)
+        corr[support] = -1.0
+        i = int(np.argmax(corr))
+        if corr[i] <= 0.0:
+            break
+        support.append(i)
+        coef, ridge_used = _ls_fit(d.atoms[:, support], x)
+        residual = x - d.atoms[:, support] @ coef
+    dense = np.zeros(d.p)
+    dense[support] = coef
+    return support, dense, ridge_used
+
+
+def test_greedy_matches_qr_reference():
+    # the Gram-form engine against an independent residual-vector loop
+    for i in range(30):
+        d = Dictionary(uniform_sphere_matrix(8, 12, substream(2, i)))
+        x = sample_uniform_sphere(8, substream(3, i)).values
+        for k in range(1, 9):
+            res = greedy_ksparse(d, x, k)
+            support, dense, ridge_used = _qr_greedy_reference(d, x, k)
+            assert res.coeffs.support == tuple(sorted(support))
+            assert res.ridge_used == ridge_used
+            assert res.error == pytest.approx(np.linalg.norm(d.atoms @ dense - x), abs=1e-12)
+            assert res.coeffs.values == pytest.approx(dense, abs=1e-10)
+
+
+def test_greedy_batch_matches_single():
+    cases = [  # (atoms, k)
+        (uniform_sphere_matrix(6, 9, substream(6, 0)), 3),
+        (_repeated_atom(5, 8, 6), 4),
+        (np.eye(4)[:, [0, 1, 2, 3, 0]], 3),  # the e1 and e2 columns stop after one round
+    ]
+    for atoms, k in cases:
+        d = Dictionary(atoms)
+        signals = uniform_sphere_matrix(d.n, 6, substream(6, 1))
+        signals[:, :2] = np.eye(d.n)[:, :2]
+        coeffs, errors = greedy_ksparse_batch(d, signals, k)
+        for j in range(6):
+            single = greedy_ksparse(d, signals[:, j], k)
+            assert tuple(np.flatnonzero(coeffs[:, j])) == single.coeffs.support
+            assert errors[j] == pytest.approx(single.error, abs=1e-12)
+            assert coeffs[:, j] == pytest.approx(single.coeffs.values, abs=1e-10)
+    assert greedy_ksparse(Dictionary(np.eye(4)), np.eye(4)[:, 0], 3).coeffs.support == (0,)
+    with pytest.raises(ValueError):
+        greedy_ksparse_batch(Dictionary(np.eye(3)), np.eye(3), 4)
+
+
+def test_greedy_repeated_atom_takes_ridge():
+    # atom 2 repeats atom 0, so a full support is singular; the Gram-form
+    # rank test must catch it instead of handing the solver a singular G_SS
+    atoms = uniform_sphere_matrix(4, 3, substream(904, 3))
+    atoms[:, 2] = atoms[:, 0]
+    x = 0.6 * atoms[:, 0] + 0.3 * atoms[:, 1] + 0.2 * atoms[:, 2]
+    res = greedy_ksparse(Dictionary(atoms), x, 3)
+    assert res.error <= 1e-10
+    assert res.ridge_used == (len(res.coeffs.support) == 3)
+    check_result(Dictionary(atoms), x, res)
 
 
 # -------------------------------------------------------------------- exact
@@ -150,7 +218,8 @@ def test_exact_batch_matches_single():
 @pytest.mark.parametrize("batch_coder", [
     lambda d, signals: exact_ksparse_batch(d, signals, 2),
     lambda d, signals: l1_solve_batch(d, signals, 1.0),
-], ids=["exact", "l1"])
+    lambda d, signals: greedy_ksparse_batch(d, signals, 2),
+], ids=["exact", "l1", "greedy"])
 def test_batch_coders_reject_nonfinite(batch_coder):
     d = Dictionary(uniform_sphere_matrix(4, 6, substream(5, 2)))
     signals = uniform_sphere_matrix(4, 3, substream(5, 3))

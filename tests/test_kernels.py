@@ -200,6 +200,20 @@ def test_kernel_repr_error_dimension_checks():
         kernel_repr_error(np.ones(2), np.zeros(5), kd, linear_kernel())
 
 
+def test_kernel_coders_reject_bad_signals():
+    pts = sphere_points(4, 3, seed=11)
+    for kf, bad in ((linear_kernel(), [np.nan, 0.2, 0.1]), (gaussian_kernel(1.0), [np.inf, 0.0, 0.0])):
+        kd = KernelDictionary.build(pts, kf)
+        with pytest.raises(ValueError, match="finite"):
+            kernel_repr_error(np.array(bad), np.zeros(4), kd, kf)
+        with pytest.raises(ValueError, match="finite"):
+            kernel_greedy_ksparse(np.array(bad), kd, kf, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            kernel_repr_error(np.ones(4), np.zeros(4), kd, kf)
+        with pytest.raises(ValueError, match="dimension"):
+            kernel_greedy_ksparse(np.ones(2), kd, kf, 2)
+
+
 # ------------------------------------------------------------------- greedy
 
 

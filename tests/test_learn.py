@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,8 @@ def test_greedy_coder_path():
     result = learn_dictionary(samples, config)
     assert len(result.trace) == 5
     assert validate_dictionary(result.dictionary, normalized=True) == []
+    with pytest.raises(ValueError, match="min"):  # greedy needs k <= min(n, p)
+        learn_dictionary(samples, replace(config, constraint=HardK(7)))
 
 
 def test_sample_atoms_requires_enough_samples():
