@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dlbounds import coders
 from dlbounds.coders import (
+    ERR_TOL,
     EXACT_GUARD,
-    FP_TOL,
     CodingResult,
     coeff_l1_bound,
     exact_ksparse,
@@ -31,6 +32,7 @@ from dlbounds.core import (
     uniform_sphere_matrix,
 )
 from dlbounds.coherence import babel
+from dlbounds.experiments import perturbed_pair
 from dlbounds.learn import near_orthogonal_dictionary
 
 ROOT2 = math.sqrt(2.0)
@@ -142,6 +144,25 @@ def test_greedy_repeated_atom_takes_ridge():
     assert res.error <= 1e-10
     assert res.ridge_used == (len(res.coeffs.support) == 3)
     check_result(Dictionary(atoms), x, res)
+
+
+def test_greedy_stops_after_exact_fit():
+    # atom 7 repeats atom 0 and x lies in the span of atoms 0 and 1.  Once a
+    # column is fitted exactly its residual correlations are rounding noise;
+    # picking an atom by that noise can pick the repeat and force the ridge.
+    spanned = 0
+    for i in range(200):
+        rng = substream(77, i)
+        atoms = uniform_sphere_matrix(6, 8, rng)
+        atoms[:, 7] = atoms[:, 0]
+        x = atoms[:, :2] @ rng.standard_normal(2)
+        res = greedy_ksparse(Dictionary(atoms), x, 4)
+        assert not res.ridge_used
+        support = set(res.coeffs.support)
+        if 1 in support and support & {0, 7}:
+            spanned += 1
+            assert res.error <= 1e-14
+    assert spanned >= 150
 
 
 # -------------------------------------------------------------------- exact
@@ -283,7 +304,21 @@ def test_l1_feasibility_and_monotonicity():
         assert res.coeffs.l1 <= lam + 1e-9
         errs.append(res.error)
         check_result(d, x, res)
-    assert all(b <= a + 2 * FP_TOL for a, b in zip(errs, errs[1:]))
+    assert all(b <= a + 2 * ERR_TOL for a, b in zip(errs, errs[1:]))
+
+
+def _l1_slack_reference(atoms, coeffs, signals, lam):
+    """Per column, h - sqrt(h^2 - 2 gap): how far ||D a - x|| can be above the
+    l1-constrained optimum, from the Frank-Wolfe duality gap a.g + lam ||g||_inf
+    with g = D^T (D a - x)."""
+    slacks = []
+    for a, x in zip(coeffs.T, signals.T):
+        resid = atoms @ a - x
+        g = atoms.T @ resid
+        gap = float(a @ g) + lam * float(np.max(np.abs(g)))
+        h = float(np.linalg.norm(resid))
+        slacks.append(h - math.sqrt(max(h * h - 2.0 * gap, 0.0)))
+    return np.array(slacks)
 
 
 def test_l1_batch_shapes_and_errors():
@@ -291,9 +326,70 @@ def test_l1_batch_shapes_and_errors():
     signals = uniform_sphere_matrix(4, 5, substream(9, 1))
     coeffs, errors, iters, residual = l1_solve_batch(d, signals, 1.5)
     assert coeffs.shape == (7, 5) and errors.shape == (5,)
-    assert residual < FP_TOL and iters >= 1
+    assert _l1_slack_reference(d.atoms, coeffs, signals, 1.5).max() <= ERR_TOL and iters >= 1
     recomputed = np.linalg.norm(d.atoms @ coeffs - signals, axis=0)
     assert errors == pytest.approx(recomputed, abs=1e-12)
+
+
+def _criterion3_pair(i):
+    # the dictionaries and signals of acceptance criterion 3's l1 pair i
+    d, d2 = perturbed_pair(Dictionary(uniform_sphere_matrix(6, 8, substream(51, i))), 1e-3,
+                           substream(52, i))
+    return d, d2, uniform_sphere_matrix(6, 50, substream(53, i))
+
+
+def test_l1_certificate_holds():
+    cases = [  # (dictionary, lam, signals)
+        (Dictionary(uniform_sphere_matrix(6, 8, substream(30, 0))), lam,
+         uniform_sphere_matrix(6, 40, substream(30, 1))) for lam in (0.25, 1.0, 2.0, 4.0, 50.0)]
+    cases.append((Dictionary(_repeated_atom(6, 8, 31)), 1.0, uniform_sphere_matrix(6, 40, substream(31, 1))))
+    cases.append((Dictionary(uniform_sphere_matrix(8, 5, substream(32, 0))), 1.0,  # p < n
+                  uniform_sphere_matrix(8, 40, substream(32, 1))))
+    # criterion 3's pair 314: D' has an optimum on 6 atoms that the iterates
+    # approach through a support of 7 dependent atoms in R^6
+    d, d2, signals = _criterion3_pair(314)
+    cases += [(d, 2.0, signals), (d2, 2.0, signals)]
+    # 3-sparse signals of l1 norm 1 coded at lam = 1 - 1e-4: errors ~5e-5,
+    # where the polish's 1e-12 ridge alone would leave the slack near 1e-9
+    d = Dictionary(uniform_sphere_matrix(8, 12, substream(36, 0)))
+    rng = substream(36, 1)
+    coeffs = np.zeros((12, 40))
+    for j in range(40):
+        coeffs[rng.choice(12, size=3, replace=False), j] = rng.standard_normal(3)
+    cases.append((d, 1.0 - 1e-4, d.atoms @ (coeffs / np.abs(coeffs).sum(axis=0))))
+    for d, lam, signals in cases:
+        coeffs, errors, _iters, residual = l1_solve_batch(d, signals, lam)
+        assert _l1_slack_reference(d.atoms, coeffs, signals, lam).max() <= 1e-10
+        assert np.abs(coeffs).sum(axis=0).max() <= lam * (1 + 1e-12)
+        assert errors == pytest.approx(np.linalg.norm(d.atoms @ coeffs - signals, axis=0), abs=1e-15)
+        assert residual <= 1e-9
+        res = l1_solve(d, signals[:, 0], lam)
+        r = d.atoms @ res.coeffs.values - signals[:, 0]
+        g = d.atoms.T @ r
+        assert res.gap == pytest.approx(res.coeffs.values @ g + lam * np.abs(g).max(), abs=1e-15)
+
+
+def test_l1_batch_matches_single():
+    cases = [(Dictionary(uniform_sphere_matrix(6, 8, substream(34, 0))), 1.5,
+              uniform_sphere_matrix(6, 20, substream(34, 1)))]
+    d, d2, signals = _criterion3_pair(485)
+    # column 15: the old fixed-point stop left D' 5.6e-6 above the optimum,
+    # and its single and batch errors 1e-7 apart on D
+    cases += [(d, 2.0, signals), (d2, 2.0, signals)]
+    for d, lam, signals in cases:
+        _coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
+        for j in range(signals.shape[1]):
+            assert abs(l1_solve(d, signals[:, j], lam).error - errors[j]) <= 1e-10
+
+
+def test_l1_iteration_cap_warns(monkeypatch):
+    monkeypatch.setattr(coders, "MAX_ITERS", 5)
+    d = Dictionary(uniform_sphere_matrix(6, 8, substream(35, 0)))
+    signals = uniform_sphere_matrix(6, 10, substream(35, 1))
+    with pytest.warns(RuntimeWarning, match=r"MAX_ITERS = 5 steps with \d+ of 10 columns "
+                                            r"uncertified \(worst error slack"):
+        _coeffs, _errors, iters, _residual = l1_solve_batch(d, signals, 2.0)
+    assert iters == 5
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,7 +441,7 @@ def test_h_one_lipschitz_in_x():
         x1 = sample_uniform_sphere(5, substream(11, 2 * i + 1)).values
         x2 = sample_uniform_sphere(5, substream(11, 2 * i + 2)).values
         dist = np.linalg.norm(x1 - x2)
-        for constraint, tol in ((HardK(2), 1e-10), (L1Ball(1.5), 2 * FP_TOL)):
+        for constraint, tol in ((HardK(2), 1e-10), (L1Ball(1.5), 2 * ERR_TOL)):
             h1 = repr_error(d, x1, constraint, exact=True).error
             h2 = repr_error(d, x2, constraint, exact=True).error
             assert abs(h1 - h2) <= dist + tol
@@ -392,7 +488,7 @@ def test_l1_lipschitz_in_dictionary():
         x = sample_uniform_sphere(6, substream(16, i)).values
         h1 = l1_solve(d, x, lam).error
         h2 = l1_solve(d2, x, lam).error
-        assert abs(h1 - h2) <= lam * me_norm(d.atoms - d2.atoms) + 2 * FP_TOL
+        assert abs(h1 - h2) <= lam * me_norm(d.atoms - d2.atoms) + 2 * ERR_TOL
 
 
 def test_ksparse_lipschitz_in_dictionary():
