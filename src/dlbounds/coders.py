@@ -9,18 +9,24 @@ with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 (L1Ball).  `exact_ksparse` and `exact_ksparse_batch` share one exhaustive
 engine, the ground truth: it scores each support by the energy its QR
 projection captures, refits the winners, and sends ties to the smallest
-support in lexicographic order.  `greedy_ksparse` and its batch form are
-the fast heuristic, a batch OMP on D^T D and D^T X that the kernel coder
-runs on a Gram matrix.  Both take a 1e-12 ridge on rank-deficient supports.
-`l1_solve` and `l1_solve_batch` are certified: accelerated projected
-gradient, with an exact KKT polish on each column's support and sign
-pattern, stops a column only once its Frank-Wolfe duality gap proves its
-error within ERR_TOL = 1e-10 of the optimum; a column still uncertified at
-MAX_ITERS raises a RuntimeWarning.
+support in lexicographic order (for k >= rank(D), the first basis).
+`greedy_ksparse` and its batch form are the fast heuristic, a batch OMP on
+D^T D and D^T X that the kernel coder runs on a Gram matrix.  Both take a
+1e-12 ridge on rank-deficient supports.  `l1_solve` and `l1_solve_batch`
+are certified: accelerated projected gradient, with an exact KKT polish on
+each column's support and sign pattern, stops a column only once its
+Frank-Wolfe duality gap proves its error within ERR_TOL = 1e-10 of the
+optimum.  `l1_solve_batch` takes an optional starting point (`init`, e.g.
+the solution for a nearby dictionary) and checks it before the first step,
+so a column it already certifies costs no step.  A column whose gap sinks
+into the rounding of its residual is re-centred at an exactly rounded
+residual; one still uncertified FLOOR_STEPS steps later, or at MAX_ITERS,
+raises a RuntimeWarning.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -52,6 +58,8 @@ RIDGE = 1e-12
 # within ERR_TOL of the optimum, or after MAX_ITERS proximal steps.
 ERR_TOL = 1e-10
 MAX_ITERS = 10_000
+# A column re-centred at its rounding floor gets this many more steps.
+FLOOR_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -175,13 +183,27 @@ def greedy_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np
     return dense, np.linalg.norm(d.atoms @ dense - signals, axis=0)
 
 
+def _first_basis(atoms: np.ndarray, k: int) -> list[int] | None:
+    """The lexicographically first basis of the atoms' span (independence by
+    _full_rank's test), or None once more than k atoms are independent."""
+    basis: list[int] = []
+    for j in range(atoms.shape[1]):
+        if _full_rank(np.linalg.qr(atoms[:, basis + [j]])[1]):
+            basis.append(j)
+            if len(basis) > k:
+                return None
+    return basis
+
+
 def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     """Exhaustive k-sparse coding of the columns of an n x N matrix.
 
     A support scores a column by the energy it captures: ||Q^T x||^2, or
     ||x||^2 - ||x - A_S c||^2 at _ls_fit's ridge fit if the rank test fails.
-    Only a strictly higher score wins; each winner is refit once.  Returns
-    (coeffs p x N, refit errors N, supports k x N, ridge_used N).
+    Only a strictly higher score wins; each winner is refit once.  For
+    k >= rank(D) every column takes the projection onto span(D) on the first
+    basis, padded with the lowest other atoms.  Returns (coeffs p x N, refit
+    errors N, supports k x N, ridge_used N).
     """
     k = int(k)
     if not 1 <= k <= d.p:
@@ -189,6 +211,17 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     if comb(d.p, k) > EXACT_GUARD:
         raise GuardExceededError(f"C({d.p},{k}) = {comb(d.p, k)} exceeds guard {EXACT_GUARD}")
     atoms, n_sig = d.atoms, signals.shape[1]
+    basis = _first_basis(atoms, k)
+    if basis is not None:
+        # every support then captures at most the projection, which the
+        # basis attains exactly; the ridge-fitted scores would tie in rounding
+        pad = [j for j in range(d.p) if j not in basis][:k - len(basis)]
+        dense = np.zeros((d.p, n_sig))
+        if basis:
+            dense[basis] = _ls_fit(atoms[:, basis], signals)[0]
+        errors = np.linalg.norm(signals - atoms @ dense, axis=0)
+        supports = np.repeat(np.array(sorted(basis + pad))[:, None], n_sig, axis=1)
+        return dense, errors, supports, np.zeros(n_sig, dtype=bool)
     subsets = list(combinations(range(d.p), k))
     best_score = np.full(n_sig, -np.inf)
     best_sub = np.zeros(n_sig, dtype=int)
@@ -271,18 +304,38 @@ def _project_l1_columns(mat: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def _l1_slack(atoms: np.ndarray, a: np.ndarray, signals: np.ndarray, lam: float):
-    """(gap, slack) per column for feasible coefficients a (||a||_1 <= lam).
+def _exact_residual(atoms: np.ndarray, a: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """D a - x rounded once per entry: each product split exactly into two
+    doubles (Dekker, 1971) and all of them summed by math.fsum.  Costs
+    n N Python-level sums; meant for a few columns."""
+    prod = atoms[:, :, None] * a[None]
+    split = 134217729.0 * atoms[:, :, None]  # 2^27 + 1
+    d_hi = split - (split - atoms[:, :, None])
+    split = 134217729.0 * a[None]
+    a_hi = split - (split - a[None])
+    d_lo, a_lo = atoms[:, :, None] - d_hi, a[None] - a_hi
+    err = ((d_hi * a_hi - prod) + d_hi * a_lo + d_lo * a_hi) + d_lo * a_lo
+    terms = np.concatenate([prod, err, -signals[:, None, :]], axis=1)
+    return np.array([[math.fsum(col) for col in row.T] for row in terms])
 
-    gap = a.g + lam ||g||_inf with g = D^T (Da - x) is the Frank-Wolfe duality
-    gap (Jaggi, 2013); it bounds h^2/2 - h*^2/2, so slack = h - sqrt(h^2 - 2 gap)
-    bounds h - h*, how far the error h = ||Da - x|| is above the optimum h*.
+
+def _l1_slack(atoms: np.ndarray, a: np.ndarray, lam: float, a0, r0: np.ndarray, margin=0.0):
+    """(gap, slack) per column for feasible coefficients a (||a||_1 <= lam),
+    from the residual r = D a - x taken as r0 + D (a - a0), r0 its value at
+    a0 (a0 = 0 and r0 = -x give it directly).
+
+    gap = a.g + lam ||g||_inf with g = D^T r is the Frank-Wolfe duality gap
+    (Jaggi, 2013); it bounds h^2/2 - h*^2/2, so slack = h - sqrt(h^2 - 2 gap)
+    bounds h - h*, how far the error h = ||r|| is above the optimum h*.  The
+    rounding of r, about eps ||r0||, leaves the computed gap about
+    2 lam eps ||r0|| from the true one; the slack is taken at gap + margin
+    so that a margin of that size makes it a bound.
     """
-    resid = atoms @ a - signals
+    resid = r0 + atoms @ (a - a0)
     g = atoms.T @ resid
     gap = np.einsum("ij,ij->j", a, g) + lam * np.abs(g).max(axis=0)
     h2 = np.einsum("ij,ij->j", resid, resid)
-    return gap, np.sqrt(h2) - np.sqrt(np.maximum(h2 - 2.0 * gap, 0.0))
+    return gap, np.sqrt(h2) - np.sqrt(np.maximum(h2 - 2.0 * (gap + margin), 0.0))
 
 
 def _reduce_support(gram: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
@@ -339,10 +392,11 @@ def _kkt_solve(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.nda
     return out
 
 
-def _l1_polish(atoms: np.ndarray, gram: np.ndarray, x: np.ndarray, corr: np.ndarray,
-               a: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _l1_polish(atoms: np.ndarray, gram: np.ndarray, corr: np.ndarray, a: np.ndarray,
+               lam: float, a0: np.ndarray, r0: np.ndarray,
+               margin: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimizer on each column's support and sign pattern, with its
-    error slack (see _l1_slack).
+    duality gap and error slack (see _l1_slack, which takes a0, r0, margin).
 
     On the l1 sphere the KKT system is G_SS a_S + nu s = c_S, s.a_S = lam
     (s the signs, c = D^T x); inside the ball nu = 0.  A support of more than
@@ -362,13 +416,14 @@ def _l1_polish(atoms: np.ndarray, gram: np.ndarray, x: np.ndarray, corr: np.ndar
     on, signs = a != 0.0, np.sign(a)
     border = signs * sphere
     cand = _into_l1_ball(_kkt_solve(gram, on, border, corr, lam * sphere), lam)
-    slack = _l1_slack(atoms, cand, x, lam)[1]
+    gap, slack = _l1_slack(atoms, cand, lam, a0, r0, margin)
     redo = np.flatnonzero(~(slack <= ERR_TOL) & (np.sign(cand) == signs).all(axis=0))
     if redo.size:
         fix = _kkt_solve(gram, on[:, redo], border[:, redo], RIDGE * cand[:, redo], np.zeros(redo.size))
         cand[:, redo] = _into_l1_ball(cand[:, redo] + fix, lam)
-        slack[redo] = _l1_slack(atoms, cand[:, redo], x[:, redo], lam)[1]
-    return cand, slack
+        gap[redo], slack[redo] = _l1_slack(atoms, cand[:, redo], lam, a0[:, redo], r0[:, redo],
+                                           margin[redo])
+    return cand, gap, slack
 
 
 def _into_l1_ball(a: np.ndarray, lam: float) -> np.ndarray:
@@ -376,7 +431,8 @@ def _into_l1_ball(a: np.ndarray, lam: float) -> np.ndarray:
     return a * np.where(norm1 > lam, lam / np.maximum(norm1, lam), 1.0)
 
 
-def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int, float]:
+def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
+                   init: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int, float]:
     """l1-constrained least squares over a batch of column signals, certified.
 
     Accelerated projected gradient with gradient-based momentum restarts,
@@ -385,18 +441,37 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     on its support/sign pattern are scored by their duality-gap error slack
     (see _l1_slack), and the column retires with the better of the two once
     that slack is <= ERR_TOL, so its error is within ERR_TOL of the optimum.
-    Columns still uncertified after MAX_ITERS steps are returned as they are,
-    with a RuntimeWarning.
+
+    init (p x N, optional) is a starting point, e.g. the solution for a
+    nearby dictionary; it is scaled into the ball and checked once before
+    the first step, so a column it already certifies retires at iteration
+    0.  Without it the solver starts from zero.
+
+    The gap is computed from the residual D a - x, whose rounding (about
+    eps ||x||) hides gaps below about 2 lam eps ||x||; where the optimum lies
+    on the l1 sphere with error h* <~ 4e-6 lam ||x||, ERR_TOL is then below
+    what the slack resolves.  The certificate counts that margin, and a
+    column whose gap falls within it is re-centred once: its residual is
+    rounded once at the current point (_exact_residual) and later residuals
+    and gradients are taken relative to it.  A column still uncertified
+    FLOOR_STEPS steps later, or after MAX_ITERS steps, is returned as it is,
+    with a RuntimeWarning naming the count (and, at the floor, the columns).
 
     Returns (coeffs p x N, errors N, iterations, max fixed-point residual
     ||a - P(a - grad/L)|| of the returned coefficients).
     """
     signals = _check_signals(d, signals)
+    p, n_sig = d.p, signals.shape[1]
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (p, n_sig):
+            raise ValueError(f"init must be a {p} x {n_sig} matrix, got shape {init.shape}")
+        if not np.all(np.isfinite(init)):
+            raise ValueError("init entries must be finite")
     lam = float(lam)
     if not lam >= 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     atoms = d.atoms
-    p, n_sig = d.p, signals.shape[1]
     lip = float(np.linalg.norm(atoms, 2)) ** 2
     if lam == 0.0 or lip == 0.0:
         return np.zeros((p, n_sig)), np.linalg.norm(signals, axis=0), 0, 0.0
@@ -405,38 +480,77 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     out = np.zeros((p, n_sig))
     live = np.arange(n_sig)
     x, corr = signals, atoms.T @ signals
-    a = np.zeros((p, n_sig))
+    # each column's residual is r0 + D (a - a0), its gradient g0 + G (a - a0),
+    # and its gap is known to within margin (see _l1_slack)
+    a0, r0, g0 = np.zeros((p, n_sig)), -x, -corr
+    margin = 2.0 * np.finfo(float).eps * lam * np.linalg.norm(signals, axis=0)
+    centred = np.full(n_sig, -1)  # the step a column was re-centred at
+    adopted = np.full(n_sig, np.inf)  # slack of the polish a column last restarted from
+    floored, floor_slack = [], 0.0
+    a = np.zeros((p, n_sig)) if init is None else _into_l1_ball(init, lam)
     y = a.copy()
     t = np.ones(n_sig)
     iterations = 0
-    for it in range(1, MAX_ITERS + 1):
-        a_new = _project_l1_columns(y - step * (gram @ y - corr), lam)
-        restart = ((y - a_new) * (a_new - a)).sum(axis=0) > 0.0
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        t_new[restart] = 1.0
-        beta = (t - 1.0) / t_new
-        beta[restart] = 0.0
-        y = a_new + beta * (a_new - a)
-        a = a_new
-        t = t_new
+    for it in range(0 if init is not None else 1, MAX_ITERS + 1):
+        if it:
+            a_new = _project_l1_columns(y - step * (gram @ (y - a0) + g0), lam)
+            restart = ((y - a_new) * (a_new - a)).sum(axis=0) > 0.0
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            t_new[restart] = 1.0
+            beta = (t - 1.0) / t_new
+            beta[restart] = 0.0
+            y = a_new + beta * (a_new - a)
+            a = a_new
+            t = t_new
         iterations = it
         if it % 5 == 0 or it == MAX_ITERS:
-            polished, slack_polished = _l1_polish(atoms, gram, x, corr, a, lam)
-            slack = _l1_slack(atoms, a, x, lam)[1]
+            polished, gap_polished, slack_polished = _l1_polish(atoms, gram, corr, a, lam, a0, r0, margin)
+            gap, slack = _l1_slack(atoms, a, lam, a0, r0, margin)
             better = slack_polished < slack
+            # the iterate restarts from the polish only if it improves on the
+            # last one taken, so that it cannot cycle between one polish and
+            # the 5 steps from it
+            adopt = better & (slack_polished < adopted)
+            adopted = np.where(adopt, slack_polished, adopted)
             best = np.where(better, polished, a)
+            gap = np.where(better, gap_polished, gap)
             slack = np.where(better, slack_polished, slack)
+            done = slack <= ERR_TOL
+            # a gap within its margin is rounding noise: re-centre the column
+            # once at an exact residual, which shrinks the margin to eps h, and
+            # give it FLOOR_STEPS more steps
+            floor = np.flatnonzero(~done & (centred[live] < 0) & (gap <= margin))
+            if floor.size:
+                a0[:, floor] = best[:, floor]
+                r0[:, floor] = _exact_residual(atoms, best[:, floor], x[:, floor])
+                g0[:, floor] = atoms.T @ r0[:, floor]
+                margin[floor] = 2.0 * np.finfo(float).eps * lam * np.linalg.norm(r0[:, floor], axis=0)
+                centred[live[floor]] = it
+                slack[floor] = _l1_slack(atoms, best[:, floor], lam, a0[:, floor], r0[:, floor],
+                                         margin[floor])[1]
+                done[floor] = slack[floor] <= ERR_TOL
+            stalled = ~done & (centred[live] >= 0) & (it - centred[live] >= FLOOR_STEPS)
+            if stalled.any():
+                floored += live[stalled].tolist()
+                floor_slack = max(floor_slack, float(slack[stalled].max()))
             out[:, live] = best
-            keep = ~(slack <= ERR_TOL)
+            keep = ~(done | stalled)
             if not keep.any():
                 break
             live, x, corr = live[keep], x[:, keep], corr[:, keep]
-            a, t, slack = best[:, keep], np.where(better, 1.0, t)[keep], slack[keep]
-            y = np.where(better[keep], a, y[:, keep])
+            a0, r0, g0, margin = a0[:, keep], r0[:, keep], g0[:, keep], margin[keep]
+            adopt, adopted, slack = adopt[keep], adopted[keep], slack[keep]
+            a = np.where(adopt, polished[:, keep], a[:, keep])
+            t = np.where(adopt, 1.0, t[keep])
+            y = np.where(adopt, a, y[:, keep])
     else:
         warnings.warn(f"l1_solve_batch stopped after MAX_ITERS = {MAX_ITERS} steps with "
                       f"{live.size} of {n_sig} columns uncertified (worst error slack "
                       f"{slack.max():.3g} > ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
+    if floored:
+        warnings.warn(f"l1_solve_batch left {len(floored)} of {n_sig} columns {sorted(floored)} "
+                      f"uncertified at their rounding floor (worst error slack "
+                      f"{floor_slack:.3g} > ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
     resid = atoms @ out - signals
     fp = out - _project_l1_columns(out - step * (atoms.T @ resid), lam)
     residual = float(np.sqrt((fp * fp).sum(axis=0)).max(initial=0.0))
@@ -454,7 +568,7 @@ def l1_solve(d: Dictionary, x, lam: float) -> CodingResult:
     coeffs, _errors, iterations, residual = l1_solve_batch(d, x[:, None], lam)
     dense = coeffs[:, 0]
     error = float(np.linalg.norm(d.atoms @ dense - x))
-    gap = float(_l1_slack(d.atoms, coeffs, x[:, None], lam)[0][0])
+    gap = float(_l1_slack(d.atoms, coeffs, lam, 0.0, -x[:, None])[0][0])
     return CodingResult(coeffs=CoeffVector.from_dense(dense), error=error, method="l1-projection",
                         iterations=iterations, fp_residual=residual, gap=gap)
 

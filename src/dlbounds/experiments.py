@@ -192,8 +192,9 @@ def _batch_errors(d: Dictionary, x: np.ndarray, constraint: SparsityConstraint) 
 def lipschitz_probe(d: Dictionary, d_prime: Dictionary, signals,
                     constraint: SparsityConstraint) -> float:
     """max over signals of |h_D(x) - h_D'(x)| / me_norm(D - D'), with exact
-    coding on both sides.  Rejects unnormalized dictionaries and pairs
-    closer than 1e-12 in ME norm (the ratio would be noise)."""
+    or certified l1 coding on both sides (l1 codes D' from D's solution).
+    Rejects unnormalized dictionaries and pairs closer than 1e-12 in ME norm
+    (the ratio would be noise)."""
     for name, dd in (("first", d), ("second", d_prime)):
         problems = validate_dictionary(dd, normalized=True)
         if problems:
@@ -206,7 +207,12 @@ def lipschitz_probe(d: Dictionary, d_prime: Dictionary, signals,
     x = signals_to_matrix(signals)
     if x.shape[0] != d.n:
         raise ValueError(f"signals have dimension {x.shape[0]}, dictionaries {d.n}")
-    gaps = np.abs(_batch_errors(d, x, constraint) - _batch_errors(d_prime, x, constraint))
+    if isinstance(constraint, L1Ball):
+        coeffs, errors, _, _ = l1_solve_batch(d, x, constraint.lam)
+        errors_prime = l1_solve_batch(d_prime, x, constraint.lam, coeffs)[1]
+    else:
+        errors, errors_prime = _batch_errors(d, x, constraint), _batch_errors(d_prime, x, constraint)
+    gaps = np.abs(errors - errors_prime)
     return float(gaps.max()) / denom
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,12 +208,11 @@ def _repeated_atom(n, p, seed):
 
 
 def test_exact_batch_matches_single():
-    cases = [  # (atoms, k, whether the winning supports need the ridge)
-        (uniform_sphere_matrix(5, 8, substream(5, 0)), 2, False),
-        (_repeated_atom(5, 8, 5), 2, False),
-        (_repeated_atom(4, 4, 5), 4, True),  # the only support repeats an atom
+    cases = [  # (atoms, k)
+        (uniform_sphere_matrix(5, 8, substream(5, 0)), 2),
+        (_repeated_atom(5, 8, 5), 2),
     ]
-    for atoms, k, ridge in cases:
+    for atoms, k in cases:
         d = Dictionary(atoms)
         signals = uniform_sphere_matrix(d.n, 6, substream(5, 1))
         coeffs, errors = exact_ksparse_batch(d, signals, k)
@@ -219,16 +220,30 @@ def test_exact_batch_matches_single():
             single = exact_ksparse(d, signals[:, j], k)
             assert errors[j] == pytest.approx(single.error, abs=1e-12)
             assert coeffs[:, j] == pytest.approx(single.coeffs.values, abs=1e-10)
-            assert single.ridge_used == ridge
-    # k > n: every support is wide, takes the ridge and fits exactly; the
-    # coefficients are not unique, so only the errors are compared
-    d = Dictionary(uniform_sphere_matrix(3, 5, substream(5, 4)))
-    signals = uniform_sphere_matrix(3, 6, substream(5, 1))
-    _coeffs, errors = exact_ksparse_batch(d, signals, 4)
-    for j in range(6):
-        single = exact_ksparse(d, signals[:, j], 4)
-        assert errors[j] == pytest.approx(single.error, abs=1e-12)
-        assert single.error <= 1e-10 and single.ridge_used
+            assert not single.ridge_used
+    # k >= rank(D): every support spanning col(D) ties, so both coders take
+    # the projection on the first basis, padded with the lowest other atoms
+    rng = np.random.default_rng(0)
+    wide = Dictionary(uniform_sphere_matrix(3, 5, rng))
+    cases = [  # (dictionary, k, signals, the first basis)
+        (wide, 4, rng.standard_normal((3, 4)), [0, 1, 2]),  # k > n
+        (Dictionary(uniform_sphere_matrix(3, 5, substream(5, 4))), 4,
+         uniform_sphere_matrix(3, 6, substream(5, 1)), [0, 1, 2]),
+        # k = p = n, atom 3 repeats atom 0: rank 3, so no fit needs the ridge
+        (Dictionary(_repeated_atom(4, 4, 5)), 4, uniform_sphere_matrix(4, 6, substream(5, 1)),
+         [0, 1, 2]),
+    ]
+    for d, k, signals, basis in cases:
+        coeffs, errors = exact_ksparse_batch(d, signals, k)
+        for j in range(signals.shape[1]):
+            x = signals[:, j]
+            single = exact_ksparse(d, x, k)
+            projection = np.linalg.norm(x - d.atoms[:, basis] @ np.linalg.lstsq(d.atoms[:, basis], x)[0])
+            assert coeffs[:, j] == pytest.approx(single.coeffs.values, abs=1e-14)
+            # rounding level; the old ridge fits of wide supports left ~5e-12
+            assert errors[j] == pytest.approx(projection, abs=1e-13)
+            assert single.error == pytest.approx(projection, abs=1e-13)
+            assert single.coeffs.support == (0, 1, 2, 3) and not single.ridge_used
     # exact tie between atoms 0 and 2: both coders keep the smaller support
     d = Dictionary(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     x = np.array([1.0, 0.0])
@@ -307,13 +322,20 @@ def test_l1_feasibility_and_monotonicity():
     assert all(b <= a + 2 * ERR_TOL for a, b in zip(errs, errs[1:]))
 
 
-def _l1_slack_reference(atoms, coeffs, signals, lam):
+def _exact_residual_reference(atoms, a, x):
+    """D a - x for one column, computed in rationals and rounded once per entry."""
+    return np.array([float(sum((Fraction(float(dij)) * Fraction(float(aj)) for dij, aj in zip(row, a)),
+                               -Fraction(float(xi)))) for row, xi in zip(atoms, x)])
+
+
+def _l1_slack_reference(atoms, coeffs, signals, lam, exact=False):
     """Per column, h - sqrt(h^2 - 2 gap): how far ||D a - x|| can be above the
     l1-constrained optimum, from the Frank-Wolfe duality gap a.g + lam ||g||_inf
-    with g = D^T (D a - x)."""
+    with g = D^T (D a - x).  exact=True takes D a - x from
+    _exact_residual_reference, so the only rounding is relative to it."""
     slacks = []
     for a, x in zip(coeffs.T, signals.T):
-        resid = atoms @ a - x
+        resid = _exact_residual_reference(atoms, a, x) if exact else atoms @ a - x
         g = atoms.T @ resid
         gap = float(a @ g) + lam * float(np.max(np.abs(g)))
         h = float(np.linalg.norm(resid))
@@ -380,6 +402,113 @@ def test_l1_batch_matches_single():
         _coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
         for j in range(signals.shape[1]):
             assert abs(l1_solve(d, signals[:, j], lam).error - errors[j]) <= 1e-10
+
+
+def test_l1_warm_start_at_optimum_retires_at_once():
+    d, d2, signals = _criterion3_pair(485)
+    cases = [(d, 2.0, signals), (d2, 2.0, signals),
+             (Dictionary(_repeated_atom(6, 8, 31)), 1.0, uniform_sphere_matrix(6, 40, substream(31, 1)))]
+    for d, lam, signals in cases:
+        coeffs, errors, iters, _residual = l1_solve_batch(d, signals, lam)
+        assert iters > 0
+        warm, warm_errors, warm_iters, _residual = l1_solve_batch(d, signals, lam, coeffs)
+        assert warm_iters == 0
+        assert warm_errors == pytest.approx(errors, abs=1e-15)
+        assert _l1_slack_reference(d.atoms, warm, signals, lam).max() <= ERR_TOL
+
+
+def test_l1_warm_start_matches_cold():
+    # D' codes from D's solution and D from D''s: both certified, so warm and
+    # cold errors agree to within the certificate
+    d, d2, signals = _criterion3_pair(485)
+    cold, cold_errors, _iters, _residual = l1_solve_batch(d, signals, 2.0)
+    cold2, cold2_errors, _iters, _residual = l1_solve_batch(d2, signals, 2.0)
+    for dd, init, expected in ((d2, cold, cold2_errors), (d, cold2, cold_errors)):
+        warm, errors, _iters, _residual = l1_solve_batch(dd, signals, 2.0, init)
+        assert np.abs(errors - expected).max() <= 1e-10
+        assert _l1_slack_reference(dd.atoms, warm, signals, 2.0).max() <= ERR_TOL
+
+
+def test_l1_warm_start_outside_ball_is_scaled_in():
+    d = Dictionary(uniform_sphere_matrix(6, 8, substream(37, 0)))
+    signals = uniform_sphere_matrix(6, 20, substream(37, 1))
+    init = 10.0 * substream(37, 2).standard_normal((8, 20))
+    for lam in (0.5, 2.0):
+        coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam, init)
+        assert np.abs(coeffs).sum(axis=0).max() <= lam * (1 + 1e-12)
+        assert _l1_slack_reference(d.atoms, coeffs, signals, lam).max() <= ERR_TOL
+        assert errors == pytest.approx(l1_solve_batch(d, signals, lam)[1], abs=2 * ERR_TOL)
+
+
+def test_l1_warm_start_rejects_bad_init():
+    d = Dictionary(uniform_sphere_matrix(4, 6, substream(38, 0)))
+    signals = uniform_sphere_matrix(4, 3, substream(38, 1))
+    for shape in ((6,), (3, 6), (6, 2)):
+        with pytest.raises(ValueError, match="init must be a 6 x 3 matrix"):
+            l1_solve_batch(d, signals, 1.0, np.zeros(shape))
+    for bad in (np.nan, np.inf):
+        init = np.zeros((6, 3))
+        init[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            l1_solve_batch(d, signals, 1.0, init)
+
+
+def test_exact_residual_is_correctly_rounded():
+    rng = substream(39, 0)
+    atoms, a, x = rng.standard_normal((5, 7)), rng.standard_normal((7, 4)), rng.standard_normal((5, 4))
+    x[:, 0] = atoms @ a[:, 0]  # cancellation down to the rounding of D a
+    exact = np.stack([_exact_residual_reference(atoms, a[:, j], x[:, j]) for j in range(4)], axis=1)
+    assert np.array_equal(coders._exact_residual(atoms, a, x), exact)
+
+
+def test_l1_precision_floor_recentres_and_warns():
+    # 3-sparse signals of l1 norm 1 coded at lam = 1 - 1e-6: the optima lie on
+    # the sphere with errors ~5e-7, where the residual's rounding hides gaps
+    # below ~2 lam eps ||x||, i.e. slacks below ~5e-10.  They used to run all
+    # MAX_ITERS steps, and some stopped at a slack of 1.1e-10 that the double
+    # precision gap put below ERR_TOL.  Ten unit signals with errors ~0.1 ride
+    # along.
+    d = Dictionary(uniform_sphere_matrix(8, 12, substream(1, 0)))
+    rng = np.random.default_rng(1)
+    coeffs = np.zeros((12, 40))
+    for j in range(40):
+        coeffs[rng.choice(12, 3, replace=False), j] = rng.uniform(-1, 1, 3)
+    signals = np.hstack([d.atoms @ (coeffs / np.abs(coeffs).sum(axis=0)),
+                         uniform_sphere_matrix(8, 10, substream(1, 1))])
+    lam = 1 - 1e-6
+    with pytest.warns(RuntimeWarning, match=r"^l1_solve_batch left \d+ of 50 columns \[") as record:
+        coeffs, _errors, iters, _residual = l1_solve_batch(d, signals, lam)
+    assert len(record) == 1
+    assert iters <= coders.MAX_ITERS // 10
+    named = [int(j) for j in re.search(r"\[([\d, ]+)\]", str(record[0].message))[1].split(",")]
+    assert 0 < len(named) < 40 and max(named) < 40
+    slack = _l1_slack_reference(d.atoms, coeffs, signals, lam, exact=True)
+    assert np.delete(slack, named).max() <= ERR_TOL
+    assert np.abs(coeffs).sum(axis=0).max() <= lam * (1 + 1e-12)
+
+
+def test_l1_polish_restarts_cannot_cycle():
+    # five atoms of a dictionary the learner reached in gengap-l1 at seed 26:
+    # the polish on support {2, 3, 4} beat the iterate 5 steps on from it at
+    # every check, so the iterate was reset to it until MAX_ITERS, and the
+    # column stopped with an error slack of ~1e-3
+    atoms = np.array([
+        [-0.613469707981519, 0.37973862568639893, 0.47074658890703464, 0.5091037953638742, 0.4204113909620282],
+        [0.30463808094858863, 0.24060809752213969, -0.42270276483851366, -0.4392405926234303, -0.21643391302597023],
+        [-0.10259618541146992, 0.7023653540793959, 0.05627939114612397, 0.06120646962841649, -0.1050092390306862],
+        [-0.5333693527322194, 0.08496190441405449, 0.4235314151362518, 0.3191909561291293, 0.17281884079655246],
+        [-0.3039769783974879, 0.30887318023363086, 0.34469731531191117, 0.33370840169473753, 0.46037193705461704],
+        [-0.19939423456537544, 0.22648240832188987, 0.3007999114760427, 0.37160254304977086, 0.4882132986474117],
+        [0.08863002604064818, -0.2886940364365457, -0.16547577833411997, -0.2428401977995478, -0.24356416557133356],
+        [0.3095583428701528, 0.25947935242500053, -0.42484671707882626, -0.36582894897599016, -0.4752886317507547],
+    ])
+    x = np.array([0.4911937238705737, -0.4310658007347276, 0.059086019950023744, 0.37455314844194093,
+                  0.340207324586163, 0.3369975940878471, -0.2041501489373952, -0.39767335449027574])
+    d = Dictionary(atoms)
+    coeffs, _errors, iters, _residual = l1_solve_batch(d, x[:, None], 1.0)
+    assert iters <= 100
+    assert _l1_slack_reference(d.atoms, coeffs, x[:, None], 1.0, exact=True)[0] <= ERR_TOL
+    assert np.flatnonzero(coeffs[:, 0]).tolist() == [2, 3]
 
 
 def test_l1_iteration_cap_warns(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dlbounds.coders import l1_solve_batch
 from dlbounds.coherence import babel
 from dlbounds.core import (
     Dictionary,
@@ -152,6 +153,17 @@ def test_lipschitz_probe_l1_within_lambda():
         signals = uniform_sphere_matrix(6, 50, substream(4, i))
         ratio = lipschitz_probe(d, d2, signals, L1Ball(lam))
         assert ratio <= lam + 1e-6
+
+
+def test_lipschitz_probe_l1_warm_start_matches_cold():
+    # the probe codes D' from D's solution; coding both from zero gives the same ratio
+    lam = 2.0
+    d, d2 = perturbed_pair(Dictionary(uniform_sphere_matrix(6, 8, substream(51, 485))), 1e-3,
+                           substream(52, 485))
+    signals = uniform_sphere_matrix(6, 50, substream(53, 485))
+    denom = me_norm(d.atoms - d2.atoms)
+    cold = np.abs(l1_solve_batch(d, signals, lam)[1] - l1_solve_batch(d2, signals, lam)[1]).max() / denom
+    assert lipschitz_probe(d, d2, signals, L1Ball(lam)) == pytest.approx(cold, abs=1e-10 / denom)
 
 
 def test_lipschitz_probe_ksparse_within_bound():
