@@ -33,7 +33,7 @@ from .core import (
     uniform_sphere_matrix,
 )
 from .coherence import babel, babel_bruteforce
-from .coders import exact_ksparse, greedy_ksparse, l1_solve
+from .coders import repr_error
 from .bounds import (
     BoundInputs,
     ksparse_generalization_bound,
@@ -191,11 +191,7 @@ def _cmd_babel(args) -> int:
 def _cmd_code(args) -> int:
     d = load_dictionary(args.dict)
     x = load_signal(args.signal)
-    if args.k is not None:
-        result = (exact_ksparse if args.exact else greedy_ksparse)(d, x, args.k)
-    else:
-        result = l1_solve(d, x, args.lam)
-    _print_coding(result)
+    _print_coding(repr_error(d, x, _constraint(args), exact=args.exact))
     _write_manifest(args, Path(args.out), [args.dict, args.signal])
     return 0
 

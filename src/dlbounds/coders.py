@@ -7,13 +7,13 @@ set A is
 
 with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 (L1Ball).  `exact_ksparse` and `exact_ksparse_batch` share one exhaustive
-engine, the ground truth: it scores each support by the energy its QR
-projection captures, refits the winners, and sends ties to the smallest
+engine, the ground truth: stacked QRs score the full-rank supports by the
+energy they capture, the winners are refit, and ties go to the smallest
 support in lexicographic order (for k >= rank(D), the first basis).
 `greedy_ksparse` and its batch form are the fast heuristic, a batch OMP on
-D^T D and D^T X that the kernel coder runs on a Gram matrix.  Both take a
-1e-12 ridge on rank-deficient supports.  `l1_solve` and `l1_solve_batch`
-are certified: accelerated projected gradient, with an exact KKT polish on
+D^T D and D^T X that the kernel coder runs on a Gram matrix, with a 1e-12
+ridge on rank-deficient supports.  `l1_solve` and `l1_solve_batch` are
+certified: accelerated projected gradient, with an exact KKT polish on
 each column's support and sign pattern, stops a column only once its
 Frank-Wolfe duality gap proves its error within ERR_TOL = 1e-10 of the
 optimum.  `l1_solve_batch` takes an optional starting point (`init`, e.g.
@@ -53,6 +53,9 @@ EXACT_GUARD = 10**6
 # Least-squares rank test and the ridge applied when it fails.
 RANK_RTOL = 1e-10
 RIDGE = 1e-12
+# Exhaustive scoring takes supports in blocks holding about this many entries
+# of Q and Q^T X, which bounds its memory.
+SCORE_BLOCK = 2**18
 
 # l1 solver: a column stops once its duality gap certifies its error to
 # within ERR_TOL of the optimum, or after MAX_ITERS proximal steps.
@@ -71,23 +74,21 @@ class CodingResult:
     method: str  # "greedy" | "exact" | "l1-projection"
     iterations: int | None = None
     fp_residual: float | None = None
-    ridge_used: bool = False
+    ridge_used: bool = False  # greedy only: a RIDGE refit on a rank-deficient support
     gap: float | None = None  # l1 only: the duality gap certifying the error
 
 
-def _full_rank(r: np.ndarray) -> bool:
-    """Rank test on the R factor of a support's atoms (wide blocks fail it)."""
-    diag = np.abs(np.diag(r))
-    return r.shape[0] == r.shape[1] and diag.max() > 0.0 and diag.min() > RANK_RTOL * diag.max()
+def _full_rank(r: np.ndarray) -> np.ndarray:
+    """Rank test on R factors stacked along the leading axes (wide ones fail)."""
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    top = diag.max(axis=-1)
+    return (r.shape[-2] == r.shape[-1]) & (top > 0.0) & (diag.min(axis=-1) > RANK_RTOL * top)
 
 
-def _ls_fit(a_sub: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Least squares via QR; falls back to a 1e-12 ridge on rank deficiency."""
+def _ls_fit(a_sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least squares on full-rank atoms via QR."""
     q, r = np.linalg.qr(a_sub)
-    if _full_rank(r):
-        return solve_triangular(r, q.T @ rhs), False
-    gram = a_sub.T @ a_sub + RIDGE * np.eye(a_sub.shape[1])
-    return np.linalg.solve(gram, a_sub.T @ rhs), True
+    return solve_triangular(r, q.T @ rhs)
 
 
 def _check_signal(n: int, x) -> np.ndarray:
@@ -198,12 +199,13 @@ def _first_basis(atoms: np.ndarray, k: int) -> list[int] | None:
 def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     """Exhaustive k-sparse coding of the columns of an n x N matrix.
 
-    A support scores a column by the energy it captures: ||Q^T x||^2, or
-    ||x||^2 - ||x - A_S c||^2 at _ls_fit's ridge fit if the rank test fails.
-    Only a strictly higher score wins; each winner is refit once.  For
-    k >= rank(D) every column takes the projection onto span(D) on the first
-    basis, padded with the lowest other atoms.  Returns (coeffs p x N, refit
-    errors N, supports k x N, ridge_used N).
+    One stacked QR per block of supports; a support scores a column by the
+    energy it captures, ||Q^T x||^2, or -inf if it fails the rank test (a
+    full-rank support spans at least as much).  Only a strictly higher score
+    wins, so ties go to the lexicographically smallest support; each winner
+    is refit once.  For k >= rank(D) every column takes the projection onto
+    span(D) on the first basis, padded with the lowest other atoms.  Returns
+    (coeffs p x N, refit errors N, supports k x N).
     """
     k = int(k)
     if not 1 <= k <= d.p:
@@ -214,41 +216,39 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     basis = _first_basis(atoms, k)
     if basis is not None:
         # every support then captures at most the projection, which the
-        # basis attains exactly; the ridge-fitted scores would tie in rounding
+        # basis attains exactly
         pad = [j for j in range(d.p) if j not in basis][:k - len(basis)]
         dense = np.zeros((d.p, n_sig))
         if basis:
-            dense[basis] = _ls_fit(atoms[:, basis], signals)[0]
+            dense[basis] = _ls_fit(atoms[:, basis], signals)
         errors = np.linalg.norm(signals - atoms @ dense, axis=0)
         supports = np.repeat(np.array(sorted(basis + pad))[:, None], n_sig, axis=1)
-        return dense, errors, supports, np.zeros(n_sig, dtype=bool)
-    subsets = list(combinations(range(d.p), k))
+        return dense, errors, supports
+    subsets = np.array(list(combinations(range(d.p), k)))
     best_score = np.full(n_sig, -np.inf)
     best_sub = np.zeros(n_sig, dtype=int)
-    for si, subset in enumerate(subsets):
-        a_sub = atoms[:, subset]
-        q, r = np.linalg.qr(a_sub)
-        if _full_rank(r):
-            proj = q.T @ signals
-            score = np.einsum("ij,ij->j", proj, proj)
-        else:
-            resid = signals - a_sub @ _ls_fit(a_sub, signals)[0]
-            score = np.einsum("ij,ij->j", signals, signals) - np.einsum("ij,ij->j", resid, resid)
-        better = score > best_score
-        best_score[better] = score[better]
-        best_sub[better] = si
+    block = max(1, SCORE_BLOCK // (k * (d.n + n_sig)))
+    for lo in range(0, len(subsets), block):
+        q, r = np.linalg.qr(atoms[:, subsets[lo:lo + block]].transpose(1, 0, 2))
+        proj = q.transpose(0, 2, 1) @ signals
+        score = np.einsum("sij,sij->sj", proj, proj)
+        score[~_full_rank(r)] = -np.inf
+        top = np.argmax(score, axis=0)
+        top_score = score[top, np.arange(n_sig)]
+        better = top_score > best_score
+        best_score[better] = top_score[better]
+        best_sub[better] = lo + top[better]
     dense = np.zeros((d.p, n_sig))
     errors = np.empty(n_sig)
     supports = np.empty((k, n_sig), dtype=int)
-    ridge_used = np.zeros(n_sig, dtype=bool)
     for si in np.unique(best_sub):
         cols = np.flatnonzero(best_sub == si)
-        subset = list(subsets[si])
-        coef, ridge_used[cols] = _ls_fit(atoms[:, subset], signals[:, cols])
+        subset = subsets[si]
+        coef = _ls_fit(atoms[:, subset], signals[:, cols])
         dense[np.ix_(subset, cols)] = coef
         errors[cols] = np.linalg.norm(signals[:, cols] - atoms[:, subset] @ coef, axis=0)
-        supports[:, cols] = np.array(subset)[:, None]
-    return dense, errors, supports, ridge_used
+        supports[:, cols] = subset[:, None]
+    return dense, errors, supports
 
 
 def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
@@ -258,8 +258,8 @@ def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
     instances with more than EXACT_GUARD supports.
     """
     x = _check_signal(d.n, x)
-    dense, _errors, supports, ridge_used = _exact_columns(d, x[:, None], k)
-    return _result(d, x, dense[:, 0], supports[:, 0], "exact", ridge_used=bool(ridge_used[0]))
+    dense, _errors, supports = _exact_columns(d, x[:, None], k)
+    return _result(d, x, dense[:, 0], supports[:, 0], "exact")
 
 
 def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +268,7 @@ def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.
     Returns (coeffs, errors) with coeffs p x N dense and errors length N.
     Same engine as exact_ksparse, run on all columns at once.
     """
-    dense, errors, _supports, _ridge = _exact_columns(d, _check_signals(d, signals), k)
+    dense, errors, _supports = _exact_columns(d, _check_signals(d, signals), k)
     return dense, errors
 
 

@@ -49,6 +49,9 @@ TEST_STREAM = 2**20
 
 DEGENERATE_TOL = 1e-12
 
+# nonlipschitz_demo codes its candidate signals in blocks of this many.
+SEARCH_BATCH = 256
+
 # Fast-rate parameter grids used when a harness has to pick (K, alpha).
 FAST_K_GRID = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
 FAST_ALPHA_GRID = (0.25, 1.0, 4.0, 16.0)
@@ -72,7 +75,6 @@ class TrialRecord:
     m: int | None = None
     bound: float | None = None
     applicable: bool = True
-    delta: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.stat):
@@ -228,8 +230,8 @@ class NonLipschitzDemo:
 
 
 def nonlipschitz_demo(n: int, p: int, k: int, eps: float, *, seed: int = 0,
-                      q=None, search_samples: int = 10**5, target: float = 0.05,
-                      batch: int = 256) -> NonLipschitzDemo:
+                      q=None, search_samples: int = 10**5,
+                      target: float = 0.05) -> NonLipschitzDemo:
     """Witness pair showing h is not uniformly Lipschitz in the dictionary.
 
     D has atoms e_1..e_{k-1}, then sqrt(1 - eps^2/4) e_1 + (eps/2) e_k,
@@ -277,7 +279,7 @@ def nonlipschitz_demo(n: int, p: int, k: int, eps: float, *, seed: int = 0,
         best = -math.inf
         drawn = 0
         while drawn < int(search_samples):
-            width = min(int(batch), int(search_samples) - drawn)
+            width = min(SEARCH_BATCH, int(search_samples) - drawn)
             drawn += width
             cand = rng.standard_normal((n - 1, width))
             cand /= np.linalg.norm(cand, axis=0)
@@ -443,7 +445,7 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
             records.append(TrialRecord(
                 trial=len(records), seed=source.seed, n=source.n, p=config.p,
                 k=k_column, m=point.m, stat=ev.test_stat, bound=ev.bound_value,
-                applicable=ev.applicable, delta=point.delta))
+                applicable=ev.applicable))
     return records, points
 
 

@@ -1,10 +1,12 @@
 import math
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from dlbounds import coders
 from dlbounds.coders import (
@@ -20,7 +22,6 @@ from dlbounds.coders import (
     l1_solve_batch,
     project_l1,
     repr_error,
-    _ls_fit,
 )
 from dlbounds.core import (
     Dictionary,
@@ -82,6 +83,16 @@ def test_greedy_k_range():
         greedy_ksparse(d, np.ones(2), 1)  # dimension mismatch
 
 
+def _ridge_ls_fit(a_sub, rhs):
+    """Least squares via QR, with a RIDGE fit where the rank test fails:
+    (coeffs, ridge_used)."""
+    q, r = np.linalg.qr(a_sub)
+    if coders._full_rank(r):
+        return solve_triangular(r, q.T @ rhs), False
+    gram = a_sub.T @ a_sub + coders.RIDGE * np.eye(a_sub.shape[1])
+    return np.linalg.solve(gram, a_sub.T @ rhs), True
+
+
 def _qr_greedy_reference(d, x, k):
     """Greedy pursuit on the residual vector, refit through the exact
     coder's QR least squares: (support in pick order, coeffs, ridge_used)."""
@@ -94,7 +105,7 @@ def _qr_greedy_reference(d, x, k):
         if corr[i] <= 0.0:
             break
         support.append(i)
-        coef, ridge_used = _ls_fit(d.atoms[:, support], x)
+        coef, ridge_used = _ridge_ls_fit(d.atoms[:, support], x)
         residual = x - d.atoms[:, support] @ coef
     dense = np.zeros(d.p)
     dense[support] = coef
@@ -249,6 +260,89 @@ def test_exact_batch_matches_single():
     x = np.array([1.0, 0.0])
     assert exact_ksparse(d, x, 1).coeffs.support == (0,)
     assert np.array_equal(exact_ksparse_batch(d, x[:, None], 1)[0][:, 0], [1.0, 0.0, 0.0])
+
+
+def _lstsq_exact_reference(d, x, k):
+    """Every k-support fitted by np.linalg.lstsq: (support, error) of the
+    smallest support whose error is within 1e-15 of the minimum.  Supports
+    with equal spans (a repeated atom) tie in exact arithmetic, and their
+    computed errors then differ only in rounding."""
+    errors = {}
+    for support in combinations(range(d.p), k):
+        a_sub = d.atoms[:, support]
+        errors[support] = np.linalg.norm(x - a_sub @ np.linalg.lstsq(a_sub, x, rcond=None)[0])
+    least = min(errors.values())
+    return next((s, e) for s, e in errors.items() if e <= least + 1e-15)
+
+
+def test_exact_matches_lstsq_reference():
+    cases = [  # (dictionary, k, signals)
+        *((Dictionary(uniform_sphere_matrix(8, 12, substream(2, i))), 3,
+           sample_uniform_sphere(8, substream(3, i)).values[:, None]) for i in range(30)),
+        (Dictionary(_repeated_atom(5, 8, 5)), 2, uniform_sphere_matrix(5, 6, substream(5, 1))),
+    ]
+    for d, k, signals in cases:
+        coeffs, errors, supports = coders._exact_columns(d, signals, k)
+        for j in range(signals.shape[1]):
+            x = signals[:, j]
+            support, error = _lstsq_exact_reference(d, x, k)
+            single = exact_ksparse(d, x, k)
+            assert single.coeffs.support == support == tuple(supports[:, j])
+            assert single.error == pytest.approx(error, abs=1e-12)
+            assert errors[j] == pytest.approx(error, abs=1e-12)
+
+
+def test_exact_rank_deficient_support_never_wins():
+    # atom 7 repeats atom 0.  For x in span{atom 0, atom 1} every support
+    # holding atoms 0 and 1 fits x exactly, and so, in rounding, would a
+    # ridge fit on {0, 1, 7}; for a generic x, the Q factor of a support
+    # holding atoms 0 and 7 has a rounding-noise column that may capture
+    # more energy than any true span.  Only full-rank supports may win.
+    for i in range(50):
+        rng = substream(78, i)
+        atoms = uniform_sphere_matrix(6, 8, rng)
+        atoms[:, 7] = atoms[:, 0]
+        d = Dictionary(atoms)
+        signals = np.hstack([atoms[:, :2] @ rng.standard_normal((2, 4)), rng.standard_normal((6, 2))])
+        _coeffs, errors, supports = coders._exact_columns(d, signals, 3)
+        for j, x in enumerate(signals.T):
+            # which exact fit wins is rounding, so single and batch may differ
+            single = exact_ksparse(d, x, 3)
+            for support in (single.coeffs.support, tuple(supports[:, j])):
+                assert np.linalg.matrix_rank(atoms[:, support]) == 3
+            if j < 4:
+                assert single.error <= 1e-14 and errors[j] <= 1e-14
+            else:
+                error = _lstsq_exact_reference(d, x, 3)[1]
+                assert single.error == pytest.approx(error, abs=1e-12)
+                assert errors[j] == pytest.approx(error, abs=1e-12)
+
+
+def test_exact_block_boundaries_are_invisible(monkeypatch):
+    # the output is bit-identical however the supports are split into scoring
+    # blocks; atoms 3 and 4 repeat e_1 and e_2, so x = (1/2, 1/4, 1/8) ties
+    # exactly on the supports (0, 1), (0, 4), (1, 3) and (3, 4), across blocks
+    cases = [  # (atoms, k, signals)
+        (_repeated_atom(5, 8, 5), 2, uniform_sphere_matrix(5, 6, substream(5, 1))),
+        (uniform_sphere_matrix(6, 9, substream(6, 0)), 3, uniform_sphere_matrix(6, 7, substream(6, 1))),
+        (np.eye(3)[:, [0, 1, 2, 0, 1]], 2, np.array([[0.5, 0.25, 0.125], [0.25, 0.125, 0.5]]).T),
+    ]
+    for atoms, k, signals in cases:
+        d = Dictionary(atoms)
+        one_block = coders._exact_columns(d, signals, k)
+        singles = [exact_ksparse(d, x, k) for x in signals.T]
+        for budget in (1, 3 * k * (d.n + signals.shape[1]), 3 * k * (d.n + 1)):
+            monkeypatch.setattr(coders, "SCORE_BLOCK", budget)
+            for got, want in zip(coders._exact_columns(d, signals, k), one_block):
+                assert np.array_equal(got, want)
+            for x, want in zip(signals.T, singles):
+                got = exact_ksparse(d, x, k)
+                assert got.coeffs.support == want.coeffs.support
+                assert np.array_equal(got.coeffs.values, want.coeffs.values)
+                assert got.error == want.error
+        monkeypatch.undo()
+    # the tie goes to the smallest support in every split
+    assert [tuple(s) for s in one_block[2].T] == [(0, 1), (0, 2)]
 
 
 @pytest.mark.parametrize("batch_coder", [
