@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Dictionary, GuardExceededError
+from .core import Dictionary, GuardExceededError, uniform_sphere_matrix, validate_dictionary
 
 # Enumerating subsets is allowed up to this many (subset, atom) pairs.
 BRUTEFORCE_GUARD = 10**7
@@ -105,8 +105,6 @@ def frame_check(d: Dictionary, frame_upper: float) -> bool:
     unit v (typically estimated by sampling).  If B < 1 + 1/(p-1) then
     mu_{k-1}(D) < 1 for every k <= p.  Requires unit-norm atoms.
     """
-    from .core import validate_dictionary
-
     problems = validate_dictionary(d, normalized=True)
     if problems:
         raise ValueError("frame_check needs a normalized dictionary: " + "; ".join(problems))
@@ -122,7 +120,5 @@ def frame_upper_estimate(d: Dictionary, samples: int, rng: np.random.Generator) 
     """Sampled lower estimate of max_{|v|=1} sum_i |<v, d_i>|."""
     if int(samples) < 1:
         raise ValueError("need at least one sample")
-    from .core import uniform_sphere_matrix
-
     v = uniform_sphere_matrix(d.n, int(samples), rng)
     return float(np.abs(d.atoms.T @ v).sum(axis=0).max())

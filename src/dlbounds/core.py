@@ -230,25 +230,38 @@ def validate_dictionary(d: Dictionary, normalized: bool = False) -> list[str]:
 def sample_uniform_sphere(n: int, rng: np.random.Generator) -> Signal:
     """Draw one point uniformly from the unit sphere in R^n.
 
-    A standard Gaussian vector is normalized; degenerate draws with norm
-    below 1e-12 are rejected and redrawn.
+    The one-column case of :func:`uniform_sphere_matrix`: it consumes the
+    same stream as one step of the per-draw loop described there.
     """
-    if int(n) < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    n = int(n)
-    while True:
-        g = rng.standard_normal(n)
-        norm = float(np.linalg.norm(g))
-        if norm >= 1e-12:
-            return Signal(g / norm, unit=True)
+    return Signal(uniform_sphere_matrix(n, 1, rng)[:, 0], unit=True)
 
 
 def uniform_sphere_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """n x p matrix whose columns are independent uniform unit-sphere draws."""
+    """n x p matrix whose columns are independent uniform unit-sphere draws.
+
+    Each column is a standard Gaussian vector divided by its norm; draws
+    with norm below 1e-12 are rejected and redrawn.  The p draws come in
+    one block and rejected rows are replaced by further blocks.  The
+    Generator fills sequentially, so the output bits and the generator's
+    end state equal those of a loop drawing rng.standard_normal(n) until p
+    draws are kept.
+    """
     if int(p) < 1:
         raise ValueError(f"need at least one column, got p={p}")
-    cols = [sample_uniform_sphere(n, rng).values for _ in range(int(p))]
-    return np.column_stack(cols)
+    if int(n) < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    n, p = int(n), int(p)
+    rows = np.empty((p, n))
+    kept = 0
+    while kept < p:
+        rng.standard_normal(out=rows[kept:])
+        for row in rows[kept:]:
+            # per-row norms: norm(axis=1) sums in a different order
+            norm = float(np.linalg.norm(row))
+            if norm >= 1e-12:
+                np.divide(row, norm, out=rows[kept])
+                kept += 1
+    return np.ascontiguousarray(rows.T)
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

@@ -95,7 +95,7 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> list[Signal]:
         raise ValueError(f"m must be >= 1, got {m}")
     rng = substream(source.seed, stream)
     if source.kind == "sphere":
-        return [sample_uniform_sphere(source.n, rng) for _ in range(m)]
+        return [Signal(c, unit=True) for c in uniform_sphere_matrix(source.n, m, rng).T]
     d = source.dictionary
     out: list[Signal] = []
     while len(out) < m:

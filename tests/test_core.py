@@ -168,6 +168,80 @@ def test_uniform_sphere_matrix_columns_unit():
     assert np.abs(np.linalg.norm(m, axis=0) - 1.0).max() < 1e-12
 
 
+def _sphere_loop_reference(n, p, rng):
+    """The per-draw sampler: one standard_normal(n) per try, rejecting
+    norms below 1e-12, columns stacked at the end."""
+    cols = []
+    while len(cols) < p:
+        g = rng.standard_normal(n)
+        norm = float(np.linalg.norm(g))
+        if norm >= 1e-12:
+            cols.append(g / norm)
+    return np.column_stack(cols)
+
+
+def _assert_same_draws(n, p, make_rng):
+    ref_rng, rng = make_rng(), make_rng()
+    ref = _sphere_loop_reference(n, p, ref_rng)
+    out = uniform_sphere_matrix(n, p, rng)
+    assert out.shape == ref.shape and out.flags.c_contiguous
+    assert out.tobytes() == ref.tobytes(), (n, p)
+    assert rng.standard_normal(n).tobytes() == ref_rng.standard_normal(n).tobytes(), (n, p)
+
+
+def test_uniform_sphere_matrix_is_the_per_draw_stream():
+    cases = np.random.default_rng(2024)
+    shapes = [(1, 1, 0), (1, 30, 1), (40, 1, 2), (5000, 10, 3)]
+    shapes += [(int(cases.integers(1, 100)), int(cases.integers(1, 40)), int(cases.integers(2**31)))
+               for _ in range(96)]
+    for n, p, seed in shapes:
+        _assert_same_draws(n, p, lambda: np.random.default_rng(seed))
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_uniform_sphere(7, a).values.tobytes() == _sphere_loop_reference(7, 1, b)[:, 0].tobytes()
+        assert a.standard_normal() == b.standard_normal()
+
+
+class _ZeroingRng:
+    """A Generator stream whose chosen n-blocks (0-based, counted across
+    calls) are zeroed, so the sampler must reject exactly those draws."""
+
+    def __init__(self, seed, n, zero):
+        self._rng = np.random.default_rng(seed)
+        self._n, self._zero, self._blocks = n, set(zero), 0
+
+    def standard_normal(self, size=None, out=None):
+        values = self._rng.standard_normal(size, out=out)
+        blocks = values.reshape(-1, self._n)  # a view: zeroing writes through
+        for j in range(len(blocks)):
+            if self._blocks + j in self._zero:
+                blocks[j] = 0.0
+        self._blocks += len(blocks)
+        return values
+
+
+@pytest.mark.parametrize("zero", [(0,), (3,), (2, 3), (5,), (5, 6), (0, 1, 2, 3, 4, 5)],
+                         ids=["first", "middle", "two-in-a-row", "last", "last-and-redraw", "all"])
+def test_uniform_sphere_matrix_rejects_like_the_loop(zero):
+    n, p = 4, 6
+    rng = _ZeroingRng(11, n, zero)
+    assert np.abs(np.linalg.norm(_sphere_loop_reference(n, p, rng), axis=0) - 1.0).max() < 1e-12
+    assert rng._blocks == p + len(zero)  # the stub really forced the rejections
+    _assert_same_draws(n, p, lambda: _ZeroingRng(11, n, zero))
+
+
+@pytest.mark.parametrize("n, p, match", [(0, 3, "dimension"), (3, 0, "column"), (0, 0, "column")])
+def test_uniform_sphere_matrix_checks_before_drawing(n, p, match):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        uniform_sphere_matrix(n, p, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="dimension"):
+        sample_uniform_sphere(0, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_substream_keys_independent_of_order():
     a = substream(5, 3).standard_normal(4)
     b = substream(5, 3).standard_normal(4)

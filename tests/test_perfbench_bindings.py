@@ -61,3 +61,29 @@ def test_gengap_codes_through_the_wrapped_bindings(monkeypatch):
         assert records and calls["learn"] > 0 and calls["eval"] == 2
         assert np.isfinite(records[0].stat)
         monkeypatch.undo()
+
+
+
+def _count_calls(monkeypatch, module, attr):
+    calls = []
+    original = getattr(module, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_sphere_draws_go_through_the_wrapped_bindings(monkeypatch):
+    # the traced core.uniform_sphere_matrix metrics count calls made
+    # through these bindings: one per mc_babel trial, one per random-sphere init
+    calls = _count_calls(monkeypatch, experiments, "uniform_sphere_matrix")
+    experiments.mc_babel(6, 4, 1, trials=3, seed=6)
+    assert len(calls) == 3
+    samples = uniform_sphere_matrix(5, 12, substream(6, 0))
+    calls = _count_calls(monkeypatch, learn, "uniform_sphere_matrix")
+    learn.learn_dictionary(samples, LearnerConfig(p=4, constraint=HardK(1), iterations=2,
+                                                  seed=6, init="random-sphere"))
+    assert len(calls) == 1
