@@ -42,6 +42,7 @@ from .bounds import (
 )
 from .kernels import KernelDictionary, kernel_from_name, kernel_greedy_ksparse
 from .learn import (
+    INIT_KINDS,
     HardK,
     L1Ball,
     LearnerConfig,
@@ -175,6 +176,11 @@ def _constraint(args):
     return L1Ball(args.lam)
 
 
+def _learner_config(args) -> LearnerConfig:
+    return LearnerConfig(p=args.p, constraint=_constraint(args), iterations=args.iters,
+                         seed=args.seed, init=args.init, exact_coder=not args.greedy)
+
+
 # --------------------------------------------------------------------------
 # Subcommand bodies.  Each returns the process exit code.
 # --------------------------------------------------------------------------
@@ -238,9 +244,7 @@ def _cmd_learn(args) -> int:
         if m is None:
             raise ValueError("synth spec for learn needs m=<sample count>")
         samples = synth_sample(source, m)
-    config = LearnerConfig(p=args.p, constraint=_constraint(args), iterations=args.iters,
-                           seed=args.seed, init=args.init, exact_coder=not args.greedy)
-    result = learn_dictionary(samples, config)
+    result = learn_dictionary(samples, _learner_config(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dictionary(out, result.dictionary)
@@ -265,10 +269,8 @@ def _cmd_gengap(args) -> int:
     if m is not None:
         raise ValueError("gengap takes its sample sizes from --mgrid, not the synth spec")
     m_grid = [int(v) for v in args.mgrid.split(",") if v]
-    config = LearnerConfig(p=args.p, constraint=_constraint(args), iterations=args.iters,
-                           seed=args.seed, init=args.init, exact_coder=not args.greedy)
     variants = tuple(v for v in args.variants.split(",") if v)
-    records, points = gengap_run(source, config, m_grid, args.test_size,
+    records, points = gengap_run(source, _learner_config(args), m_grid, args.test_size,
                                  variants=variants, x=args.x, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,6 +313,15 @@ def _add_sparsity(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="sparsity level (k-sparse family)")
     group.add_argument("--lambda", dest="lam", type=float, help="l1 radius (l1 family)")
+
+
+def _add_learner(sub: argparse.ArgumentParser) -> None:
+    """The options _learner_config reads."""
+    sub.add_argument("--p", type=int, required=True, help="atoms to learn")
+    _add_sparsity(sub)
+    sub.add_argument("--iters", type=int, default=20)
+    sub.add_argument("--init", choices=INIT_KINDS, default="sample-atoms")
+    sub.add_argument("--greedy", action="store_true", help="greedy coder in the coding step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,11 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     data = sub.add_mutually_exclusive_group(required=True)
     data.add_argument("--data", help="signals CSV, one signal per row")
     data.add_argument("--synth", help="sphere:n=N,m=M | dict:n=N,ptrue=P,ktrue=K,sigma=S,m=M")
-    sub.add_argument("--p", type=int, required=True, help="atoms to learn")
-    _add_sparsity(sub)
-    sub.add_argument("--iters", type=int, default=20)
-    sub.add_argument("--init", choices=("sample-atoms", "random-sphere"), default="sample-atoms")
-    sub.add_argument("--greedy", action="store_true", help="greedy coder in the coding step")
+    _add_learner(sub)
     _add_common(sub)
     sub.set_defaults(func=_cmd_learn)
     # --out here is the output dictionary CSV path; the manifest lands next to it.
@@ -384,15 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gengap", help="generalization-gap harness on synthetic data")
     sub.add_argument("--synth", required=True, help="sphere:n=N | dict:n=N,ptrue=P,ktrue=K,sigma=S")
-    sub.add_argument("--p", type=int, required=True, help="atoms to learn")
-    _add_sparsity(sub)
+    _add_learner(sub)
     sub.add_argument("--mgrid", required=True, help="comma-separated training sizes")
     sub.add_argument("--test-size", type=int, default=20_000)
     sub.add_argument("--variants", default="maurer,slow,fast")
     sub.add_argument("--x", type=float, default=2.0, help="confidence exponent")
-    sub.add_argument("--iters", type=int, default=20)
-    sub.add_argument("--init", choices=("sample-atoms", "random-sphere"), default="sample-atoms")
-    sub.add_argument("--greedy", action="store_true")
     _add_common(sub)
     sub.set_defaults(func=_cmd_gengap)
 

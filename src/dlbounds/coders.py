@@ -8,8 +8,9 @@ set A is
 with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 (L1Ball).  `exact_ksparse` and `exact_ksparse_batch` share one exhaustive
 engine, the ground truth: stacked QRs score the full-rank supports by the
-energy they capture, the winners are refit, and ties go to the smallest
-support in lexicographic order (for k >= rank(D), the first basis).
+energy they capture, each winner is solved from the QR that scored it, and
+ties go to the smallest support in lexicographic order (for k >= rank(D),
+the first basis).
 `greedy_ksparse` and its batch form are the fast heuristic, a batch OMP on
 D^T D and D^T X that the kernel coder runs on a Gram matrix, with a 1e-12
 ridge on rank-deficient supports.  `l1_solve` and `l1_solve_batch` are
@@ -83,12 +84,6 @@ def _full_rank(r: np.ndarray) -> np.ndarray:
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     top = diag.max(axis=-1)
     return (r.shape[-2] == r.shape[-1]) & (top > 0.0) & (diag.min(axis=-1) > RANK_RTOL * top)
-
-
-def _ls_fit(a_sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least squares on full-rank atoms via QR."""
-    q, r = np.linalg.qr(a_sub)
-    return solve_triangular(r, q.T @ rhs)
 
 
 def _check_signal(n: int, x) -> np.ndarray:
@@ -202,10 +197,12 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     One stacked QR per block of supports; a support scores a column by the
     energy it captures, ||Q^T x||^2, or -inf if it fails the rank test (a
     full-rank support spans at least as much).  Only a strictly higher score
-    wins, so ties go to the lexicographically smallest support; each winner
-    is refit once.  For k >= rank(D) every column takes the projection onto
-    span(D) on the first basis, padded with the lowest other atoms.  Returns
-    (coeffs p x N, refit errors N, supports k x N).
+    wins, so ties go to the lexicographically smallest support.  Each column
+    keeps its winner's R and Q^T x, and one stacked solve of R a = Q^T x
+    gives every column's coefficients, so each support is factored once.
+    For k >= rank(D) every column takes the projection onto span(D) on the
+    first basis, padded with the lowest other atoms.  Returns (coeffs p x N,
+    errors N, supports k x N).
     """
     k = int(k)
     if not 1 <= k <= d.p:
@@ -220,35 +217,38 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
         pad = [j for j in range(d.p) if j not in basis][:k - len(basis)]
         dense = np.zeros((d.p, n_sig))
         if basis:
-            dense[basis] = _ls_fit(atoms[:, basis], signals)
-        errors = np.linalg.norm(signals - atoms @ dense, axis=0)
+            q, r = np.linalg.qr(atoms[:, basis])
+            dense[basis] = solve_triangular(r, q.T @ signals)
         supports = np.repeat(np.array(sorted(basis + pad))[:, None], n_sig, axis=1)
-        return dense, errors, supports
-    subsets = np.array(list(combinations(range(d.p), k)))
-    best_score = np.full(n_sig, -np.inf)
-    best_sub = np.zeros(n_sig, dtype=int)
-    block = max(1, SCORE_BLOCK // (k * (d.n + n_sig)))
-    for lo in range(0, len(subsets), block):
-        q, r = np.linalg.qr(atoms[:, subsets[lo:lo + block]].transpose(1, 0, 2))
-        proj = q.transpose(0, 2, 1) @ signals
-        score = np.einsum("sij,sij->sj", proj, proj)
-        score[~_full_rank(r)] = -np.inf
-        top = np.argmax(score, axis=0)
-        top_score = score[top, np.arange(n_sig)]
-        better = top_score > best_score
-        best_score[better] = top_score[better]
-        best_sub[better] = lo + top[better]
-    dense = np.zeros((d.p, n_sig))
-    errors = np.empty(n_sig)
-    supports = np.empty((k, n_sig), dtype=int)
-    for si in np.unique(best_sub):
-        cols = np.flatnonzero(best_sub == si)
-        subset = subsets[si]
-        coef = _ls_fit(atoms[:, subset], signals[:, cols])
-        dense[np.ix_(subset, cols)] = coef
-        errors[cols] = np.linalg.norm(signals[:, cols] - atoms[:, subset] @ coef, axis=0)
-        supports[:, cols] = subset[:, None]
-    return dense, errors, supports
+    else:
+        subsets = np.array(list(combinations(range(d.p), k)))
+        best_score = np.full(n_sig, -np.inf)
+        best_sub = np.zeros(n_sig, dtype=int)
+        best_r = np.zeros((n_sig, k, k))
+        best_qtx = np.zeros((n_sig, k))
+        block = max(1, SCORE_BLOCK // (k * (d.n + n_sig)))
+        for lo in range(0, len(subsets), block):
+            q, r = np.linalg.qr(atoms[:, subsets[lo:lo + block]].transpose(1, 0, 2))
+            proj = q.transpose(0, 2, 1) @ signals
+            score = np.einsum("sij,sij->sj", proj, proj)
+            score[~_full_rank(r)] = -np.inf
+            top = np.argmax(score, axis=0)
+            top_score = score[top, np.arange(n_sig)]
+            better = np.flatnonzero(top_score > best_score)
+            best_score[better] = top_score[better]
+            best_sub[better] = lo + top[better]
+            best_r[better] = r[top[better]]
+            best_qtx[better] = proj[top[better], :, better]
+        # R is exactly upper triangular, so the LU inside solve swaps no rows
+        coef = np.linalg.solve(best_r, best_qtx[..., None])[..., 0]
+        supports = subsets[best_sub].T
+        dense = np.zeros((d.p, n_sig))
+        dense[supports, np.arange(n_sig)] = coef.T
+    # the errors take one n x N array: the residual, squared in place
+    resid = atoms @ dense
+    resid -= signals
+    resid *= resid
+    return dense, np.sqrt(resid.sum(axis=0)), supports
 
 
 def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
@@ -280,8 +280,8 @@ def project_l1(v, radius: float) -> np.ndarray:
 
 def _project_l1_columns(mat: np.ndarray, radius: float) -> np.ndarray:
     """Column-wise l1-ball projection by the sort-and-threshold rule."""
-    if radius < 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {radius}")
     if radius == 0.0:
         return np.zeros_like(mat)
     absm = np.abs(mat)
@@ -468,9 +468,7 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
             raise ValueError(f"init must be a {p} x {n_sig} matrix, got shape {init.shape}")
         if not np.all(np.isfinite(init)):
             raise ValueError("init entries must be finite")
-    lam = float(lam)
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    lam = L1Ball(lam).lam
     atoms = d.atoms
     lip = float(np.linalg.norm(atoms, 2)) ** 2
     if lam == 0.0 or lip == 0.0:

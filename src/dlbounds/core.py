@@ -307,16 +307,11 @@ def load_matrix(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def save_dictionary(path, d: Dictionary, sidecar: bool = True) -> None:
+def save_dictionary(path, d: Dictionary) -> None:
     save_matrix(path, d.atoms)
-    if sidecar:
-        meta = {
-            "n": d.n,
-            "p": d.p,
-            "gamma": d.gamma,
-            "normalized": bool(np.all(np.abs(d.column_norms() - 1.0) <= NORM_TOL)),
-        }
-        Path(str(path) + ".json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+    meta = {"n": d.n, "p": d.p, "gamma": d.gamma,
+            "normalized": bool(np.all(np.abs(d.column_norms() - 1.0) <= NORM_TOL))}
+    Path(str(path) + ".json").write_text(json.dumps(meta, sort_keys=True) + "\n")
 
 
 def load_dictionary(path) -> Dictionary:

@@ -35,6 +35,8 @@ INIT_KINDS = ("sample-atoms", "random-sphere")
 # Dictionary-update regularizer and the dead-atom threshold.
 UPDATE_RIDGE = 1e-9
 DEAD_ATOM_TOL = 1e-12
+# near_orthogonal_dictionary clips each Gram off-diagonal to this magnitude.
+NEAR_ORTHOGONAL_CORR = 0.27
 
 
 @dataclass(frozen=True)
@@ -221,12 +223,11 @@ def learn_dictionary(samples, config: LearnerConfig) -> LearnResult:
 
 def near_orthogonal_dictionary(n: int, p: int, rng: np.random.Generator, *,
                                babel_order: int = 2, babel_cap: float = 0.6,
-                               corr_target: float = 0.27, rounds: int = 60,
-                               max_tries: int = 50) -> Dictionary:
+                               rounds: int = 60, max_tries: int = 50) -> Dictionary:
     """Random dictionary with babel(D, babel_order) <= babel_cap.
 
     Uniform sphere atoms rarely satisfy small Babel caps once p > n, so
-    each candidate is annealed: clip Gram off-diagonals to corr_target,
+    each candidate is annealed: clip Gram off-diagonals to NEAR_ORTHOGONAL_CORR,
     project back to the rank-n PSD cone, renormalize, repeat.  Candidates
     still over the cap are rejected and redrawn; exhausting max_tries
     raises SearchFailureError carrying the best Babel value reached.
@@ -239,7 +240,7 @@ def near_orthogonal_dictionary(n: int, p: int, rng: np.random.Generator, *,
         for _ in range(rounds):
             g = atoms.T @ atoms
             off = g - np.diag(np.diag(g))
-            np.clip(off, -corr_target, corr_target, out=off)
+            np.clip(off, -NEAR_ORTHOGONAL_CORR, NEAR_ORTHOGONAL_CORR, out=off)
             g = off + np.eye(p)
             w, v = np.linalg.eigh(g)
             # factor G = A^T A with A n x p: top min(n, p) eigenpairs carry

@@ -263,16 +263,17 @@ def test_exact_batch_matches_single():
 
 
 def _lstsq_exact_reference(d, x, k):
-    """Every k-support fitted by np.linalg.lstsq: (support, error) of the
-    smallest support whose error is within 1e-15 of the minimum.  Supports
-    with equal spans (a repeated atom) tie in exact arithmetic, and their
-    computed errors then differ only in rounding."""
-    errors = {}
+    """Every k-support fitted by np.linalg.lstsq: (support, error, coeffs on
+    the support) of the smallest support whose error is within 1e-15 of the
+    minimum.  Supports with equal spans (a repeated atom) tie in exact
+    arithmetic, and their computed errors then differ only in rounding."""
+    fits = {}
     for support in combinations(range(d.p), k):
         a_sub = d.atoms[:, support]
-        errors[support] = np.linalg.norm(x - a_sub @ np.linalg.lstsq(a_sub, x, rcond=None)[0])
-    least = min(errors.values())
-    return next((s, e) for s, e in errors.items() if e <= least + 1e-15)
+        coef = np.linalg.lstsq(a_sub, x, rcond=None)[0]
+        fits[support] = (np.linalg.norm(x - a_sub @ coef), coef)
+    least = min(error for error, _coef in fits.values())
+    return next((s, e, c) for s, (e, c) in fits.items() if e <= least + 1e-15)
 
 
 def test_exact_matches_lstsq_reference():
@@ -285,11 +286,37 @@ def test_exact_matches_lstsq_reference():
         coeffs, errors, supports = coders._exact_columns(d, signals, k)
         for j in range(signals.shape[1]):
             x = signals[:, j]
-            support, error = _lstsq_exact_reference(d, x, k)
+            support, error, coef = _lstsq_exact_reference(d, x, k)
             single = exact_ksparse(d, x, k)
             assert single.coeffs.support == support == tuple(supports[:, j])
             assert single.error == pytest.approx(error, abs=1e-12)
             assert errors[j] == pytest.approx(error, abs=1e-12)
+            assert single.coeffs.values[list(support)] == pytest.approx(coef, abs=1e-10)
+            assert coeffs[list(support), j] == pytest.approx(coef, abs=1e-10)
+            assert not np.delete(coeffs[:, j], list(support)).any()
+
+
+def test_exact_factors_each_support_once(monkeypatch):
+    # the winners are solved from the QRs that scored them: one stacked QR
+    # per scoring block, plus the first-basis search, and no QR per winner
+    d = Dictionary(uniform_sphere_matrix(6, 9, substream(6, 0)))
+    signals = uniform_sphere_matrix(6, 40, substream(6, 1))
+    k, calls, qr = 3, [], np.linalg.qr
+
+    def counted_qr(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    assert coders._first_basis(d.atoms, k) is None
+    basis_calls = len(calls)
+    # C(9, 3) = 84 supports: one block by default, 9 blocks of 10
+    for budget, blocks in ((coders.SCORE_BLOCK, 1), (10 * k * (d.n + signals.shape[1]), 9)):
+        monkeypatch.setattr(coders, "SCORE_BLOCK", budget)
+        calls.clear()
+        _coeffs, _errors, supports = coders._exact_columns(d, signals, k)
+        assert len(calls) == basis_calls + blocks
+        assert len({tuple(s) for s in supports.T}) > 1  # several distinct winners
 
 
 def test_exact_rank_deficient_support_never_wins():
@@ -633,6 +660,18 @@ def test_project_l1_is_euclidean_projection(seed, radius):
 def test_project_l1_inside_ball_untouched():
     v = np.array([0.2, -0.1, 0.05])
     assert np.array_equal(project_l1(v, 1.0), v)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_l1_rejects_bad_radius(lam):
+    # NaN passes a plain `radius < 0` test and an infinite radius runs the
+    # solver on NaNs, so both are rejected with L1Ball's message
+    d = Dictionary(uniform_sphere_matrix(4, 6, substream(40, 0)))
+    signals = uniform_sphere_matrix(4, 3, substream(40, 1))
+    for call in (lambda: project_l1(signals[:, 0], lam), lambda: l1_solve(d, signals[:, 0], lam),
+                 lambda: l1_solve_batch(d, signals, lam)):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            call()
 
 
 # ----------------------------------------------------------------- dispatch
