@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Dictionary, GuardExceededError, uniform_sphere_matrix, validate_dictionary
+from .core import Dictionary, GuardExceededError, as_count, uniform_sphere_matrix, validate_dictionary
 
 # Enumerating subsets is allowed up to this many (subset, atom) pairs.
 BRUTEFORCE_GUARD = 10**7
@@ -118,7 +118,5 @@ def frame_check(d: Dictionary, frame_upper: float) -> bool:
 
 def frame_upper_estimate(d: Dictionary, samples: int, rng: np.random.Generator) -> float:
     """Sampled lower estimate of max_{|v|=1} sum_i |<v, d_i>|."""
-    if int(samples) < 1:
-        raise ValueError("need at least one sample")
-    v = uniform_sphere_matrix(d.n, int(samples), rng)
+    v = uniform_sphere_matrix(d.n, as_count(samples, "samples"), rng)
     return float(np.abs(d.atoms.T @ v).sum(axis=0).max())

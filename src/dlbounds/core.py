@@ -53,6 +53,18 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_count(value, name: str) -> int:
+    """A positive integer count; a non-integral value raises instead of
+    being truncated by int()."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
 def me_norm(matrix) -> float:
     """Maximum Euclidean column norm of a matrix.
 
@@ -183,9 +195,7 @@ class HardK:
     k: int
 
     def __post_init__(self):
-        if int(self.k) < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", as_count(self.k, "k"))
 
 
 @dataclass(frozen=True)
@@ -246,11 +256,8 @@ def uniform_sphere_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarra
     end state equal those of a loop drawing rng.standard_normal(n) until p
     draws are kept.
     """
-    if int(p) < 1:
-        raise ValueError(f"need at least one column, got p={p}")
-    if int(n) < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    n, p = int(n), int(p)
+    p = as_count(p, "column count p")
+    n = as_count(n, "dimension n")
     rows = np.empty((p, n))
     kept = 0
     while kept < p:

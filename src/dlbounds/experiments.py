@@ -24,6 +24,7 @@ from .core import (
     SearchFailureError,
     Signal,
     SparsityConstraint,
+    as_count,
     me_norm,
     substream,
     uniform_sphere_matrix,
@@ -145,9 +146,7 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
     not on k or the thread count — so runs at different orders k share
     dictionaries trial-by-trial and parallel runs match serial ones.
     """
-    n, p, k, trials = int(n), int(p), int(k), int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    n, p, k, trials = int(n), int(p), int(k), as_count(trials, "trials")
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
     bound = babel_tail_bound(n, p, k)
@@ -390,11 +389,10 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
     grid points.  Deterministic given source.seed/config.seed, independent
     of threads.
     """
-    m_grid = [int(m) for m in m_grid]
-    if not m_grid or any(m < 1 for m in m_grid):
-        raise ValueError(f"m_grid must be nonempty positive counts, got {m_grid}")
-    if int(test_size) < 1:
-        raise ValueError(f"test_size must be >= 1, got {test_size}")
+    m_grid = [as_count(m, "every m_grid entry") for m in m_grid]
+    if not m_grid:
+        raise ValueError("m_grid must be nonempty")
+    test_size = as_count(test_size, "test_size")
     variants = tuple(variants)
     unknown = [v for v in variants if v not in L1_VARIANTS]
     if unknown:
@@ -402,7 +400,7 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
     constraint = config.constraint
     family = "l1" if isinstance(constraint, L1Ball) else "ksparse"
     k_column = float(constraint.lam) if family == "l1" else constraint.k
-    test = signals_to_matrix(synth_sample(source, int(test_size), stream=TEST_STREAM))
+    test = signals_to_matrix(synth_sample(source, test_size, stream=TEST_STREAM))
 
     def one(i: int) -> GapPoint:
         m = m_grid[i]

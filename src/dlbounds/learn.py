@@ -21,6 +21,7 @@ from .core import (
     SearchFailureError,
     Signal,
     SparsityConstraint,
+    as_count,
     sample_uniform_sphere,
     substream,
     uniform_sphere_matrix,
@@ -35,6 +36,9 @@ INIT_KINDS = ("sample-atoms", "random-sphere")
 # Dictionary-update regularizer and the dead-atom threshold.
 UPDATE_RIDGE = 1e-9
 DEAD_ATOM_TOL = 1e-12
+# synth_sample's dictionary branch draws blocks of about this many entries
+# of the gathered n x c x k_true atoms (c signals per block).
+SAMPLE_BLOCK = 2**18
 # near_orthogonal_dictionary clips each Gram off-diagonal to this magnitude.
 NEAR_ORTHOGONAL_CORR = 0.27
 
@@ -59,12 +63,10 @@ class SignalSource:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"kind must be one of {SOURCE_KINDS}, got {self.kind!r}")
-        if int(self.n) < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", as_count(self.n, "n"))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "k_true", int(self.k_true))
+        object.__setattr__(self, "k_true", as_count(self.k_true, "k_true"))
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.kind == "dictionary":
@@ -91,27 +93,31 @@ def sphere_source(n: int, seed: int = 0) -> SignalSource:
 
 def synth_sample(source: SignalSource, m: int, stream: int = 0) -> list[Signal]:
     """Draw m unit-norm signals; identical streams for identical
-    (source.seed, stream), independent streams otherwise."""
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    (source.seed, stream), independent streams otherwise.
+
+    A dictionary source draws, per block of signals, every support (the
+    first k_true of a random permutation), every coefficient row, then the
+    noise only if sigma > 0.  Signals with a coefficient or signal norm
+    below DEAD_ATOM_TOL are dropped and replaced from further blocks."""
+    m = as_count(m, "m")
     rng = substream(source.seed, stream)
     if source.kind == "sphere":
         return [Signal(c, unit=True) for c in uniform_sphere_matrix(source.n, m, rng).T]
-    d = source.dictionary
+    atoms, k, sigma = source.dictionary.atoms, source.k_true, source.sigma
+    n, p = atoms.shape
     out: list[Signal] = []
     while len(out) < m:
-        support = rng.choice(d.p, size=source.k_true, replace=False)
-        coef = rng.uniform(-1.0, 1.0, size=source.k_true)
-        norm = float(np.linalg.norm(coef))
-        if norm < DEAD_ATOM_TOL:
-            continue
-        x = d.atoms[:, support] @ (coef / norm)
-        x = x + source.sigma * rng.standard_normal(source.n)
-        xnorm = float(np.linalg.norm(x))
-        if xnorm < DEAD_ATOM_TOL:
-            continue
-        out.append(Signal(x / xnorm, unit=True))
+        c = min(m - len(out), max(1, SAMPLE_BLOCK // (n * k + p)))
+        supports = np.argsort(rng.random((c, p)), axis=1)[:, :k]
+        coef = rng.uniform(-1.0, 1.0, (c, k))
+        norms = np.linalg.norm(coef, axis=1, keepdims=True)
+        live = norms[:, 0] >= DEAD_ATOM_TOL
+        x = np.einsum("nck,ck->nc", atoms[:, supports[live]], coef[live] / norms[live])
+        if sigma > 0.0:
+            x += sigma * rng.standard_normal((n, c))[:, live]
+        norms = np.linalg.norm(x, axis=0)
+        live = norms >= DEAD_ATOM_TOL
+        out.extend(Signal(col, unit=True) for col in (x[:, live] / norms[live]).T)
     return out
 
 
@@ -141,16 +147,12 @@ class LearnerConfig:
     exact_coder: bool = True
 
     def __post_init__(self):
-        if int(self.p) < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if int(self.iterations) < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        object.__setattr__(self, "p", as_count(self.p, "p"))
+        object.__setattr__(self, "iterations", as_count(self.iterations, "iterations"))
         if self.init not in INIT_KINDS:
             raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
         if not isinstance(self.constraint, (HardK, L1Ball)):
             raise ValueError(f"constraint must be HardK or L1Ball, got {self.constraint!r}")
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "iterations", int(self.iterations))
         object.__setattr__(self, "seed", int(self.seed))
 
 

@@ -304,6 +304,11 @@ def test_gengap_validation():
         gengap_run(source, config, (64,), 0)
     with pytest.raises(ValueError):
         gengap_run(source, config, (64,), 100, variants=("nope",))
+    # non-integral counts raise instead of being truncated
+    with pytest.raises(ValueError, match="m_grid entry must be an integer"):
+        gengap_run(source, config, (64, 96.5), 100)
+    with pytest.raises(ValueError, match="test_size must be an integer"):
+        gengap_run(source, config, (64,), 100.5)
 
 
 # --------------------------------------------------------------- gap trend

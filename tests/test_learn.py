@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dlbounds.coders import greedy_ksparse
+from dlbounds import learn
+from dlbounds.coders import exact_ksparse_batch, greedy_ksparse
 from dlbounds.coherence import babel
 from dlbounds.core import (
     Dictionary,
@@ -98,13 +99,83 @@ def test_noise_moves_signals_off_spans():
     assert min(errors) > 1e-3
 
 
-def test_stream_determinism():
-    src = sphere_source(5, seed=9)
-    a = signals_to_matrix(synth_sample(src, 20, stream=4))
-    b = signals_to_matrix(synth_sample(src, 20, stream=4))
-    c = signals_to_matrix(synth_sample(src, 20, stream=5))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+def test_stream_determinism(monkeypatch):
+    # blocks of 2 signals, so the dictionary draw spans many blocks
+    monkeypatch.setattr(learn, "SAMPLE_BLOCK", 40)
+    d = Dictionary(uniform_sphere_matrix(5, 7, substream(9, 1)))
+    for src in (sphere_source(5, seed=9), dictionary_source(d, 2, 0.1, seed=9)):
+        a = signals_to_matrix(synth_sample(src, 25, stream=4))
+        b = signals_to_matrix(synth_sample(src, 25, stream=4))
+        c = signals_to_matrix(synth_sample(src, 25, stream=5))
+        assert a.shape == (5, 25)
+        assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(a, c)
+
+
+def test_dictionary_supports_are_uniform_k_subsets():
+    # on the identity dictionary a noiseless signal's support is its nonzeros
+    n = p = 10
+    k, m = 3, 3000
+    x = signals_to_matrix(synth_sample(dictionary_source(Dictionary(np.eye(n)), k, 0.0, seed=21), m))
+    nonzero = x != 0.0
+    assert np.all(nonzero.sum(axis=0) == k)
+    # each atom is in Binomial(m, k/p) supports: within 5 standard deviations
+    q = k / p
+    assert np.abs(nonzero.sum(axis=1) - m * q).max() <= 5 * math.sqrt(m * q * (1 - q))
+
+
+def test_tiny_noise_moves_signals_by_order_sigma():
+    # orthonormal atoms give every noiseless mix norm 1, so the move is at
+    # most 2 sigma ||g|| (one block: supports and coefficients are shared)
+    atoms = np.linalg.qr(substream(22, 0).standard_normal((8, 4)))[0]
+    d, sigma = Dictionary(atoms), 1e-8
+    clean = signals_to_matrix(synth_sample(dictionary_source(d, 2, 0.0, seed=22), 200))
+    noisy = signals_to_matrix(synth_sample(dictionary_source(d, 2, sigma, seed=22), 200))
+    moves = np.linalg.norm(noisy - clean, axis=0)
+    assert moves.min() > 0.0
+    assert moves.max() <= 20 * sigma
+
+
+class _DeadRowRng:
+    """A Generator whose first coefficient block has the given rows
+    replaced, so the sampler must drop those signals and draw again."""
+
+    def __init__(self, rng, rows, values):
+        self._rng, self._rows, self._values, self.blocks = rng, list(rows), values, 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, low, high, size):
+        coef = self._rng.uniform(low, high, size)
+        if self.blocks == 0:
+            coef[self._rows] = self._values
+        self.blocks += 1
+        return coef
+
+
+@pytest.mark.parametrize("atoms, values", [
+    (np.eye(4)[:, :3], 0.0),  # zero coefficients
+    (np.array([[1.0, 1.0], [0.0, 0.0]]), [0.5, -0.5]),  # a repeated atom cancels
+], ids=["dead-coefficients", "dead-signal"])
+@pytest.mark.parametrize("rows", [(0,), (2, 5)])
+@pytest.mark.filterwarnings("error")  # dead rows are dropped before any division
+def test_dictionary_sampler_replaces_dead_rows(monkeypatch, atoms, values, rows):
+    d = Dictionary(atoms)
+    rng = _DeadRowRng(substream(23, 0), rows, values)
+    monkeypatch.setattr(learn, "substream", lambda *key: rng)
+    signals = synth_sample(dictionary_source(d, 2, 0.0, seed=23), 6)
+    assert len(signals) == 6
+    assert all(abs(s.norm() - 1.0) < 1e-12 for s in signals)
+    assert rng.blocks == 2  # the stub really forced a second block
+
+
+def test_sample_counts_must_be_integral():
+    src = sphere_source(3)
+    for bad in (2.5, 0, -1, "3", float("inf"), float("nan"), None):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            synth_sample(src, bad)
+    assert len(synth_sample(src, np.int64(3))) == len(synth_sample(src, 3.0)) == 3
 
 
 def test_signals_to_matrix_validation():
@@ -144,11 +215,19 @@ def test_orthonormal_samples_are_fixed_point():
 def test_trace_length_and_monotonicity():
     d = Dictionary(uniform_sphere_matrix(6, 8, substream(3, 0)))
     samples = synth_sample(dictionary_source(d, 2, 0.1, seed=4), 80)
+    x = signals_to_matrix(samples)
     config = LearnerConfig(p=8, constraint=HardK(2), iterations=10, seed=1)
     result = learn_dictionary(samples, config)
     assert len(result.trace) == 10
-    assert all(b <= a + 1e-6 for a, b in zip(result.trace, result.trace[1:]))
     assert validate_dictionary(result.dictionary, normalized=True) == []
+    # the documented invariant: under the exact coder the mean *squared*
+    # error of each learned dictionary never rises (the unsquared trace may)
+    squared = []
+    for j in range(1, 11):
+        shorter = learn_dictionary(samples, replace(config, iterations=j))
+        assert shorter.trace == result.trace[:j]
+        squared.append(float((exact_ksparse_batch(shorter.dictionary, x, 2)[1] ** 2).mean()))
+    assert all(b <= a + 1e-6 for a, b in zip(squared, squared[1:]))
 
 
 def test_l1_learning_runs_and_descends():

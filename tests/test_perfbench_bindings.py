@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dlbounds import coders, experiments, learn
+from dlbounds import cli, coders, experiments, learn
 from dlbounds.core import Dictionary, HardK, L1Ball, substream, uniform_sphere_matrix
 from dlbounds.learn import LearnerConfig, dictionary_source
 
@@ -37,6 +37,17 @@ def test_exact_hook_binds_the_exact_coder():
         fn = module.exact_ksparse_batch
         result = fn(d, signals, 2)
         assert _spans()._exact_hook(fn, (d, signals, 2), {}, result) == {"pairs": comb(7, 2) * 4}
+
+
+def test_synth_hook_binds_the_one_sampler():
+    # both traced call sites must reach the sampler, and its hook counts
+    # len(result), so the sampler keeps returning a list of signals
+    assert experiments.synth_sample is learn.synth_sample
+    assert cli.synth_sample is learn.synth_sample
+    d_true = Dictionary(uniform_sphere_matrix(5, 6, substream(5, 0)))
+    for source in (learn.sphere_source(5, seed=5), dictionary_source(d_true, 2, 0.1, seed=5)):
+        result = learn.synth_sample(source, 7)
+        assert _spans()._synth_hook(learn.synth_sample, (source, 7), {}, result) == {"signals": 7}
 
 
 def test_gengap_codes_through_the_wrapped_bindings(monkeypatch):
