@@ -14,15 +14,14 @@ the first basis).
 `greedy_ksparse` and its batch form are the fast heuristic, a batch OMP on
 D^T D and D^T X that the kernel coder runs on a Gram matrix, with a 1e-12
 ridge on rank-deficient supports.  `l1_solve` and `l1_solve_batch` are
-certified: accelerated projected gradient, with an exact KKT polish on
-each column's support and sign pattern, stops a column only once its
-Frank-Wolfe duality gap proves its error within ERR_TOL = 1e-10 of the
-optimum.  `l1_solve_batch` takes an optional starting point (`init`, e.g.
-the solution for a nearby dictionary) and checks it before the first step,
-so a column it already certifies costs no step.  A column whose gap sinks
-into the rounding of its residual is re-centred at an exactly rounded
-residual; one still uncertified FLOOR_STEPS steps later, or at MAX_ITERS,
-raises a RuntimeWarning.
+exact and certified: the LARS-lasso homotopy follows each signal's
+piecewise-linear solution path from a = 0 until ||a||_1 reaches lam (or
+the path ends at least squares), and the Frank-Wolfe duality gap then
+proves the error within ERR_TOL = 1e-10 of the optimum.  A signal the gap
+does not certify takes at most NEWTON_STEPS Newton steps on its KKT
+system, from an exactly rounded residual after the first; one still
+uncertified, or one cut off at MAX_ITERS path steps, raises a
+RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -58,12 +57,12 @@ RIDGE = 1e-12
 # of Q and Q^T X, which bounds its memory.
 SCORE_BLOCK = 2**18
 
-# l1 solver: a column stops once its duality gap certifies its error to
-# within ERR_TOL of the optimum, or after MAX_ITERS proximal steps.
+# l1 solver: the homotopy takes at most MAX_ITERS lockstep steps; a column
+# whose duality gap does not certify its error to within ERR_TOL of the
+# optimum then takes at most NEWTON_STEPS Newton steps on its KKT system.
 ERR_TOL = 1e-10
 MAX_ITERS = 10_000
-# A column re-centred at its rounding floor gets this many more steps.
-FLOOR_STEPS = 100
+NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -338,33 +337,6 @@ def _l1_slack(atoms: np.ndarray, a: np.ndarray, lam: float, a0, r0: np.ndarray, 
     return gap, np.sqrt(h2) - np.sqrt(np.maximum(h2 - 2.0 * (gap + margin), 0.0))
 
 
-def _reduce_support(gram: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """Sign-preserving null-space steps for a column with more than n nonzeros.
-
-    Its support's atoms are dependent.  Each step moves a along the null
-    space of G_SS (so D a is unchanged) in the direction of steepest descent
-    of ||a||_1 there, -V V^T s, until a coefficient reaches zero; it repeats
-    until at most n remain.  The other coefficients keep their signs and
-    ||a||_1 does not grow.
-    """
-    a = a.copy()
-    support = np.flatnonzero(a)
-    while support.size > n:
-        null = np.linalg.eigh(gram[np.ix_(support, support)])[1][:, :support.size - n]
-        s = np.sign(a[support])
-        v = -null @ (null.T @ s)
-        if not np.abs(v).max() > 1e-8:  # s is orthogonal to the null space
-            v = -np.copysign(1.0, s @ null[:, 0]) * null[:, 0]
-        ratio = np.full(support.size, np.inf)
-        shrink = s * v < 0.0
-        ratio[shrink] = -a[support][shrink] / v[shrink]
-        j = int(np.argmin(ratio))
-        a[support] += ratio[j] * v
-        a[support[j]] = 0.0
-        support = np.flatnonzero(a)
-    return a
-
-
 def _kkt_solve(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.ndarray,
                last: np.ndarray) -> np.ndarray:
     """Solve each column's bordered system [[G_SS + RIDGE I, b_S], [b_S^T, 0]]
@@ -392,172 +364,168 @@ def _kkt_solve(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.nda
     return out
 
 
-def _l1_polish(atoms: np.ndarray, gram: np.ndarray, corr: np.ndarray, a: np.ndarray,
-               lam: float, a0: np.ndarray, r0: np.ndarray,
-               margin: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact minimizer on each column's support and sign pattern, with its
-    duality gap and error slack (see _l1_slack, which takes a0, r0, margin).
-
-    On the l1 sphere the KKT system is G_SS a_S + nu s = c_S, s.a_S = lam
-    (s the signs, c = D^T x); inside the ball nu = 0.  A support of more than
-    n atoms is first cut to n by _reduce_support.  Where the solution keeps
-    the signs but misses ERR_TOL, one refinement step against the system
-    without RIDGE removes the ridge's bias.  The result is scaled back into
-    the ball if rounding or a wrong sign left it outside.
-    """
-    n = atoms.shape[0]
-    # the projection lands on the sphere up to rounding
-    sphere = np.abs(a).sum(axis=0) >= lam * (1.0 - 1e-12)
-    wide = np.flatnonzero((a != 0.0).sum(axis=0) > n)
-    if wide.size:
-        a = a.copy()
-        for j in wide:
-            a[:, j] = _reduce_support(gram, a[:, j], n)
-    on, signs = a != 0.0, np.sign(a)
-    border = signs * sphere
-    cand = _into_l1_ball(_kkt_solve(gram, on, border, corr, lam * sphere), lam)
-    gap, slack = _l1_slack(atoms, cand, lam, a0, r0, margin)
-    redo = np.flatnonzero(~(slack <= ERR_TOL) & (np.sign(cand) == signs).all(axis=0))
-    if redo.size:
-        fix = _kkt_solve(gram, on[:, redo], border[:, redo], RIDGE * cand[:, redo], np.zeros(redo.size))
-        cand[:, redo] = _into_l1_ball(cand[:, redo] + fix, lam)
-        gap[redo], slack[redo] = _l1_slack(atoms, cand[:, redo], lam, a0[:, redo], r0[:, redo],
-                                           margin[redo])
-    return cand, gap, slack
-
-
 def _into_l1_ball(a: np.ndarray, lam: float) -> np.ndarray:
     norm1 = np.abs(a).sum(axis=0)
     return a * np.where(norm1 > lam, lam / np.maximum(norm1, lam), 1.0)
 
 
-def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
-                   init: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """l1-constrained least squares over a batch of column signals, certified.
+def _independent(atoms: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """_full_rank's test on the atoms of each column's support (on, p x N)."""
+    sizes = on.sum(axis=0)
+    ok = np.empty(on.shape[1], dtype=bool)
+    for k in np.unique(sizes):
+        same = np.flatnonzero(sizes == k)
+        sup = np.nonzero(on[:, same].T)[1].reshape(same.size, k)
+        ok[same] = _full_rank(np.linalg.qr(atoms[:, sup].transpose(1, 0, 2), mode="r"))
+    return ok
 
-    Accelerated projected gradient with gradient-based momentum restarts,
-    step 1/L with L the squared spectral norm of the dictionary.  Every 5
-    steps each live column is checked: its iterate and the exact KKT polish
-    on its support/sign pattern are scored by their duality-gap error slack
-    (see _l1_slack), and the column retires with the better of the two once
-    that slack is <= ERR_TOL, so its error is within ERR_TOL of the optimum.
 
-    init (p x N, optional) is a starting point, e.g. the solution for a
-    nearby dictionary; it is scaled into the ball and checked once before
-    the first step, so a column it already certifies retires at iteration
-    0.  Without it the solver starts from zero.
+def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """l1-constrained least squares over a batch of column signals, exact and
+    certified.
 
-    The gap is computed from the residual D a - x, whose rounding (about
-    eps ||x||) hides gaps below about 2 lam eps ||x||; where the optimum lies
-    on the l1 sphere with error h* <~ 4e-6 lam ||x||, ERR_TOL is then below
-    what the slack resolves.  The certificate counts that margin, and a
-    column whose gap falls within it is re-centred once: its residual is
-    rounded once at the current point (_exact_residual) and later residuals
-    and gradients are taken relative to it.  A column still uncertified
-    FLOOR_STEPS steps later, or after MAX_ITERS steps, is returned as it is,
-    with a RuntimeWarning naming the count (and, at the floor, the columns).
+    The minimizers of ||D a - x||^2 / 2 + t ||a||_1 form a piecewise-linear
+    path from a = 0 (t = ||D^T x||_inf) along which ||a||_1 grows; the
+    solution is its point with ||a||_1 = lam, or its end (t = 0) if the
+    ball holds that.  Each column follows the path by the LARS-lasso
+    homotopy (Osborne, Presnell & Turlach, 2000; Efron et al., 2004), all
+    columns in lockstep.  It starts at a = 0 with the most correlated atom
+    active.  Each step moves along w, the solution of G_AA w_A = s_A (A the
+    active atoms, s their signs), which lowers every active |correlation|
+    by the same amount, to the first event: an atom joins (either sign), a
+    coefficient hits zero, ||a||_1 reaches lam, or the correlation reaches
+    0.  A just-dropped atom may not rejoin with its old sign on the next
+    step.  Joins stop once |A| = rank(D), and an atom in the active span
+    (by _full_rank's test) is barred from joining until an atom drops;
+    ties go to the lowest index.
 
-    Returns (coeffs p x N, errors N, iterations, max fixed-point residual
-    ||a - P(a - grad/L)|| of the returned coefficients).
+    Each column is then certified by its duality-gap error slack (see
+    _l1_slack).  One that misses ERR_TOL takes up to NEWTON_STEPS Newton
+    steps on the KKT system of its support and signs, G_SS a_S + nu s =
+    D_S^T x with s.a_S = lam on the sphere (nu = 0 inside); the steps go on
+    from each new point, and the column keeps the point of lowest slack.
+    The first step works from the computed residual D a - x; the others,
+    and every certificate after a step, from the exactly rounded residual
+    (_exact_residual), whose margin is eps h rather than eps ||x||: the gap
+    of an optimum on the sphere with error h* <~ 4e-6 lam ||x|| is otherwise
+    lost in the rounding of D a - x.  A RuntimeWarning names the columns
+    still uncertified, and counts those cut off at MAX_ITERS steps.
+
+    Returns (coeffs p x N, errors N, lockstep path steps, max fixed-point
+    residual ||a - P(a - grad/L)|| of the returned coefficients, L the
+    squared spectral norm of D).
     """
     signals = _check_signals(d, signals)
     p, n_sig = d.p, signals.shape[1]
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (p, n_sig):
-            raise ValueError(f"init must be a {p} x {n_sig} matrix, got shape {init.shape}")
-        if not np.all(np.isfinite(init)):
-            raise ValueError("init entries must be finite")
     lam = L1Ball(lam).lam
     atoms = d.atoms
-    lip = float(np.linalg.norm(atoms, 2)) ** 2
+    sing = np.linalg.svd(atoms, compute_uv=False)
+    lip = float(sing[0]) ** 2
     if lam == 0.0 or lip == 0.0:
         return np.zeros((p, n_sig)), np.linalg.norm(signals, axis=0), 0, 0.0
-    step = 1.0 / lip
     gram = atoms.T @ atoms
+    rank = int((sing > RANK_RTOL * sing[0]).sum())
     out = np.zeros((p, n_sig))
-    live = np.arange(n_sig)
-    x, corr = signals, atoms.T @ signals
-    # each column's residual is r0 + D (a - a0), its gradient g0 + G (a - a0),
-    # and its gap is known to within margin (see _l1_slack)
-    a0, r0, g0 = np.zeros((p, n_sig)), -x, -corr
-    margin = 2.0 * np.finfo(float).eps * lam * np.linalg.norm(signals, axis=0)
-    centred = np.full(n_sig, -1)  # the step a column was re-centred at
-    adopted = np.full(n_sig, np.inf)  # slack of the polish a column last restarted from
-    floored, floor_slack = [], 0.0
-    a = np.zeros((p, n_sig)) if init is None else _into_l1_ball(init, lam)
-    y = a.copy()
-    t = np.ones(n_sig)
+    sphere = np.zeros(n_sig, dtype=bool)  # the column's path stopped at ||a||_1 = lam
+    corr = atoms.T @ signals
+    # t is the penalty: every active atom's correlation with x - D a is t s
+    t = np.abs(corr).max(axis=0)
+    live = np.flatnonzero(t > 0.0)
+    t, corr = t[live], corr[:, live]
+    first, cols = np.argmax(np.abs(corr), axis=0), np.arange(live.size)
+    a = np.zeros((p, live.size))
+    signs = np.zeros((p, live.size))
+    signs[first, cols] = np.sign(corr[first, cols])
+    barred = np.zeros((p, live.size), dtype=bool)
+    rejoin = np.zeros((p, live.size))  # the sign a just-dropped atom may not rejoin with
+    sigma = np.array([1.0, -1.0])[:, None, None]  # the signs an atom can join with
     iterations = 0
-    for it in range(0 if init is not None else 1, MAX_ITERS + 1):
-        if it:
-            a_new = _project_l1_columns(y - step * (gram @ (y - a0) + g0), lam)
-            restart = ((y - a_new) * (a_new - a)).sum(axis=0) > 0.0
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            t_new[restart] = 1.0
-            beta = (t - 1.0) / t_new
-            beta[restart] = 0.0
-            y = a_new + beta * (a_new - a)
-            a = a_new
-            t = t_new
-        iterations = it
-        if it % 5 == 0 or it == MAX_ITERS:
-            polished, gap_polished, slack_polished = _l1_polish(atoms, gram, corr, a, lam, a0, r0, margin)
-            gap, slack = _l1_slack(atoms, a, lam, a0, r0, margin)
-            better = slack_polished < slack
-            # the iterate restarts from the polish only if it improves on the
-            # last one taken, so that it cannot cycle between one polish and
-            # the 5 steps from it
-            adopt = better & (slack_polished < adopted)
-            adopted = np.where(adopt, slack_polished, adopted)
-            best = np.where(better, polished, a)
-            gap = np.where(better, gap_polished, gap)
-            slack = np.where(better, slack_polished, slack)
-            done = slack <= ERR_TOL
-            # a gap within its margin is rounding noise: re-centre the column
-            # once at an exact residual, which shrinks the margin to eps h, and
-            # give it FLOOR_STEPS more steps
-            floor = np.flatnonzero(~done & (centred[live] < 0) & (gap <= margin))
-            if floor.size:
-                a0[:, floor] = best[:, floor]
-                r0[:, floor] = _exact_residual(atoms, best[:, floor], x[:, floor])
-                g0[:, floor] = atoms.T @ r0[:, floor]
-                margin[floor] = 2.0 * np.finfo(float).eps * lam * np.linalg.norm(r0[:, floor], axis=0)
-                centred[live[floor]] = it
-                slack[floor] = _l1_slack(atoms, best[:, floor], lam, a0[:, floor], r0[:, floor],
-                                         margin[floor])[1]
-                done[floor] = slack[floor] <= ERR_TOL
-            stalled = ~done & (centred[live] >= 0) & (it - centred[live] >= FLOOR_STEPS)
-            if stalled.any():
-                floored += live[stalled].tolist()
-                floor_slack = max(floor_slack, float(slack[stalled].max()))
-            out[:, live] = best
-            keep = ~(done | stalled)
-            if not keep.any():
-                break
-            live, x, corr = live[keep], x[:, keep], corr[:, keep]
-            a0, r0, g0, margin = a0[:, keep], r0[:, keep], g0[:, keep], margin[keep]
-            adopt, adopted, slack = adopt[keep], adopted[keep], slack[keep]
-            a = np.where(adopt, polished[:, keep], a[:, keep])
-            t = np.where(adopt, 1.0, t[keep])
-            y = np.where(adopt, a, y[:, keep])
-    else:
+    while live.size and iterations < MAX_ITERS:
+        iterations += 1
+        on = signs != 0.0
+        w = _kkt_solve(gram, on, np.zeros_like(a), signs, np.zeros(live.size))
+        u = gram @ w
+        c = corr - gram @ a
+        slope = (signs * w).sum(axis=0)  # d||a||_1 / d gamma
+        steps = np.empty((2 * p + 2, live.size))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps[0] = np.where(slope > 0.0, np.maximum(lam - np.abs(a).sum(axis=0), 0.0) / slope, np.inf)
+            steps[1] = t
+            # atom j joins with sign sigma where sigma (c_j - gamma u_j) reaches
+            # t - gamma; rounding may leave |c_j| a hair above t
+            denom = 1.0 - sigma * u
+            roots = np.where(~on & ~barred & (on.sum(axis=0) < rank) & (rejoin != sigma) & (denom > 0.0),
+                             np.maximum(t - sigma * c, 0.0) / denom, np.inf)
+            join_sign = np.where(roots[1] < roots[0], -1.0, 1.0)
+            steps[2:2 + p] = roots.min(axis=0)
+            steps[2 + p:] = np.where(on & (a * w < 0.0), -a / w, np.inf)
+        event, gamma = np.argmin(steps, axis=0), steps.min(axis=0)
+        a += gamma * w
+        t = t - gamma
+        rejoin[:] = 0.0
+        drops = np.flatnonzero(event >= 2 + p)
+        if drops.size:
+            j = event[drops] - 2 - p
+            rejoin[j, drops] = signs[j, drops]
+            a[j, drops] = signs[j, drops] = 0.0
+            barred[:, drops] = False
+        joins = np.flatnonzero((event >= 2) & (event < 2 + p))
+        if joins.size:
+            j = event[joins] - 2
+            trial = on[:, joins]
+            trial[j, np.arange(joins.size)] = True
+            ok = _independent(atoms, trial)
+            signs[j[ok], joins[ok]] = join_sign[j[ok], joins[ok]]
+            barred[j[~ok], joins[~ok]] = True
+        done = event <= 1
+        if done.any():
+            out[:, live[done]] = a[:, done]
+            sphere[live[done]] = event[done] == 0
+            keep = ~done
+            live, t, corr, a = live[keep], t[keep], corr[:, keep], a[:, keep]
+            signs, barred, rejoin = signs[:, keep], barred[:, keep], rejoin[:, keep]
+    capped = live
+    out[:, capped] = a
+    eps = np.finfo(float).eps
+    slack = _l1_slack(atoms, out, lam, 0.0, -signals, 2.0 * eps * lam * np.linalg.norm(signals, axis=0))[1]
+    unsure = ~(slack <= ERR_TOL)
+    unsure[capped] = False
+    fix = np.flatnonzero(unsure)
+    a, resid = out[:, fix], atoms @ out[:, fix] - signals[:, fix]
+    for _ in range(NEWTON_STEPS):
+        if not fix.size:
+            break
+        border = np.sign(a) * sphere[fix]
+        step = _kkt_solve(gram, a != 0.0, border, -(atoms.T @ resid),
+                          sphere[fix] * (lam - np.abs(a).sum(axis=0)))
+        a = _into_l1_ball(a + step, lam)
+        resid = _exact_residual(atoms, a, signals[:, fix])
+        new = _l1_slack(atoms, a, lam, a, resid, 2.0 * eps * lam * np.linalg.norm(resid, axis=0))[1]
+        # the steps go on from each new point, but a column keeps its best
+        better = new < slack[fix]
+        out[:, fix[better]] = a[:, better]
+        slack[fix[better]] = new[better]
+        keep = ~(slack[fix] <= ERR_TOL)
+        fix, a, resid = fix[keep], a[:, keep], resid[:, keep]
+    cut = capped[~(slack[capped] <= ERR_TOL)]
+    if cut.size:
         warnings.warn(f"l1_solve_batch stopped after MAX_ITERS = {MAX_ITERS} steps with "
-                      f"{live.size} of {n_sig} columns uncertified (worst error slack "
-                      f"{slack.max():.3g} > ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
-    if floored:
-        warnings.warn(f"l1_solve_batch left {len(floored)} of {n_sig} columns {sorted(floored)} "
-                      f"uncertified at their rounding floor (worst error slack "
-                      f"{floor_slack:.3g} > ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
+                      f"{cut.size} of {n_sig} columns uncertified (worst error slack "
+                      f"{slack[cut].max():.3g} > ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
+    if fix.size:
+        warnings.warn(f"l1_solve_batch left {fix.size} of {n_sig} columns {fix.tolist()} uncertified "
+                      f"after {NEWTON_STEPS} Newton steps (worst error slack {slack[fix].max():.3g} "
+                      f"> ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
     resid = atoms @ out - signals
-    fp = out - _project_l1_columns(out - step * (atoms.T @ resid), lam)
+    fp = out - _project_l1_columns(out - (atoms.T @ resid) / lip, lam)
     residual = float(np.sqrt((fp * fp).sum(axis=0)).max(initial=0.0))
     return out, np.sqrt((resid * resid).sum(axis=0)), iterations, residual
 
 
 def l1_solve(d: Dictionary, x, lam: float) -> CodingResult:
-    """Representation under the l1-ball constraint ||a||_1 <= lam, with its
-    duality gap (see l1_solve_batch).
+    """Representation under the l1-ball constraint ||a||_1 <= lam: the N=1
+    case of l1_solve_batch's homotopy and Newton finish, with the duality
+    gap that certifies it.
 
     lam = 0 returns the zero vector as a valid result.
     """

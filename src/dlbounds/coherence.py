@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Dictionary, GuardExceededError, as_count, uniform_sphere_matrix, validate_dictionary
+from .core import Dictionary, GuardExceededError
 
 # Enumerating subsets is allowed up to this many (subset, atom) pairs.
 BRUTEFORCE_GUARD = 10**7
@@ -96,27 +96,3 @@ def coherence(d: Dictionary) -> float:
     if d.p < 2:
         raise ValueError("coherence needs at least two atoms")
     return babel(d, 1).value
-
-
-def frame_check(d: Dictionary, frame_upper: float) -> bool:
-    """Sufficient condition for every Babel order to stay below 1.
-
-    The caller supplies frame_upper = B with sum_i |<v, d_i>| <= B for all
-    unit v (typically estimated by sampling).  If B < 1 + 1/(p-1) then
-    mu_{k-1}(D) < 1 for every k <= p.  Requires unit-norm atoms.
-    """
-    problems = validate_dictionary(d, normalized=True)
-    if problems:
-        raise ValueError("frame_check needs a normalized dictionary: " + "; ".join(problems))
-    if d.p < 2:
-        raise ValueError("frame_check needs at least two atoms")
-    frame_upper = float(frame_upper)
-    if not frame_upper >= 0.0:
-        raise ValueError(f"frame_upper must be >= 0, got {frame_upper}")
-    return frame_upper < 1.0 + 1.0 / (d.p - 1)
-
-
-def frame_upper_estimate(d: Dictionary, samples: int, rng: np.random.Generator) -> float:
-    """Sampled lower estimate of max_{|v|=1} sum_i |<v, d_i>|."""
-    v = uniform_sphere_matrix(d.n, as_count(samples, "samples"), rng)
-    return float(np.abs(d.atoms.T @ v).sum(axis=0).max())

@@ -117,7 +117,7 @@ def babel_tail_bound(n: int, p: int, k: int) -> float:
     """Tail bound P(mu_k(D) > 1/2) <= 1/(e^((n-2)/(10 k ln p)^2) - 1) for a
     dictionary of p uniform sphere atoms, clamped to [0, 1] (the clamp
     only ever loosens: nonpositive exponents report the vacuous 1)."""
-    n, p, k = int(n), int(p), int(k)
+    n, p, k = as_count(n, "n"), as_count(p, "p"), as_count(k, "k")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if not 1 <= k <= p - 1:
@@ -146,7 +146,7 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
     not on k or the thread count — so runs at different orders k share
     dictionaries trial-by-trial and parallel runs match serial ones.
     """
-    n, p, k, trials = int(n), int(p), int(k), as_count(trials, "trials")
+    n, p, k, trials = as_count(n, "n"), as_count(p, "p"), as_count(k, "k"), as_count(trials, "trials")
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
     bound = babel_tail_bound(n, p, k)
@@ -193,7 +193,7 @@ def _batch_errors(d: Dictionary, x: np.ndarray, constraint: SparsityConstraint) 
 def lipschitz_probe(d: Dictionary, d_prime: Dictionary, signals,
                     constraint: SparsityConstraint) -> float:
     """max over signals of |h_D(x) - h_D'(x)| / me_norm(D - D'), with exact
-    or certified l1 coding on both sides (l1 codes D' from D's solution).
+    or certified l1 coding on both sides.
     Rejects unnormalized dictionaries and pairs closer than 1e-12 in ME norm
     (the ratio would be noise)."""
     for name, dd in (("first", d), ("second", d_prime)):
@@ -208,12 +208,7 @@ def lipschitz_probe(d: Dictionary, d_prime: Dictionary, signals,
     x = signals_to_matrix(signals)
     if x.shape[0] != d.n:
         raise ValueError(f"signals have dimension {x.shape[0]}, dictionaries {d.n}")
-    if isinstance(constraint, L1Ball):
-        coeffs, errors, _, _ = l1_solve_batch(d, x, constraint.lam)
-        errors_prime = l1_solve_batch(d_prime, x, constraint.lam, coeffs)[1]
-    else:
-        errors, errors_prime = _batch_errors(d, x, constraint), _batch_errors(d_prime, x, constraint)
-    gaps = np.abs(errors - errors_prime)
+    gaps = np.abs(_batch_errors(d, x, constraint) - _batch_errors(d_prime, x, constraint))
     return float(gaps.max()) / denom
 
 
@@ -247,7 +242,7 @@ def nonlipschitz_demo(n: int, p: int, k: int, eps: float, *, seed: int = 0,
     eps = 1e-4.  Search failure raises SearchFailureError carrying the
     best h found.
     """
-    n, p, k = int(n), int(p), int(k)
+    n, p, k = as_count(n, "n"), as_count(p, "p"), as_count(k, "k")
     eps = float(eps)
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= n = {n} (two atoms must cancel), got {k}")

@@ -162,14 +162,11 @@ class LearnResult:
     trace: tuple[float, ...]  # mean training error at each coding step
 
 
-def _code_batch(atoms: np.ndarray, x: np.ndarray, config: LearnerConfig,
-                init: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients p x m, errors m) for the configured coder.  The l1 coder
-    starts from init, the previous coding step's coefficients, if given; the
-    k-sparse coders search from scratch."""
+def _code_batch(atoms: np.ndarray, x: np.ndarray, config: LearnerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients p x m, errors m) for the configured coder."""
     d = Dictionary(atoms)
     if isinstance(config.constraint, L1Ball):
-        coeffs, errors, _, _ = l1_solve_batch(d, x, config.constraint.lam, init)
+        coeffs, errors, _, _ = l1_solve_batch(d, x, config.constraint.lam)
         return coeffs, errors
     coder = exact_ksparse_batch if config.exact_coder else greedy_ksparse_batch
     return coder(d, x, config.constraint.k)
@@ -191,8 +188,7 @@ def learn_dictionary(samples, config: LearnerConfig) -> LearnResult:
     The update solves min_D ||X - D A||_F^2 with a 1e-9 ridge, i.e.
     D <- X A' (A A' + 1e-9 I)^{-1}, then columns are renormalized (dead
     columns resampled from the sphere).  The trace records the mean
-    training error at each coding step.  l1 coding steps after the first
-    start from the previous step's coefficients.  Under the exact coder the
+    training error at each coding step.  Under the exact coder the
     mean *squared* error descends monotonically (renormalization is
     absorbed by coefficient rescaling, so each half-step improves the
     least-squares objective); the unsquared mean inherits that descent
@@ -209,9 +205,8 @@ def learn_dictionary(samples, config: LearnerConfig) -> LearnResult:
     else:
         atoms = uniform_sphere_matrix(n, config.p, rng)
     trace: list[float] = []
-    coeffs = None
     for _ in range(config.iterations):
-        coeffs, errors = _code_batch(atoms, x, config, coeffs)
+        coeffs, errors = _code_batch(atoms, x, config)
         trace.append(float(errors.mean()))
         gram = coeffs @ coeffs.T
         gram[np.diag_indices_from(gram)] += UPDATE_RIDGE

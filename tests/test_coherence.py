@@ -9,8 +9,6 @@ from dlbounds.coherence import (
     babel_bruteforce,
     babel_from_gram,
     coherence,
-    frame_check,
-    frame_upper_estimate,
 )
 from dlbounds.core import Dictionary, GuardExceededError, substream, uniform_sphere_matrix
 
@@ -109,24 +107,3 @@ def test_bruteforce_guard():
     with pytest.raises(GuardExceededError):
         babel_bruteforce(d, 15)  # C(40,15)*40 far beyond the cap
     assert math.comb(40, 15) * 40 > BRUTEFORCE_GUARD
-
-
-# -------------------------------------------------------------- frame checks
-
-
-def test_frame_check_examples():
-    assert frame_check(Dictionary(np.eye(2)), math.sqrt(2.0)) is True
-    assert frame_check(Dictionary(np.eye(3)[:, :3]), 2.0) is False
-
-
-def test_frame_check_requires_normalized():
-    with pytest.raises(ValueError):
-        frame_check(Dictionary(np.eye(2) * 2.0, gamma=2.0), 1.0)
-
-
-def test_frame_upper_estimate_is_lower_bound():
-    d = Dictionary(np.eye(2))
-    est = frame_upper_estimate(d, 2000, substream(9, 0))
-    # true sup over unit v of |v1| + |v2| is sqrt(2)
-    assert est <= math.sqrt(2.0) + 1e-12
-    assert est > 1.2

@@ -156,7 +156,7 @@ def test_lipschitz_probe_l1_within_lambda():
 
 
 def test_lipschitz_probe_l1_warm_start_matches_cold():
-    # the probe codes D' from D's solution; coding both from zero gives the same ratio
+    # the probe's ratio is the one from coding D and D' directly
     lam = 2.0
     d, d2 = perturbed_pair(Dictionary(uniform_sphere_matrix(6, 8, substream(51, 485))), 1e-3,
                            substream(52, 485))
@@ -309,6 +309,12 @@ def test_gengap_validation():
         gengap_run(source, config, (64, 96.5), 100)
     with pytest.raises(ValueError, match="test_size must be an integer"):
         gengap_run(source, config, (64,), 100.5)
+    for call, name in ((lambda: mc_babel(6.5, 4.9, 1, trials=3, seed=1), "n"),
+                       (lambda: mc_babel(6, 4.9, 1, trials=3, seed=1), "p"),
+                       (lambda: babel_tail_bound(6, 4, 1.7), "k"),
+                       (lambda: nonlipschitz_demo(8, 8.5, 2, 1e-3), "p")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
 
 
 # --------------------------------------------------------------- gap trend
