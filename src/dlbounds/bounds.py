@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .core import InapplicableError
+from .core import InapplicableError, as_count
 
 L1_VARIANTS = ("maurer", "slow", "fast")
 
@@ -98,17 +98,16 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _check_mx(m, x) -> tuple[int, float]:
-    _require(m is not None and int(m) >= 1, f"m must be a positive integer, got {m}")
-    _require(x is not None and float(x) >= 0.0 and math.isfinite(float(x)),
-             f"x must be finite and >= 0, got {x}")
-    return int(m), float(x)
-
-
-def _check_np(n, p) -> tuple[int, int]:
-    _require(n is not None and int(n) >= 1, f"n must be a positive integer, got {n}")
-    _require(p is not None and int(p) >= 1, f"p must be a positive integer, got {p}")
-    return int(n), int(p)
+def _finite(value, name: str, floor: float = 0.0, strict: bool = True) -> float:
+    """value as a float that is finite and above floor (or at it, when not
+    strict); None, NaN and infinities raise ValueError."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not (math.isfinite(v) and (v > floor if strict else v >= floor)):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {floor:g} and finite, got {value!r}")
+    return v
 
 
 def _check_delta(delta) -> float:
@@ -123,23 +122,24 @@ def _check_delta(delta) -> float:
 
 def _ksparse_lam(k, delta) -> float:
     """The l1 radius k / (1 - delta) that covers the k-sparse class."""
-    _require(k is not None and int(k) >= 1, f"k must be a positive integer, got {k}")
-    return int(k) / (1.0 - _check_delta(delta))
+    return as_count(k, "k") / (1.0 - _check_delta(delta))
+
+
+def _l1_cover(n, p, lam) -> tuple[float, int]:
+    """(C, d) of the l1 class's covering numbers (C / eps)^d: (4 lam, np)."""
+    return 4.0 * _finite(lam, "lam"), as_count(n, "n") * as_count(p, "p")
 
 
 def log_cover_l1(n: int, p: int, lam: float, eps: float) -> float:
     """log of the covering number (4 lam / eps)^(np) of the l1-constrained
     error-function class at radius eps, clamped at 0."""
-    n, p = _check_np(n, p)
-    _require(lam is not None and float(lam) > 0.0, f"lam must be > 0, got {lam}")
-    _require(float(eps) > 0.0, f"eps must be > 0, got {eps}")
-    return max(0.0, n * p * math.log(4.0 * float(lam) / float(eps)))
+    c, d = _l1_cover(n, p, lam)
+    return max(0.0, d * math.log(c / _finite(eps, "eps")))
 
 
 def log_cover_ksparse(n: int, p: int, k: int, delta: float, eps: float) -> float:
     """log of the covering number (4k / (eps (1 - delta)))^(np), clamped at 0:
     the l1 cover at lam = k / (1 - delta)."""
-    _check_np(n, p)
     return log_cover_l1(n, p, _ksparse_lam(k, delta), eps)
 
 
@@ -150,11 +150,8 @@ def slow_rate_generic(B: float, C: float, d: float, m: int, x: float) -> BoundRe
     Applicable when the cover at that radius has more than e / B^2
     elements; otherwise raises InapplicableError.
     """
-    m, x = _check_mx(m, x)
-    _require(float(B) > 0.0, f"B must be > 0, got {B}")
-    _require(float(C) > 0.0, f"C must be > 0, got {C}")
-    _require(float(d) >= 1.0, f"d must be >= 1, got {d}")
-    B, C, d = float(B), float(C), float(d)
+    m, x = as_count(m, "m"), _finite(x, "x", strict=False)
+    B, C, d = _finite(B, "B"), _finite(C, "C"), _finite(d, "d", 1.0, strict=False)
     log_cover = d * math.log(C * math.sqrt(m))
     if not log_cover > 1.0 - 2.0 * math.log(B):
         raise InapplicableError(
@@ -176,11 +173,9 @@ def fast_rate_generic(C: float, d: float, m: int, x: float, K: float, alpha: flo
     with branches alpha C^2 / (2m), 480^2 (d+1) ln(m/alpha) / m, and
     (20 + 22 ln m) / m.  The report records which branch is active.
     """
-    m, x = _check_mx(m, x)
-    _require(float(d) >= 1.0, f"d must be >= 1, got {d}")
-    _require(K is not None and float(K) > 1.0, f"K must be > 1, got {K}")
-    _require(alpha is not None and float(alpha) > 0.0, f"alpha must be > 0, got {alpha}")
-    C, d, K, alpha = float(C), float(d), float(K), float(alpha)
+    m, x = as_count(m, "m"), _finite(x, "x", strict=False)
+    C, d = _finite(C, "C"), _finite(d, "d", 1.0, strict=False)
+    K, alpha = _finite(K, "K", 1.0), _finite(alpha, "alpha")
     if not C > 2.0:
         raise InapplicableError(f"fast rate needs a cover constant C > 2, got C = {C:.6g}")
     _require(m / alpha > 1.0, f"need m/alpha > 1 for ln(m/alpha), got m={m}, alpha={alpha}")
@@ -208,14 +203,9 @@ def l1_generalization_bound(inputs: BoundInputs, variant: str) -> BoundReport:
     """
     if variant not in L1_VARIANTS:
         raise ValueError(f"variant must be one of {L1_VARIANTS}, got {variant!r}")
-    _require(inputs.lam is not None and float(inputs.lam) > 0.0,
-             f"lam must be > 0, got {inputs.lam}")
-    lam = float(inputs.lam)
-    m, x = _check_mx(inputs.m, inputs.x)
     if variant == "maurer":
-        _require(inputs.p is not None and int(inputs.p) >= 1,
-                 f"p must be a positive integer, got {inputs.p}")
-        p = int(inputs.p)
+        lam, p = _finite(inputs.lam, "lam"), as_count(inputs.p, "p")
+        m, x = as_count(inputs.m, "m"), _finite(inputs.x, "x", strict=False)
         log_arg = 16.0 * m * lam * lam
         if log_arg < 1.0:
             raise InapplicableError(f"needs 16 m lam^2 >= 1, got {log_arg:.6g}")
@@ -225,10 +215,10 @@ def l1_generalization_bound(inputs: BoundInputs, variant: str) -> BoundReport:
             "confidence": math.sqrt(x / (2.0 * m)),
         }
         return BoundReport(multiplier=1.0, parts=parts, loss_scale="squared")
-    n, p = _check_np(inputs.n, inputs.p)
+    c, d = _l1_cover(inputs.n, inputs.p, inputs.lam)
     if variant == "slow":
-        return slow_rate_generic(B=1.0, C=4.0 * lam, d=n * p, m=m, x=x)
-    return fast_rate_generic(C=4.0 * lam, d=n * p, m=m, x=x, K=inputs.K, alpha=inputs.alpha)
+        return slow_rate_generic(B=1.0, C=c, d=d, m=inputs.m, x=inputs.x)
+    return fast_rate_generic(C=c, d=d, m=inputs.m, x=inputs.x, K=inputs.K, alpha=inputs.alpha)
 
 
 def ksparse_generalization_bound(inputs: BoundInputs, variant: str) -> BoundReport:

@@ -43,6 +43,7 @@ from .core import (
     InapplicableError,
     L1Ball,
     SparsityConstraint,
+    as_count,
     as_vector,
     validate_dictionary,
 )
@@ -155,8 +156,8 @@ def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
 
 
 def _greedy_signals(d: Dictionary, signals: np.ndarray, k: int):
-    k = int(k)
-    if not 1 <= k <= min(d.n, d.p):
+    k = as_count(k, "k")
+    if not k <= min(d.n, d.p):
         raise ValueError(f"k must satisfy 1 <= k <= min(n, p) = {min(d.n, d.p)}, got {k}")
     return _greedy_columns(d.atoms.T @ d.atoms, d.atoms.T @ signals, k)
 
@@ -203,8 +204,8 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     first basis, padded with the lowest other atoms.  Returns (coeffs p x N,
     errors N, supports k x N).
     """
-    k = int(k)
-    if not 1 <= k <= d.p:
+    k = as_count(k, "k")
+    if not k <= d.p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {d.p}, got {k}")
     if comb(d.p, k) > EXACT_GUARD:
         raise GuardExceededError(f"C({d.p},{k}) = {comb(d.p, k)} exceeds guard {EXACT_GUARD}")
@@ -562,8 +563,8 @@ def coeff_l1_bound(d: Dictionary, k: int) -> float:
     Valid when column norms lie in [1, gamma] and mu_{k-1}(D) < 1; order 0
     is an empty sum, so mu_0 = 0.
     """
-    k = int(k)
-    if not 1 <= k <= d.p:
+    k = as_count(k, "k")
+    if not k <= d.p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {d.p}, got {k}")
     problems = validate_dictionary(d)
     if problems:

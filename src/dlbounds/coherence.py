@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Dictionary, GuardExceededError
+from .core import Dictionary, GuardExceededError, as_count
 
 # Enumerating subsets is allowed up to this many (subset, atom) pairs.
 BRUTEFORCE_GUARD = 10**7
@@ -30,10 +30,10 @@ class BabelValue:
     k: int
 
 
-def _check_order(d: Dictionary, k: int) -> int:
-    k = int(k)
-    if not 1 <= k <= d.p - 1:
-        raise ValueError(f"babel order must satisfy 1 <= k <= p-1 = {d.p - 1}, got {k}")
+def _check_order(p: int, k: int) -> int:
+    k = as_count(k, "babel order k")
+    if not k <= p - 1:
+        raise ValueError(f"babel order must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
     return k
 
 
@@ -49,9 +49,7 @@ def babel_from_gram(gram: np.ndarray, k: int) -> BabelValue:
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:
         raise ValueError(f"gram must be square with p >= 2, got shape {g.shape}")
     p = g.shape[0]
-    k = int(k)
-    if not 1 <= k <= p - 1:
-        raise ValueError(f"babel order must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
+    k = _check_order(p, k)
     a = np.abs(g)
     # The diagonal must never enter a top-k selection; off-diagonals are >= 0
     # so -1 can never be picked while k <= p-1.
@@ -62,7 +60,6 @@ def babel_from_gram(gram: np.ndarray, k: int) -> BabelValue:
 
 def babel(d: Dictionary, k: int) -> BabelValue:
     """Order-k Babel value of a dictionary (fast partial-sort path)."""
-    k = _check_order(d, k)
     return babel_from_gram(d.atoms.T @ d.atoms, k)
 
 
@@ -72,8 +69,8 @@ def babel_bruteforce(d: Dictionary, k: int) -> BabelValue:
     Kept deliberately literal as an oracle for the fast path; refuses
     instances where C(p, k) * p exceeds BRUTEFORCE_GUARD.
     """
-    k = _check_order(d, k)
     p = d.p
+    k = _check_order(p, k)
     if comb(p, k) * p > BRUTEFORCE_GUARD:
         raise GuardExceededError(
             f"C({p},{k}) * {p} = {comb(p, k) * p} exceeds guard {BRUTEFORCE_GUARD}"

@@ -147,16 +147,15 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
     dictionaries trial-by-trial and parallel runs match serial ones.
     """
     n, p, k, trials = as_count(n, "n"), as_count(p, "p"), as_count(k, "k"), as_count(trials, "trials")
-    if not 1 <= k <= p - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
+    threads = as_count(threads, "threads")
     bound = babel_tail_bound(n, p, k)
 
     def one(i: int) -> float:
         atoms = uniform_sphere_matrix(n, p, substream(seed, i))
         return babel(Dictionary(atoms), k).value
 
-    if int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             values = list(pool.map(one, range(trials)))
     else:
         values = [one(i) for i in range(trials)]
@@ -243,6 +242,7 @@ def nonlipschitz_demo(n: int, p: int, k: int, eps: float, *, seed: int = 0,
     best h found.
     """
     n, p, k = as_count(n, "n"), as_count(p, "p"), as_count(k, "k")
+    search_samples = as_count(search_samples, "search_samples")
     eps = float(eps)
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= n = {n} (two atoms must cancel), got {k}")
@@ -272,8 +272,8 @@ def nonlipschitz_demo(n: int, p: int, k: int, eps: float, *, seed: int = 0,
         qv = None
         best = -math.inf
         drawn = 0
-        while drawn < int(search_samples):
-            width = min(SEARCH_BATCH, int(search_samples) - drawn)
+        while drawn < search_samples:
+            width = min(SEARCH_BATCH, search_samples - drawn)
             drawn += width
             cand = rng.standard_normal((n - 1, width))
             cand /= np.linalg.norm(cand, axis=0)
@@ -388,6 +388,7 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
     if not m_grid:
         raise ValueError("m_grid must be nonempty")
     test_size = as_count(test_size, "test_size")
+    threads = as_count(threads, "threads")
     variants = tuple(variants)
     unknown = [v for v in variants if v not in L1_VARIANTS]
     if unknown:
@@ -405,29 +406,19 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
         test_mean, test_sq, test_se = _mean_se(_batch_errors(learned, test, constraint))
         plain = (train_mean, test_mean)
         squared = (train_sq, test_sq)
-        delta = None
         if family == "ksparse":
             delta = 0.0 if constraint.k == 1 else babel(learned, constraint.k - 1).value
-        evals = []
-        for variant in variants:
-            if family == "ksparse":
-                if delta >= 1.0:
-                    evals.append(BoundEval(variant=variant, applicable=False,
-                                           train_stat=train_mean, test_stat=test_mean,
-                                           bound_value=None, report=None,
-                                           note=f"measured mu_(k-1) = {delta:.6g} >= 1"))
-                    continue
-                inputs = BoundInputs(n=source.n, p=config.p, m=m, x=x,
-                                     k=constraint.k, delta=delta)
-            else:
-                inputs = BoundInputs(n=source.n, p=config.p, m=m, x=x, lam=constraint.lam)
-            evals.append(_eval_variant(variant, inputs, family, plain, squared))
+            inputs = BoundInputs(n=source.n, p=config.p, m=m, x=x, k=constraint.k, delta=delta)
+        else:
+            delta = None
+            inputs = BoundInputs(n=source.n, p=config.p, m=m, x=x, lam=constraint.lam)
+        evals = tuple(_eval_variant(v, inputs, family, plain, squared) for v in variants)
         return GapPoint(m=m, train_mean=train_mean, test_mean=test_mean,
                         train_sq_mean=train_sq, test_sq_mean=test_sq,
-                        train_se=train_se, test_se=test_se, delta=delta, evals=tuple(evals))
+                        train_se=train_se, test_se=test_se, delta=delta, evals=evals)
 
-    if int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             points = list(pool.map(one, range(len(m_grid))))
     else:
         points = [one(i) for i in range(len(m_grid))]

@@ -25,11 +25,10 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import CoeffVector, InapplicableError, NORM_TOL, as_vector
+from .core import CoeffVector, InapplicableError, NORM_TOL, as_count, as_vector
 from .coders import CodingResult, _check_signal, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
-from .bounds import (BoundInputs, BoundReport, _check_mx, _check_np, _ksparse_lam, _require,
-                     slow_rate_generic)
+from .bounds import BoundInputs, BoundReport, _finite, _ksparse_lam, slow_rate_generic
 
 # Tolerances for kernel sanity checks.
 SYMMETRY_TOL = 1e-12
@@ -99,9 +98,7 @@ def polynomial_kernel(degree: int) -> KernelFn:
     There |1 + <x, y>| <= 2, giving Lipschitz constant degree * 2^(degree-1)
     per argument and feature norms at most 2^(degree/2).
     """
-    degree = int(degree)
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    degree = as_count(degree, "degree")
     return KernelFn(fn=lambda xs, ys: (1.0 + xs @ ys.T) ** degree,
                     name=f"poly:{degree}",
                     smoothness=(degree * 2.0 ** (degree - 1), 1.0),
@@ -240,8 +237,8 @@ def kernel_greedy_ksparse(x, kd: KernelDictionary, kf: KernelFn, k: int):
     Under the linear kernel this matches greedy_ksparse.
     """
     xv = _check_signal(kd.points.shape[1], x)
-    k = int(k)
-    if not 1 <= k <= kd.p:
+    k = as_count(k, "k")
+    if not k <= kd.p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {kd.p}, got {k}")
     kx = _kernel_block(kf, xv[None], kd.points)[0]
     dense, supports, ridge_used = _greedy_columns(kd.gram, kx[:, None], k)
@@ -283,26 +280,28 @@ def holder_feature_check(kf: KernelFn, pairs) -> float:
     return float(worst)
 
 
+def _kernel_cover(n, p, cover_c, holder_l, holder_alpha, gamma, lam=None, k=None,
+                  delta=None) -> tuple[float, float]:
+    """(C, d) of the kernelized class's covering numbers (C / eps)^d:
+    (cover_c^alpha lam gamma L, np / alpha) at l1 radius lam, or at
+    lam = k gamma / (1 - delta) with (k, delta) set."""
+    gamma = _finite(gamma, "gamma", 1.0, strict=False)
+    if (lam is None) == (k is None):
+        raise ValueError("set exactly one of lam or (k, delta)")
+    lam = _finite(lam, "lam") if k is None else _ksparse_lam(k, delta) * gamma
+    alpha = _finite(holder_alpha, "holder_alpha")
+    c = _finite(cover_c, "cover_c") ** alpha * lam * gamma * _finite(holder_l, "holder_l")
+    return c, as_count(n, "n") * as_count(p, "p") / alpha
+
+
 def kernel_cover_log(n: int, p: int, eps: float, *, cover_c: float, holder_l: float,
                      holder_alpha: float, gamma: float = 1.0, lam: float | None = None,
                      k: int | None = None, delta: float | None = None) -> float:
     """log covering number of the kernelized error-function class, clamped
     at 0.  With lam set: np * log(C (lam gamma L / eps)^(1/alpha)); with
     (k, delta) set: the same at lam gamma = k gamma^2 / (1 - delta)."""
-    n, p = _check_np(n, p)
-    _require(float(eps) > 0.0, f"eps must be > 0, got {eps}")
-    _require(float(cover_c) > 0.0, f"cover_c must be > 0, got {cover_c}")
-    _require(float(holder_l) > 0.0, f"holder_l must be > 0, got {holder_l}")
-    _require(float(holder_alpha) > 0.0, f"holder_alpha must be > 0, got {holder_alpha}")
-    _require(float(gamma) >= 1.0, f"gamma must be >= 1, got {gamma}")
-    if (lam is None) == (k is None):
-        raise ValueError("set exactly one of lam or (k, delta)")
-    if lam is None:
-        lam = _ksparse_lam(k, delta) * float(gamma)
-    _require(float(lam) > 0.0, f"lam must be > 0, got {lam}")
-    scale = float(lam) * float(gamma) * float(holder_l)
-    value = n * p * (math.log(float(cover_c)) + math.log(scale / float(eps)) / float(holder_alpha))
-    return max(0.0, value)
+    c, d = _kernel_cover(n, p, cover_c, holder_l, holder_alpha, gamma, lam, k, delta)
+    return max(0.0, d * math.log(c / _finite(eps, "eps")))
 
 
 KERNEL_VARIANTS = ("maurer_k", "slow")
@@ -322,22 +321,12 @@ def kernel_gen_bound(inputs: BoundInputs, variant: str) -> BoundReport:
     if variant not in KERNEL_VARIANTS:
         raise ValueError(f"variant must be one of {KERNEL_VARIANTS}, got {variant!r}")
     if variant == "maurer_k":
-        if abs(float(inputs.gamma) - 1.0) > 1e-12:
+        if abs(_finite(inputs.gamma, "gamma", 1.0, strict=False) - 1.0) > 1e-12:
             raise InapplicableError(
                 f"maurer_k needs feature norms capped by 1 (gamma = 1), got gamma = {inputs.gamma}")
         from .bounds import ksparse_generalization_bound
 
         return ksparse_generalization_bound(inputs, "maurer")
-    n, p = _check_np(inputs.n, inputs.p)
-    m, x = _check_mx(inputs.m, inputs.x)
-    lam = _ksparse_lam(inputs.k, inputs.delta)
-    _require(inputs.cover_c is not None and float(inputs.cover_c) > 0.0,
-             f"cover_c must be > 0, got {inputs.cover_c}")
-    _require(inputs.holder_l is not None and float(inputs.holder_l) > 0.0,
-             f"holder_l must be > 0, got {inputs.holder_l}")
-    _require(inputs.holder_alpha is not None and float(inputs.holder_alpha) > 0.0,
-             f"holder_alpha must be > 0, got {inputs.holder_alpha}")
-    _require(float(inputs.gamma) >= 1.0, f"gamma must be >= 1, got {inputs.gamma}")
-    gamma, hol_a = float(inputs.gamma), float(inputs.holder_alpha)
-    c_slow = float(inputs.cover_c) ** hol_a * lam * gamma ** 2 * float(inputs.holder_l)
-    return slow_rate_generic(B=gamma, C=c_slow, d=n * p / hol_a, m=m, x=x)
+    c, d = _kernel_cover(inputs.n, inputs.p, inputs.cover_c, inputs.holder_l,
+                         inputs.holder_alpha, inputs.gamma, k=inputs.k, delta=inputs.delta)
+    return slow_rate_generic(B=inputs.gamma, C=c, d=d, m=inputs.m, x=inputs.x)

@@ -35,6 +35,7 @@ from dlbounds.learn import (
     LearnerConfig,
     dictionary_source,
     near_orthogonal_dictionary,
+    sphere_source,
     synth_sample,
 )
 
@@ -259,6 +260,19 @@ def test_gengap_ksparse_records_and_bounds():
     assert lines[0] == CSV_HEADER
     # ksparse runs print k as a bare integer
     assert lines[1].split(",")[4] == "2"
+
+
+def test_gengap_babel_at_least_one_records_every_variant_inapplicable():
+    # nine atoms in R^3 have mu_2 >= 1, so no k-sparse calculator applies;
+    # each variant still gets a record: the plain test mean and no bound
+    config = LearnerConfig(p=9, constraint=HardK(3), iterations=3, seed=0)
+    records, (point,) = gengap_run(sphere_source(3, seed=0), config, (20,), 200)
+    assert point.delta >= 1.0
+    assert [ev.variant for ev in point.evals] == ["maurer", "slow", "fast"]
+    for ev, record in zip(point.evals, records):
+        assert not ev.applicable and ev.bound_value is None and ev.note
+        assert (ev.train_stat, ev.test_stat) == (point.train_mean, point.test_mean)
+        assert (record.stat, record.bound, record.applicable) == (point.test_mean, None, False)
 
 
 def test_gengap_l1_uses_lambda_column():

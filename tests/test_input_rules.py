@@ -1,0 +1,144 @@
+"""One rule per kind of input: counts go through core.as_count, positive
+reals must be finite and above their floor, and each calculator's slow
+bound is built on the same covering number its log-cover function reports."""
+
+import math
+
+import pytest
+
+from dlbounds.bounds import (
+    BoundInputs,
+    fast_rate_generic,
+    ksparse_generalization_bound,
+    l1_generalization_bound,
+    log_cover_ksparse,
+    log_cover_l1,
+    slow_rate_generic,
+)
+from dlbounds.coders import (
+    coeff_l1_bound,
+    exact_ksparse,
+    exact_ksparse_batch,
+    greedy_ksparse,
+    greedy_ksparse_batch,
+)
+from dlbounds.coherence import babel, babel_bruteforce, babel_from_gram
+from dlbounds.core import Dictionary, HardK, substream, uniform_sphere_matrix
+from dlbounds.experiments import gengap_run, mc_babel, nonlipschitz_demo
+from dlbounds.kernels import (
+    KernelDictionary,
+    feature_babel,
+    kernel_cover_log,
+    kernel_gen_bound,
+    kernel_greedy_ksparse,
+    linear_kernel,
+    polynomial_kernel,
+)
+from dlbounds.learn import LearnerConfig, sphere_source
+
+D = Dictionary(uniform_sphere_matrix(4, 6, substream(21, 0)))
+X = uniform_sphere_matrix(4, 3, substream(21, 1))
+KD = KernelDictionary.build(D.atoms.T, linear_kernel())
+COVER = dict(cover_c=2.0, holder_l=0.8, holder_alpha=0.7)
+
+
+def _bound(calc, variant, **fields):
+    base = dict(n=3, p=5, m=10**4, x=2.0, lam=1.5, k=2, delta=0.3, K=2.0, alpha=1.0, **COVER)
+    base.update(fields)
+    return lambda: calc(BoundInputs(**base), variant)
+
+
+def count_calls(c):
+    yield "greedy_ksparse", lambda: greedy_ksparse(D, X[:, 0], c)
+    yield "greedy_ksparse_batch", lambda: greedy_ksparse_batch(D, X, c)
+    yield "exact_ksparse", lambda: exact_ksparse(D, X[:, 0], c)
+    yield "exact_ksparse_batch", lambda: exact_ksparse_batch(D, X, c)
+    yield "coeff_l1_bound", lambda: coeff_l1_bound(D, c)
+    yield "babel", lambda: babel(D, c)
+    yield "babel_bruteforce", lambda: babel_bruteforce(D, c)
+    yield "babel_from_gram", lambda: babel_from_gram(D.atoms.T @ D.atoms, c)
+    yield "kernel_greedy_ksparse", lambda: kernel_greedy_ksparse(X[:, 0], KD, linear_kernel(), c)
+    yield "feature_babel", lambda: feature_babel(KD, c)
+    yield "polynomial_kernel", lambda: polynomial_kernel(c)
+    yield "mc_babel threads", lambda: mc_babel(6, 4, 1, trials=3, seed=1, threads=c)
+    yield "nonlipschitz_demo search_samples", lambda: nonlipschitz_demo(
+        8, 8, 2, 1e-3, seed=2, search_samples=c, target=0.999)
+    yield "gengap_run threads", lambda: gengap_run(
+        sphere_source(4, seed=3), LearnerConfig(p=5, constraint=HardK(1), iterations=1, seed=3),
+        (12, 16), 20, variants=("slow",), threads=c)
+    yield "log_cover_l1 n", lambda: log_cover_l1(c, 3, 1.0, 0.5)
+    yield "log_cover_l1 p", lambda: log_cover_l1(2, c, 1.0, 0.5)
+    yield "log_cover_ksparse k", lambda: log_cover_ksparse(2, 3, c, 0.2, 0.5)
+    yield "kernel_cover_log n", lambda: kernel_cover_log(c, 3, 0.5, lam=1.0, **COVER)
+    yield "kernel_cover_log p", lambda: kernel_cover_log(2, c, 0.5, lam=1.0, **COVER)
+    yield "kernel_cover_log k", lambda: kernel_cover_log(2, 3, 0.5, k=c, delta=0.2, **COVER)
+    yield "slow_rate_generic m", lambda: slow_rate_generic(1.0, 4.0, 4.0, 100 + c, 2.0)
+    yield "fast_rate_generic m", lambda: fast_rate_generic(4.0, 4.0, 100 + c, 2.0, 2.0, 1.0)
+    for variant in ("maurer", "slow", "fast"):
+        for field in ("n", "p", "m") if variant != "maurer" else ("p", "m"):
+            value = 100 + c if field == "m" else c
+            yield f"l1 {variant} {field}", _bound(l1_generalization_bound, variant, **{field: value})
+        yield f"ksparse {variant} k", _bound(ksparse_generalization_bound, variant, k=c)
+    for field in ("n", "p", "m", "k"):
+        value = 100 + c if field == "m" else c
+        yield f"kernel slow {field}", _bound(kernel_gen_bound, "slow", **{field: value})
+    for field in ("p", "m", "k"):
+        value = 100 + c if field == "m" else c
+        yield f"kernel maurer_k {field}", _bound(kernel_gen_bound, "maurer_k", **{field: value})
+
+
+@pytest.mark.parametrize("name,call", list(count_calls(2.5)), ids=[n for n, _ in count_calls(2.5)])
+def test_non_integral_count_raises(name, call):
+    # int() would truncate 2.5 to 2 and run at the wrong count
+    with pytest.raises(ValueError, match=r"must be an integer >= 1, got (10)?2\.5$"):
+        call()
+
+
+def real_calls(v):
+    for variant in ("maurer", "slow", "fast"):
+        yield f"l1 {variant} lam", _bound(l1_generalization_bound, variant, lam=v)
+    yield "log_cover_l1 lam", lambda: log_cover_l1(2, 3, v, 0.5)
+    yield "kernel_cover_log lam", lambda: kernel_cover_log(2, 3, 0.5, lam=v, **COVER)
+    yield "log_cover_l1 eps", lambda: log_cover_l1(2, 3, 1.0, v)
+    yield "log_cover_ksparse eps", lambda: log_cover_ksparse(2, 3, 2, 0.2, v)
+    yield "kernel_cover_log eps", lambda: kernel_cover_log(2, 3, v, lam=1.0, **COVER)
+    yield "slow B", lambda: slow_rate_generic(v, 4.0, 4.0, 10**4, 2.0)
+    yield "slow C", lambda: slow_rate_generic(1.0, v, 4.0, 10**4, 2.0)
+    yield "fast C", lambda: fast_rate_generic(v, 4.0, 10**4, 2.0, 2.0, 1.0)
+    yield "fast K", lambda: fast_rate_generic(4.0, 4.0, 10**4, 2.0, v, 1.0)
+    yield "l1 fast K", _bound(l1_generalization_bound, "fast", K=v)
+    yield "fast alpha", lambda: fast_rate_generic(4.0, 4.0, 10**4, 2.0, 2.0, v)
+    yield "l1 fast alpha", _bound(l1_generalization_bound, "fast", alpha=v)
+    for name in COVER:
+        yield f"kernel_cover_log {name}", lambda name=name: kernel_cover_log(
+            2, 3, 0.5, lam=1.0, **{**COVER, name: v})
+        yield f"kernel slow {name}", _bound(kernel_gen_bound, "slow", **{name: v})
+    yield "kernel slow gamma", _bound(kernel_gen_bound, "slow", gamma=v)
+    yield "kernel maurer_k gamma", _bound(kernel_gen_bound, "maurer_k", gamma=v)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", [n for n, _ in real_calls(0.0)])
+def test_non_finite_real_raises(name, value):
+    call = dict(real_calls(value))[name]
+    with pytest.raises(ValueError, match=r"must be >=? [0-9.]+ and finite, got"):
+        call()
+
+
+@pytest.mark.parametrize("m", [10**3, 10**6])
+@pytest.mark.parametrize("family", ["l1", "ksparse", "kernel"])
+def test_slow_cover_part_is_the_log_cover(family, m):
+    # slow_rate_generic evaluates the class's log cover at eps = 1/sqrt(m)
+    n, p, eps = 3, 5, 1.0 / math.sqrt(m)
+    if family == "l1":
+        report = _bound(l1_generalization_bound, "slow", m=m)()
+        scale, log_cover = 1.0, log_cover_l1(n, p, 1.5, eps)
+    elif family == "ksparse":
+        report = _bound(ksparse_generalization_bound, "slow", m=m)()
+        scale, log_cover = 1.0, log_cover_ksparse(n, p, 2, 0.3, eps)
+    else:
+        report = _bound(kernel_gen_bound, "slow", m=m, gamma=1.5)()
+        scale, log_cover = 1.5, kernel_cover_log(n, p, eps, gamma=1.5, k=2, delta=0.3, **COVER)
+    assert log_cover > 0.0
+    expected = scale * math.sqrt(log_cover / (2.0 * m))
+    assert report.parts["cover"] == pytest.approx(expected, rel=1e-12, abs=0.0)

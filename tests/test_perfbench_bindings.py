@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dlbounds import cli, coders, experiments, learn
+from dlbounds import bounds, cli, coders, experiments, kernels, learn
+from dlbounds.bounds import BoundInputs
 from dlbounds.core import Dictionary, HardK, L1Ball, substream, uniform_sphere_matrix
 from dlbounds.learn import LearnerConfig, dictionary_source
 
@@ -98,3 +99,15 @@ def test_sphere_draws_go_through_the_wrapped_bindings(monkeypatch):
     learn.learn_dictionary(samples, LearnerConfig(p=4, constraint=HardK(1), iterations=2,
                                                   seed=6, init="random-sphere"))
     assert len(calls) == 1
+
+
+def test_kernel_maurer_reaches_the_wrapped_calculator(monkeypatch):
+    # kernel-code's traced bounds.* metrics come from maurer_k, which looks
+    # the k-sparse calculator up on dlbounds.bounds at call time
+    assert ("dlbounds.bounds", "ksparse_generalization_bound") in {
+        (module, attr) for module, attr, *_ in _spans().WRAPS}
+    calls = _count_calls(monkeypatch, bounds, "ksparse_generalization_bound")
+    inputs = BoundInputs(n=4, p=6, m=500, x=2.0, k=2, delta=0.3, cover_c=1.0,
+                         holder_l=1.0, holder_alpha=1.0)
+    kernels.kernel_gen_bound(inputs, "maurer_k")
+    assert calls == [(inputs, "maurer")]
