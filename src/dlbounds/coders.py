@@ -6,20 +6,21 @@ set A is
     h(x) = min_{a in A} ||D a - x||_2,
 
 with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
-(L1Ball).  `exact_ksparse` and `exact_ksparse_batch` share one exhaustive
-engine, the ground truth: stacked QRs score the full-rank supports by the
-energy they capture, each winner is solved from the QR that scored it, and
-ties go to the smallest support in lexicographic order (for k >= rank(D),
-the first basis).
-`greedy_ksparse` and its batch form are the fast heuristic, a batch OMP on
-D^T D and D^T X that the kernel coder runs on a Gram matrix, with a 1e-12
-ridge on rank-deficient supports.  `l1_solve` and `l1_solve_batch` are
-exact and certified: the LARS-lasso homotopy follows each signal's
-piecewise-linear solution path from a = 0 until ||a||_1 reaches lam (or
-the path ends at least squares), and the Frank-Wolfe duality gap then
-proves the error within ERR_TOL = 1e-10 of the optimum.  A signal the gap
-does not certify takes at most NEWTON_STEPS Newton steps on its KKT
-system, from an exactly rounded residual after the first; one still
+(L1Ball).  One engine per minimization codes the columns of an n x N matrix
+behind one signal check; `repr_error` codes one signal as its N=1 case, and
+`exact_ksparse`, `greedy_ksparse` and `l1_solve` are its views.  The
+exhaustive engine is the ground truth: stacked QRs score the full-rank
+supports by the energy they capture, each winner is solved from the QR that
+scored it, and ties go to the smallest support in lexicographic order (for
+k >= rank(D), the first basis).  The greedy engine is the fast heuristic, a
+batch OMP on D^T D and D^T X that the kernel coder runs on a Gram matrix,
+with a 1e-12 ridge on rank-deficient supports.  The l1 engine,
+`l1_solve_batch`, is exact and certified: the LARS-lasso homotopy follows
+each signal's piecewise-linear solution path from a = 0 until ||a||_1
+reaches lam (or the path ends at least squares), and the Frank-Wolfe
+duality gap then proves the error within ERR_TOL = 1e-10 of the optimum.  A
+signal the gap does not certify takes at most NEWTON_STEPS Newton steps on
+its KKT system, from an exactly rounded residual after the first; one still
 uncertified, or one cut off at MAX_ITERS path steps, raises a
 RuntimeWarning.
 """
@@ -86,30 +87,14 @@ def _full_rank(r: np.ndarray) -> np.ndarray:
     return (r.shape[-2] == r.shape[-1]) & (top > 0.0) & (diag.min(axis=-1) > RANK_RTOL * top)
 
 
-def _check_signal(n: int, x) -> np.ndarray:
-    """x as a finite vector of dimension n (the atoms' dimension)."""
-    v = as_vector(x)
-    if v.shape[0] != n:
-        raise ValueError(f"signal has dimension {v.shape[0]}, dictionary expects {n}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("signal entries must be finite")
-    return v
-
-
-def _check_signals(d: Dictionary, signals) -> np.ndarray:
+def _check_signals(n: int, signals) -> np.ndarray:
+    """signals as a finite n x N matrix, n the atoms' dimension."""
     signals = np.asarray(signals, dtype=float)
-    if signals.ndim != 2 or signals.shape[0] != d.n:
-        raise ValueError(f"signals must be an {d.n} x N matrix, got shape {signals.shape}")
+    if signals.ndim != 2 or signals.shape[0] != n:
+        raise ValueError(f"signals must be {n} x N (dimension {n}), got shape {signals.shape}")
     if not np.all(np.isfinite(signals)):
         raise ValueError("signal entries must be finite")
     return signals
-
-
-def _result(d: Dictionary, x: np.ndarray, dense: np.ndarray, support, method: str,
-            **extra) -> CodingResult:
-    coeffs = CoeffVector(dense, tuple(support))
-    error = float(np.linalg.norm(d.atoms @ dense - x))
-    return CodingResult(coeffs=coeffs, error=error, method=method, **extra)
 
 
 def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
@@ -166,15 +151,12 @@ def greedy_ksparse(d: Dictionary, x, k: int) -> CodingResult:
     """Greedy pursuit: repeatedly pick the atom most correlated with the
     residual (ties break toward the lowest index), then refit by least
     squares on the selected support.  The N=1 case of greedy_ksparse_batch."""
-    x = _check_signal(d.n, x)
-    dense, supports, ridge_used = _greedy_signals(d, x[:, None], k)
-    return _result(d, x, dense[:, 0], supports[0][supports[0] >= 0], "greedy",
-                   ridge_used=bool(ridge_used[0]))
+    return repr_error(d, x, HardK(k))
 
 
 def greedy_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy coder over the columns of an n x N matrix: (coeffs p x N, errors N)."""
-    signals = _check_signals(d, signals)
+    signals = _check_signals(d.n, signals)
     dense = _greedy_signals(d, signals, k)[0]
     return dense, np.linalg.norm(d.atoms @ dense - signals, axis=0)
 
@@ -257,9 +239,7 @@ def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
     Ties break toward the lexicographically smallest support.  Refuses
     instances with more than EXACT_GUARD supports.
     """
-    x = _check_signal(d.n, x)
-    dense, _errors, supports = _exact_columns(d, x[:, None], k)
-    return _result(d, x, dense[:, 0], supports[:, 0], "exact")
+    return repr_error(d, x, HardK(k), exact=True)
 
 
 def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +248,7 @@ def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.
     Returns (coeffs, errors) with coeffs p x N dense and errors length N.
     Same engine as exact_ksparse, run on all columns at once.
     """
-    dense, errors, _supports = _exact_columns(d, _check_signals(d, signals), k)
+    dense, errors, _supports = _exact_columns(d, _check_signals(d.n, signals), k)
     return dense, errors
 
 
@@ -319,19 +299,18 @@ def _exact_residual(atoms: np.ndarray, a: np.ndarray, signals: np.ndarray) -> np
     return np.array([[math.fsum(col) for col in row.T] for row in terms])
 
 
-def _l1_slack(atoms: np.ndarray, a: np.ndarray, lam: float, a0, r0: np.ndarray, margin=0.0):
-    """(gap, slack) per column for feasible coefficients a (||a||_1 <= lam),
-    from the residual r = D a - x taken as r0 + D (a - a0), r0 its value at
-    a0 (a0 = 0 and r0 = -x give it directly).
+def _l1_slack(atoms: np.ndarray, a: np.ndarray, lam: float, resid: np.ndarray, margin=0.0):
+    """(gap, slack) per column for feasible coefficients a (||a||_1 <= lam)
+    and their residual resid = D a - x.
 
     gap = a.g + lam ||g||_inf with g = D^T r is the Frank-Wolfe duality gap
     (Jaggi, 2013); it bounds h^2/2 - h*^2/2, so slack = h - sqrt(h^2 - 2 gap)
     bounds h - h*, how far the error h = ||r|| is above the optimum h*.  The
-    rounding of r, about eps ||r0||, leaves the computed gap about
-    2 lam eps ||r0|| from the true one; the slack is taken at gap + margin
-    so that a margin of that size makes it a bound.
+    rounding of r, about eps ||x|| for a computed D a - x and eps ||r|| for
+    an exactly rounded one, leaves the computed gap about 2 lam times that
+    from the true one; the slack is taken at gap + margin so that a margin
+    of that size makes it a bound.
     """
-    resid = r0 + atoms @ (a - a0)
     g = atoms.T @ resid
     gap = np.einsum("ij,ij->j", a, g) + lam * np.abs(g).max(axis=0)
     h2 = np.einsum("ij,ij->j", resid, resid)
@@ -416,7 +395,7 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     residual ||a - P(a - grad/L)|| of the returned coefficients, L the
     squared spectral norm of D).
     """
-    signals = _check_signals(d, signals)
+    signals = _check_signals(d.n, signals)
     p, n_sig = d.p, signals.shape[1]
     lam = L1Ball(lam).lam
     atoms = d.atoms
@@ -488,7 +467,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     capped = live
     out[:, capped] = a
     eps = np.finfo(float).eps
-    slack = _l1_slack(atoms, out, lam, 0.0, -signals, 2.0 * eps * lam * np.linalg.norm(signals, axis=0))[1]
+    slack = _l1_slack(atoms, out, lam, atoms @ out - signals,
+                      2.0 * eps * lam * np.linalg.norm(signals, axis=0))[1]
     unsure = ~(slack <= ERR_TOL)
     unsure[capped] = False
     fix = np.flatnonzero(unsure)
@@ -501,7 +481,7 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
                           sphere[fix] * (lam - np.abs(a).sum(axis=0)))
         a = _into_l1_ball(a + step, lam)
         resid = _exact_residual(atoms, a, signals[:, fix])
-        new = _l1_slack(atoms, a, lam, a, resid, 2.0 * eps * lam * np.linalg.norm(resid, axis=0))[1]
+        new = _l1_slack(atoms, a, lam, resid, 2.0 * eps * lam * np.linalg.norm(resid, axis=0))[1]
         # the steps go on from each new point, but a column keeps its best
         better = new < slack[fix]
         out[:, fix[better]] = a[:, better]
@@ -530,30 +510,35 @@ def l1_solve(d: Dictionary, x, lam: float) -> CodingResult:
 
     lam = 0 returns the zero vector as a valid result.
     """
-    x = _check_signal(d.n, x)
-    lam = float(lam)
-    coeffs, _errors, iterations, residual = l1_solve_batch(d, x[:, None], lam)
-    dense = coeffs[:, 0]
-    error = float(np.linalg.norm(d.atoms @ dense - x))
-    gap = float(_l1_slack(d.atoms, coeffs, lam, 0.0, -x[:, None])[0][0])
-    return CodingResult(coeffs=CoeffVector.from_dense(dense), error=error, method="l1-projection",
-                        iterations=iterations, fp_residual=residual, gap=gap)
+    return repr_error(d, x, L1Ball(lam))
 
 
 def repr_error(d: Dictionary, x, constraint: SparsityConstraint, exact: bool = False) -> CodingResult:
-    """Dispatch to the coder matching the constraint.
+    """Code one signal under the constraint: the N=1 case of the matching
+    batch engine.
 
     HardK uses the greedy coder unless exact=True; L1Ball always uses the
     certified l1 solver (error within ERR_TOL of the optimum, by its duality
-    gap).
+    gap).  The error is ||D a - x||_2 of the returned coefficients.
     """
-    if isinstance(constraint, HardK):
-        if exact:
-            return exact_ksparse(d, x, constraint.k)
-        return greedy_ksparse(d, x, constraint.k)
-    if isinstance(constraint, L1Ball):
-        return l1_solve(d, x, constraint.lam)
-    raise ValueError(f"unknown constraint {constraint!r}")
+    signal = _check_signals(d.n, as_vector(x)[:, None])
+    extra = {}
+    if isinstance(constraint, HardK) and exact:
+        dense, _errors, supports = _exact_columns(d, signal, constraint.k)
+        method, support = "exact", supports[:, 0]
+    elif isinstance(constraint, HardK):
+        dense, supports, ridge_used = _greedy_signals(d, signal, constraint.k)
+        method, support = "greedy", supports[0][supports[0] >= 0]
+        extra["ridge_used"] = bool(ridge_used[0])
+    elif isinstance(constraint, L1Ball):
+        dense, _errors, iterations, residual = l1_solve_batch(d, signal, constraint.lam)
+        method, support = "l1-projection", np.flatnonzero(dense[:, 0])
+        gap = float(_l1_slack(d.atoms, dense, constraint.lam, d.atoms @ dense - signal)[0][0])
+        extra.update(iterations=iterations, fp_residual=residual, gap=gap)
+    else:
+        raise ValueError(f"unknown constraint {constraint!r}")
+    error = float(np.linalg.norm(d.atoms @ dense[:, 0] - signal[:, 0]))
+    return CodingResult(CoeffVector(dense[:, 0], tuple(support)), error, method, **extra)
 
 
 def coeff_l1_bound(d: Dictionary, k: int) -> float:

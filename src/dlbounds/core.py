@@ -46,8 +46,9 @@ def _as_matrix(values) -> np.ndarray:
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce a Signal, CoeffVector, or array-like to a 1-d float array."""
-    v = np.asarray(getattr(x, "values", x), dtype=float)
+    """Coerce a Signal, CoeffVector, or array-like to a contiguous 1-d float
+    array (numpy's products round a strided view differently)."""
+    v = np.asarray(getattr(x, "values", x), dtype=float, order="C")
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     return v

@@ -36,6 +36,7 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     L1_VARIANTS,
+    _finite,
     ksparse_generalization_bound,
     l1_generalization_bound,
     optimize_fast_params,
@@ -148,6 +149,7 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
     """
     n, p, k, trials = as_count(n, "n"), as_count(p, "p"), as_count(k, "k"), as_count(trials, "trials")
     threads = as_count(threads, "threads")
+    threshold = _finite(threshold, "threshold", strict=False)
     bound = babel_tail_bound(n, p, k)
 
     def one(i: int) -> float:
@@ -174,10 +176,9 @@ def perturbed_pair(d: Dictionary, scale: float, rng: np.random.Generator) -> tup
     """(D, D') with D' a renormalized random perturbation of D; each raw
     perturbation column has norm exactly `scale`, so me_norm(D - D') is of
     that order (renormalization moves it slightly)."""
-    if not float(scale) > 0.0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    scale = _finite(scale, "scale")
     noise = rng.standard_normal(d.atoms.shape)
-    noise *= float(scale) / np.linalg.norm(noise, axis=0)
+    noise *= scale / np.linalg.norm(noise, axis=0)
     perturbed = d.atoms + noise
     perturbed /= np.linalg.norm(perturbed, axis=0)
     return d, Dictionary(perturbed)
@@ -205,8 +206,6 @@ def lipschitz_probe(d: Dictionary, d_prime: Dictionary, signals,
     if denom < DEGENERATE_TOL:
         raise ValueError(f"degenerate pair: me_norm(D - D') = {denom:.3g} < {DEGENERATE_TOL:g}")
     x = signals_to_matrix(signals)
-    if x.shape[0] != d.n:
-        raise ValueError(f"signals have dimension {x.shape[0]}, dictionaries {d.n}")
     gaps = np.abs(_batch_errors(d, x, constraint) - _batch_errors(d_prime, x, constraint))
     return float(gaps.max()) / denom
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import CoeffVector, InapplicableError, NORM_TOL, as_count, as_vector
-from .coders import CodingResult, _check_signal, _greedy_columns
+from .coders import CodingResult, _check_signals, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
 from .bounds import BoundInputs, BoundReport, _finite, _ksparse_lam, slow_rate_generic
 
@@ -223,7 +223,7 @@ def kernel_repr_error(x, coeffs, kd: KernelDictionary, kf: KernelFn) -> float:
     applications).  Raises if the quadratic form dips below the PSD floor
     -1e-8; small negatives above it clamp to 0.
     """
-    xv = _check_signal(kd.points.shape[1], x)
+    xv = _check_signals(kd.points.shape[1], as_vector(x)[:, None])[:, 0]
     idx, vals = _coeff_support(coeffs, kd.p)
     kxx = float(kf(xv, xv))
     kx_s = _kernel_block(kf, xv[None], kd.points[idx])[0] if idx.size else np.zeros(0)
@@ -236,7 +236,7 @@ def kernel_greedy_ksparse(x, kd: KernelDictionary, kf: KernelFn, k: int):
 
     Under the linear kernel this matches greedy_ksparse.
     """
-    xv = _check_signal(kd.points.shape[1], x)
+    xv = _check_signals(kd.points.shape[1], as_vector(x)[:, None])[:, 0]
     k = as_count(k, "k")
     if not k <= kd.p:
         raise ValueError(f"k must satisfy 1 <= k <= p = {kd.p}, got {k}")

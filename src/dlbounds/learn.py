@@ -27,6 +27,7 @@ from .core import (
     uniform_sphere_matrix,
     validate_dictionary,
 )
+from .bounds import _finite
 from .coders import exact_ksparse_batch, greedy_ksparse_batch, l1_solve_batch
 from .coherence import babel
 
@@ -39,8 +40,11 @@ DEAD_ATOM_TOL = 1e-12
 # synth_sample's dictionary branch draws blocks of about this many entries
 # of the gathered n x c x k_true atoms (c signals per block).
 SAMPLE_BLOCK = 2**18
-# near_orthogonal_dictionary clips each Gram off-diagonal to this magnitude.
+# near_orthogonal_dictionary clips each Gram off-diagonal to this magnitude,
+# for at most ROUNDS rounds per candidate and TRIES candidates.
 NEAR_ORTHOGONAL_CORR = 0.27
+NEAR_ORTHOGONAL_ROUNDS = 60
+NEAR_ORTHOGONAL_TRIES = 50
 
 
 @dataclass(frozen=True)
@@ -65,10 +69,8 @@ class SignalSource:
             raise ValueError(f"kind must be one of {SOURCE_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "n", as_count(self.n, "n"))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", _finite(self.sigma, "sigma", strict=False))
         object.__setattr__(self, "k_true", as_count(self.k_true, "k_true"))
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.kind == "dictionary":
             if self.dictionary is None:
                 raise ValueError("dictionary kind needs a ground-truth dictionary")
@@ -219,22 +221,23 @@ def learn_dictionary(samples, config: LearnerConfig) -> LearnResult:
 
 
 def near_orthogonal_dictionary(n: int, p: int, rng: np.random.Generator, *,
-                               babel_order: int = 2, babel_cap: float = 0.6,
-                               rounds: int = 60, max_tries: int = 50) -> Dictionary:
+                               babel_order: int = 2, babel_cap: float = 0.6) -> Dictionary:
     """Random dictionary with babel(D, babel_order) <= babel_cap.
 
     Uniform sphere atoms rarely satisfy small Babel caps once p > n, so
     each candidate is annealed: clip Gram off-diagonals to NEAR_ORTHOGONAL_CORR,
-    project back to the rank-n PSD cone, renormalize, repeat.  Candidates
-    still over the cap are rejected and redrawn; exhausting max_tries
-    raises SearchFailureError carrying the best Babel value reached.
+    project back to the rank-n PSD cone, renormalize, repeat.  The first
+    round that meets the cap is returned; a candidate still over it after
+    NEAR_ORTHOGONAL_ROUNDS rounds is redrawn, and exhausting
+    NEAR_ORTHOGONAL_TRIES candidates raises SearchFailureError carrying the
+    best Babel value reached.
     """
     if not 1 <= babel_order <= p - 1:
         raise ValueError(f"babel_order must satisfy 1 <= order <= p-1 = {p - 1}, got {babel_order}")
     best = math.inf
-    for _ in range(max_tries):
+    for _ in range(NEAR_ORTHOGONAL_TRIES):
         atoms = uniform_sphere_matrix(n, p, rng)
-        for _ in range(rounds):
+        for _ in range(NEAR_ORTHOGONAL_ROUNDS):
             g = atoms.T @ atoms
             off = g - np.diag(np.diag(g))
             np.clip(off, -NEAR_ORTHOGONAL_CORR, NEAR_ORTHOGONAL_CORR, out=off)
@@ -247,9 +250,10 @@ def near_orthogonal_dictionary(n: int, p: int, rng: np.random.Generator, *,
             atoms = np.zeros((n, p))
             atoms[:r] = np.sqrt(w)[:, None] * v[:, -r:].T
             atoms = _normalize_columns(atoms, rng)
-        value = babel(Dictionary(atoms), babel_order).value
-        if value <= babel_cap:
-            return Dictionary(atoms)
-        best = min(best, value)
+            d = Dictionary(atoms)
+            value = babel(d, babel_order).value
+            if value <= babel_cap:
+                return d
+            best = min(best, value)
     raise SearchFailureError(
-        f"no dictionary with babel_{babel_order} <= {babel_cap} in {max_tries} tries", best)
+        f"no dictionary with babel_{babel_order} <= {babel_cap} in {NEAR_ORTHOGONAL_TRIES} tries", best)

@@ -1,9 +1,11 @@
 """One rule per kind of input: counts go through core.as_count, positive
-reals must be finite and above their floor, and each calculator's slow
-bound is built on the same covering number its log-cover function reports."""
+reals must be finite and above their floor, a single signal goes through
+the batch coders' signal check, and each calculator's slow bound is built
+on the same covering number its log-cover function reports."""
 
 import math
 
+import numpy as np
 import pytest
 
 from dlbounds.bounds import (
@@ -15,26 +17,30 @@ from dlbounds.bounds import (
     log_cover_l1,
     slow_rate_generic,
 )
+from dlbounds.cli import main
 from dlbounds.coders import (
     coeff_l1_bound,
     exact_ksparse,
     exact_ksparse_batch,
     greedy_ksparse,
     greedy_ksparse_batch,
+    l1_solve,
+    repr_error,
 )
 from dlbounds.coherence import babel, babel_bruteforce, babel_from_gram
-from dlbounds.core import Dictionary, HardK, substream, uniform_sphere_matrix
-from dlbounds.experiments import gengap_run, mc_babel, nonlipschitz_demo
+from dlbounds.core import Dictionary, HardK, L1Ball, Signal, substream, uniform_sphere_matrix
+from dlbounds.experiments import gengap_run, mc_babel, nonlipschitz_demo, perturbed_pair
 from dlbounds.kernels import (
     KernelDictionary,
     feature_babel,
     kernel_cover_log,
     kernel_gen_bound,
     kernel_greedy_ksparse,
+    kernel_repr_error,
     linear_kernel,
     polynomial_kernel,
 )
-from dlbounds.learn import LearnerConfig, sphere_source
+from dlbounds.learn import LearnerConfig, dictionary_source, sphere_source
 
 D = Dictionary(uniform_sphere_matrix(4, 6, substream(21, 0)))
 X = uniform_sphere_matrix(4, 3, substream(21, 1))
@@ -115,6 +121,9 @@ def real_calls(v):
         yield f"kernel slow {name}", _bound(kernel_gen_bound, "slow", **{name: v})
     yield "kernel slow gamma", _bound(kernel_gen_bound, "slow", gamma=v)
     yield "kernel maurer_k gamma", _bound(kernel_gen_bound, "maurer_k", gamma=v)
+    yield "SignalSource sigma", lambda: dictionary_source(D, 2, sigma=v)
+    yield "mc_babel threshold", lambda: mc_babel(6, 4, 1, trials=3, threshold=v, seed=1)
+    yield "perturbed_pair scale", lambda: perturbed_pair(D, v, substream(21, 2))
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
@@ -123,6 +132,64 @@ def test_non_finite_real_raises(name, value):
     call = dict(real_calls(value))[name]
     with pytest.raises(ValueError, match=r"must be >=? [0-9.]+ and finite, got"):
         call()
+
+
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_non_finite_synth_sigma_fails_the_cli(sigma, tmp_path, capsys):
+    rc = main(["gengap", "--synth", f"dict:n=4,ptrue=5,ktrue=2,sigma={sigma}", "--p", "5",
+               "--k", "2", "--mgrid", "12", "--test-size", "20", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: sigma must be >= 0 and finite, got {sigma}\n"
+
+
+def single_calls():
+    """Each single-signal coder, as a function of the signal."""
+    yield "exact_ksparse", lambda x: exact_ksparse(D, x, 2)
+    yield "greedy_ksparse", lambda x: greedy_ksparse(D, x, 2)
+    yield "l1_solve", lambda x: l1_solve(D, x, 1.0)
+    yield "repr_error", lambda x: repr_error(D, x, HardK(2))
+    yield "kernel_greedy_ksparse", lambda x: kernel_greedy_ksparse(x, KD, linear_kernel(), 2)
+    yield "kernel_repr_error", lambda x: kernel_repr_error(x, np.zeros(D.p), KD, linear_kernel())
+
+
+SINGLE = dict(single_calls())
+
+
+def _fields(result):
+    """A coding result as plain values, coefficients as bytes."""
+    if isinstance(result, float):
+        return result
+    return (result.coeffs.values.tobytes(), result.coeffs.support, result.error, result.method,
+            result.iterations, result.fp_residual, result.ridge_used, result.gap)
+
+
+@pytest.mark.parametrize("name", list(SINGLE))
+def test_single_signal_rule(name):
+    code = SINGLE[name]
+    # a matrix is not one signal, even one whose columns have the atoms' dimension
+    with pytest.raises(ValueError, match=r"^expected a 1-d vector, got shape \(4, 2\)$"):
+        code(X[:, :2])
+    with pytest.raises(ValueError, match=r"^signals must be 4 x N \(dimension 4\), got shape \(5, 1\)$"):
+        code(np.ones(5))
+    bad = X[:, 0].copy()
+    bad[1] = math.nan
+    with pytest.raises(ValueError, match="^signal entries must be finite$"):
+        code(bad)
+    x = X[:, 0]  # a strided view
+    results = {_fields(code(form)) for form in (Signal(x), x.tolist(), x, x.copy())}
+    assert len(results) == 1
+
+
+# each single coder with its repr_error constraint and exact flag
+VIEWS = {"exact_ksparse": (HardK(2), True), "greedy_ksparse": (HardK(2), False),
+         "l1_solve": (L1Ball(1.0), False)}
+
+
+@pytest.mark.parametrize("name", list(VIEWS))
+def test_single_coders_are_views_of_repr_error(name):
+    view, (constraint, exact) = SINGLE[name], VIEWS[name]
+    for j in range(X.shape[1]):
+        assert _fields(view(X[:, j])) == _fields(repr_error(D, X[:, j], constraint, exact=exact))
 
 
 @pytest.mark.parametrize("m", [10**3, 10**6])

@@ -328,8 +328,7 @@ def test_near_orthogonal_dictionary_meets_cap():
 
 def test_near_orthogonal_dictionary_failure_carries_best():
     with pytest.raises(SearchFailureError) as exc_info:
-        near_orthogonal_dictionary(2, 6, substream(8, 0), babel_cap=0.01,
-                                   rounds=5, max_tries=2)
+        near_orthogonal_dictionary(2, 6, substream(8, 0), babel_cap=0.01)
     assert isinstance(exc_info.value.best, float)
     assert exc_info.value.best > 0.01
 
