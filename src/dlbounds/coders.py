@@ -17,8 +17,11 @@ batch OMP on D^T D and D^T X that the kernel coder runs on a Gram matrix,
 with a 1e-12 ridge on rank-deficient supports.  The l1 engine,
 `l1_solve_batch`, is exact and certified: the LARS-lasso homotopy follows
 each signal's piecewise-linear solution path from a = 0 until ||a||_1
-reaches lam (or the path ends at least squares), and the Frank-Wolfe
-duality gap then proves the error within ERR_TOL = 1e-10 of the optimum.  A
+reaches lam (or the path ends at least squares), keeping one updated inverse
+of the active Gram per path; an atom joins only if the residual vector of
+its projection on the active atoms is longer than RANK_RTOL ||d_j||.  The
+Frank-Wolfe duality gap then proves the error within ERR_TOL = 1e-10 of the
+optimum.  A
 signal the gap does not certify takes at most NEWTON_STEPS Newton steps on
 its KKT system, from an exactly rounded residual after the first; one still
 uncertified, or one cut off at MAX_ITERS path steps, raises a
@@ -163,7 +166,11 @@ def greedy_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np
 
 def _first_basis(atoms: np.ndarray, k: int) -> list[int] | None:
     """The lexicographically first basis of the atoms' span (independence by
-    _full_rank's test), or None once more than k atoms are independent."""
+    _full_rank's test), or None once more than k atoms are independent.
+    Usually atoms 0..k are: each prefix's R is the leading block of theirs,
+    so one QR answers for the whole incremental search."""
+    if k < atoms.shape[1] and _full_rank(np.linalg.qr(atoms[:, :k + 1], mode="r")):
+        return None
     basis: list[int] = []
     for j in range(atoms.shape[1]):
         if _full_rank(np.linalg.qr(atoms[:, basis + [j]])[1]):
@@ -321,9 +328,9 @@ def _kkt_solve(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.nda
                last: np.ndarray) -> np.ndarray:
     """Solve each column's bordered system [[G_SS + RIDGE I, b_S], [b_S^T, 0]]
     (S its support `on`, b its border; a zero border means nu = 0) for the
-    right-hand side (top_S, last).  Columns are grouped by support size and
-    solved in blocks of at most 256, which bounds memory.  Returns p x N
-    coefficients, zero off the supports."""
+    right-hand side (top_S, last): the Newton finish's step, its only use.
+    Columns are grouped by support size and solved in blocks of at most 256,
+    which bounds memory.  Returns p x N coefficients, zero off the supports."""
     p, n_sig = on.shape
     block = 256
     out = np.zeros((p, n_sig))
@@ -349,15 +356,48 @@ def _into_l1_ball(a: np.ndarray, lam: float) -> np.ndarray:
     return a * np.where(norm1 > lam, lam / np.maximum(norm1, lam), 1.0)
 
 
-def _independent(atoms: np.ndarray, on: np.ndarray) -> np.ndarray:
-    """_full_rank's test on the atoms of each column's support (on, p x N)."""
-    sizes = on.sum(axis=0)
-    ok = np.empty(on.shape[1], dtype=bool)
-    for k in np.unique(sizes):
-        same = np.flatnonzero(sizes == k)
-        sup = np.nonzero(on[:, same].T)[1].reshape(same.size, k)
-        ok[same] = _full_rank(np.linalg.qr(atoms[:, sup].transpose(1, 0, 2), mode="r"))
+def _times(inv: np.ndarray, at: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """inv[at[i]] @ vec[:, i] for each column i, as p x N; one batched
+    product over all of inv, whose unused slots get zeros."""
+    spread = np.zeros((vec.shape[0], inv.shape[0]))
+    spread[:, at] = vec
+    return np.einsum("nij,jn->in", inv, spread)[:, at]
+
+
+def _join(inv: np.ndarray, at: np.ndarray, j: np.ndarray, atoms: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Add atom j[i] to the active set A of inv[at[i]] = (G_AA + RIDGE I)^-1
+    (zero off A) if its distance delta from span(D_A) passes _full_rank's
+    test, delta > RANK_RTOL ||d_j||.  delta is the norm of the residual
+    vector r = d_j - D_A b, b = inv G_Aj; the Gram form G_jj - g.b cannot
+    resolve delta below ~1e-5 ||d_j||.  The bordered inverse is inv + v v^T
+    / s with v = b - e_j and s = G_jj + RIDGE - g.b = delta^2 + RIDGE
+    ||v||^2.  Blocks of 256 columns bound the memory.  Returns which joined."""
+    ok = np.empty(at.size, dtype=bool)
+    for lo in range(0, at.size, 256):
+        cols, jj = at[lo:lo + 256], j[lo:lo + 256]
+        v = np.einsum("nij,jn->in", inv[cols], gram[:, jj])
+        r = atoms[:, jj] - atoms @ v
+        dist2 = np.einsum("ij,ij->j", r, r)
+        good = ok[lo:lo + 256] = dist2 > RANK_RTOL**2 * gram[jj, jj]
+        v, cols = v[:, good], cols[good]
+        v[jj[good], np.arange(cols.size)] = -1.0
+        s = dist2[good] + RIDGE * np.einsum("ij,ij->j", v, v)
+        inv[cols] += np.einsum("in,jn->nij", v, v) / s[:, None, None]
     return ok
+
+
+def _invert(inv: np.ndarray, at: np.ndarray, on: np.ndarray, gram: np.ndarray) -> None:
+    """Set inv[at[i]] to (G_AA + RIDGE I)^-1, zero off A = on[:, i], in
+    blocks of 256 columns: the inverse of G + RIDGE I on A x A and I
+    elsewhere, whose LU never mixes the two blocks.  A drop takes this rather
+    than the Schur downdate B - B_:j B_j: / B_jj: if A also holds a
+    near-twin of d_j, at distance delta, B_jj is ~1/(delta^2 + RIDGE), and
+    the downdate leaves ~eps B_jj of rounding in entries of order one."""
+    eye = np.eye(gram.shape[0])
+    for lo in range(0, at.size, 256):
+        act = on[:, lo:lo + 256].T
+        both = act[:, :, None] & act[:, None, :]
+        inv[at[lo:lo + 256]] = np.linalg.inv(np.where(both, gram + RIDGE * eye, eye)) * both
 
 
 def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -375,9 +415,16 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     by the same amount, to the first event: an atom joins (either sign), a
     coefficient hits zero, ||a||_1 reaches lam, or the correlation reaches
     0.  A just-dropped atom may not rejoin with its old sign on the next
-    step.  Joins stop once |A| = rank(D), and an atom in the active span
-    (by _full_rank's test) is barred from joining until an atom drops;
-    ties go to the lowest index.
+    step.  Joins stop once |A| = rank(D), and an atom within RANK_RTOL
+    ||d_j|| of the active span (_full_rank's test) is barred from joining
+    until an atom drops; ties go to the lowest index.
+
+    Each column keeps one inverse (G_AA + RIDGE I)^-1 along its path and
+    updates it per event, not per step, as LARS keeps one factorization
+    (Efron et al., 2004).  A join borders it (_join), testing the distance
+    from the span on the residual vector d_j - D_A b that bordering computes
+    anyway; a drop inverts the smaller system afresh (_invert).  w is the
+    inverse's product with s_A plus one refinement step.
 
     Each column is then certified by its duality-gap error slack (see
     _l1_slack).  One that misses ERR_TOL takes up to NEWTON_STEPS Newton
@@ -416,6 +463,11 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     a = np.zeros((p, live.size))
     signs = np.zeros((p, live.size))
     signs[first, cols] = np.sign(corr[first, cols])
+    # live column i's (G_AA + RIDGE I)^-1, zero off its active set A, is
+    # inv[at[i]]; finished columns leave inv once they fill half of it
+    inv = np.zeros((live.size, p, p))
+    inv[cols, first, first] = 1.0 / (gram[first, first] + RIDGE)
+    at = cols
     barred = np.zeros((p, live.size), dtype=bool)
     rejoin = np.zeros((p, live.size))  # the sign a just-dropped atom may not rejoin with
     sigma = np.array([1.0, -1.0])[:, None, None]  # the signs an atom can join with
@@ -423,7 +475,11 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     while live.size and iterations < MAX_ITERS:
         iterations += 1
         on = signs != 0.0
-        w = _kkt_solve(gram, on, np.zeros_like(a), signs, np.zeros(live.size))
+        # w = inv s_A, then one refinement step: with a near-twin pair in A,
+        # inv's entries are ~1/(delta^2 + RIDGE), and its product alone
+        # leaves (G_AA + RIDGE I) w off s_A by eps times that
+        w = _times(inv, at, signs)
+        w += _times(inv, at, np.where(on, signs - gram @ w - RIDGE * w, 0.0))
         u = gram @ w
         c = corr - gram @ a
         slope = (signs * w).sum(axis=0)  # d||a||_1 / d gamma
@@ -449,12 +505,11 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
             rejoin[j, drops] = signs[j, drops]
             a[j, drops] = signs[j, drops] = 0.0
             barred[:, drops] = False
+            _invert(inv, at[drops], signs[:, drops] != 0.0, gram)
         joins = np.flatnonzero((event >= 2) & (event < 2 + p))
         if joins.size:
             j = event[joins] - 2
-            trial = on[:, joins]
-            trial[j, np.arange(joins.size)] = True
-            ok = _independent(atoms, trial)
+            ok = _join(inv, at[joins], j, atoms, gram)
             signs[j[ok], joins[ok]] = join_sign[j[ok], joins[ok]]
             barred[j[~ok], joins[~ok]] = True
         done = event <= 1
@@ -462,8 +517,10 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
             out[:, live[done]] = a[:, done]
             sphere[live[done]] = event[done] == 0
             keep = ~done
-            live, t, corr, a = live[keep], t[keep], corr[:, keep], a[:, keep]
+            live, t, corr, a, at = live[keep], t[keep], corr[:, keep], a[:, keep], at[keep]
             signs, barred, rejoin = signs[:, keep], barred[:, keep], rejoin[:, keep]
+            if 2 * at.size <= inv.shape[0]:
+                inv, at = inv[at], np.arange(at.size)
     capped = live
     out[:, capped] = a
     eps = np.finfo(float).eps
