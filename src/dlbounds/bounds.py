@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .core import InapplicableError, as_count
+from .core import InapplicableError, _finite, as_count
 
 L1_VARIANTS = ("maurer", "slow", "fast")
 
@@ -96,18 +96,6 @@ class BoundReport:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
-
-
-def _finite(value, name: str, floor: float = 0.0, strict: bool = True) -> float:
-    """value as a float that is finite and above floor (or at it, when not
-    strict); None, NaN and infinities raise ValueError."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        v = math.nan
-    if not (math.isfinite(v) and (v > floor if strict else v >= floor)):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {floor:g} and finite, got {value!r}")
-    return v
 
 
 def _check_delta(delta) -> float:
@@ -240,7 +228,7 @@ def optimize_fast_params(inputs: BoundInputs, K_grid, alpha_grid,
     ks = sorted(float(v) for v in K_grid)
     alphas = sorted(float(v) for v in alpha_grid)
     _require(len(ks) > 0 and len(alphas) > 0, "K_grid and alpha_grid must be nonempty")
-    _require(float(empirical) >= 0.0, f"empirical must be >= 0, got {empirical}")
+    empirical = _finite(empirical, "empirical", strict=False)
     if family is None:
         family = "l1" if inputs.lam is not None else "ksparse"
     if family not in ("l1", "ksparse"):
@@ -254,7 +242,7 @@ def optimize_fast_params(inputs: BoundInputs, K_grid, alpha_grid,
                 report = calc(replace(inputs, K=k_val, alpha=a_val), "fast")
             except InapplicableError:
                 continue
-            objective = report.multiplier * float(empirical) + report.additive
+            objective = report.multiplier * empirical + report.additive
             if objective < best_obj:
                 best_obj = objective
                 best = (k_val, a_val, report)
@@ -274,8 +262,11 @@ def log_integral_check(gamma: float, x_grid) -> float:
     quadrature error.
     """
     gamma = float(gamma)
-    if not gamma >= math.sqrt(math.e):
+    # a finite gamma below sqrt(e) is outside the inequality's range; NaN
+    # and infinities are malformed
+    if math.isfinite(gamma) and gamma < math.sqrt(math.e):
         raise InapplicableError(f"gamma must be >= sqrt(e) = {math.sqrt(math.e):.6f}, got {gamma}")
+    gamma = _finite(gamma, "gamma", math.sqrt(math.e), strict=False)
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     _require(xs.size > 0, "x_grid must be nonempty")
     _require(bool(np.all((xs > 0.0) & (xs <= 1.0))), "x values must lie in (0, 1]")

@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import (
     Dictionary,

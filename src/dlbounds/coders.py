@@ -21,11 +21,11 @@ reaches lam (or the path ends at least squares), keeping one updated inverse
 of the active Gram per path; an atom joins only if the residual vector of
 its projection on the active atoms is longer than RANK_RTOL ||d_j||.  The
 Frank-Wolfe duality gap then proves the error within ERR_TOL = 1e-10 of the
-optimum.  A
-signal the gap does not certify takes at most NEWTON_STEPS Newton steps on
-its KKT system, from an exactly rounded residual after the first; one still
-uncertified, or one cut off at MAX_ITERS path steps, raises a
-RuntimeWarning.
+optimum.  A signal the gap does not certify takes at most NEWTON_STEPS
+Newton steps on its KKT system, from an exactly rounded residual after the
+first; one still uncertified, or one cut off at MAX_ITERS path steps, raises
+a RuntimeWarning.  One inverse per column, applied with one refinement step
+(_solve), serves both the path and the Newton finish.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .core import (
     InapplicableError,
     L1Ball,
     SparsityConstraint,
+    _finite,
     as_count,
     as_vector,
     validate_dictionary,
@@ -262,13 +263,12 @@ def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.
 def project_l1(v, radius: float) -> np.ndarray:
     """Euclidean projection of a vector onto the l1 ball of the given radius."""
     v = as_vector(v)
-    return _project_l1_columns(v[:, None], float(radius))[:, 0]
+    return _project_l1_columns(v[:, None], radius)[:, 0]
 
 
 def _project_l1_columns(mat: np.ndarray, radius: float) -> np.ndarray:
     """Column-wise l1-ball projection by the sort-and-threshold rule."""
-    if not 0.0 <= radius < math.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {radius}")
+    radius = _finite(radius, "lam", strict=False)
     if radius == 0.0:
         return np.zeros_like(mat)
     absm = np.abs(mat)
@@ -324,80 +324,77 @@ def _l1_slack(atoms: np.ndarray, a: np.ndarray, lam: float, resid: np.ndarray, m
     return gap, np.sqrt(h2) - np.sqrt(np.maximum(h2 - 2.0 * (gap + margin), 0.0))
 
 
-def _kkt_solve(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.ndarray,
-               last: np.ndarray) -> np.ndarray:
-    """Solve each column's bordered system [[G_SS + RIDGE I, b_S], [b_S^T, 0]]
-    (S its support `on`, b its border; a zero border means nu = 0) for the
-    right-hand side (top_S, last): the Newton finish's step, its only use.
-    Columns are grouped by support size and solved in blocks of at most 256,
-    which bounds memory.  Returns p x N coefficients, zero off the supports."""
-    p, n_sig = on.shape
-    block = 256
-    out = np.zeros((p, n_sig))
-    sizes = on.sum(axis=0)
-    for k in np.unique(sizes[sizes > 0]):
-        same = np.flatnonzero(sizes == k)
-        for lo in range(0, same.size, block):
-            cols = same[lo:lo + block]
-            sup = np.nonzero(on[:, cols].T)[1].reshape(cols.size, k)
-            b = border[sup, cols[:, None]]
-            mat = np.empty((cols.size, k + 1, k + 1))
-            mat[:, :k, :k] = gram[sup[:, :, None], sup[:, None, :]] + RIDGE * np.eye(k)
-            mat[:, :k, k] = b
-            mat[:, k, :k] = b
-            mat[:, k, k] = ~b.any(axis=1)
-            rhs = np.concatenate([top[sup, cols[:, None]], last[cols, None]], axis=1)
-            out[sup, cols[:, None]] = np.linalg.solve(mat, rhs[..., None])[:, :k, 0]
-    return out
-
-
 def _into_l1_ball(a: np.ndarray, lam: float) -> np.ndarray:
     norm1 = np.abs(a).sum(axis=0)
     return a * np.where(norm1 > lam, lam / np.maximum(norm1, lam), 1.0)
 
 
-def _times(inv: np.ndarray, at: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """inv[at[i]] @ vec[:, i] for each column i, as p x N; one batched
-    product over all of inv, whose unused slots get zeros."""
-    spread = np.zeros((vec.shape[0], inv.shape[0]))
-    spread[:, at] = vec
-    return np.einsum("nij,jn->in", inv, spread)[:, at]
+def _solve(inv: np.ndarray, on: np.ndarray, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(G_AA + RIDGE I)^-1 rhs_A for each column, A = on[:, i] and inv[i]
+    its inverse (zero off A), as p x N zero off A: one batched product, then
+    one refinement step.  With a near-twin pair in A, inv's entries are
+    ~1/(delta^2 + RIDGE), and its product alone leaves (G_AA + RIDGE I) x
+    off rhs_A by eps times that."""
+    x = np.einsum("nij,jn->in", inv, rhs)
+    x += np.einsum("nij,jn->in", inv, np.where(on, rhs - gram @ x - RIDGE * x, 0.0))
+    return x
 
 
-def _join(inv: np.ndarray, at: np.ndarray, j: np.ndarray, atoms: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Add atom j[i] to the active set A of inv[at[i]] = (G_AA + RIDGE I)^-1
+def _join(inv: np.ndarray, cols: np.ndarray, j: np.ndarray, atoms: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Add atom j[i] to the active set A of inv[cols[i]] = (G_AA + RIDGE I)^-1
     (zero off A) if its distance delta from span(D_A) passes _full_rank's
     test, delta > RANK_RTOL ||d_j||.  delta is the norm of the residual
     vector r = d_j - D_A b, b = inv G_Aj; the Gram form G_jj - g.b cannot
     resolve delta below ~1e-5 ||d_j||.  The bordered inverse is inv + v v^T
     / s with v = b - e_j and s = G_jj + RIDGE - g.b = delta^2 + RIDGE
-    ||v||^2.  Blocks of 256 columns bound the memory.  Returns which joined."""
-    ok = np.empty(at.size, dtype=bool)
-    for lo in range(0, at.size, 256):
-        cols, jj = at[lo:lo + 256], j[lo:lo + 256]
-        v = np.einsum("nij,jn->in", inv[cols], gram[:, jj])
+    ||v||^2.  b is inv's own product, not refined by _solve: the update
+    borders inv itself, and with a refined b a near-twin pair at delta =
+    1e-9 lost the certificate in 1 of 40 directions where this b keeps it.
+    Blocks of 256 columns bound the memory.  Returns which joined."""
+    ok = np.empty(cols.size, dtype=bool)
+    for lo in range(0, cols.size, 256):
+        block, jj = cols[lo:lo + 256], j[lo:lo + 256]
+        v = np.einsum("nij,jn->in", inv[block], gram[:, jj])
         r = atoms[:, jj] - atoms @ v
         dist2 = np.einsum("ij,ij->j", r, r)
         good = ok[lo:lo + 256] = dist2 > RANK_RTOL**2 * gram[jj, jj]
-        v, cols = v[:, good], cols[good]
-        v[jj[good], np.arange(cols.size)] = -1.0
+        v, block = v[:, good], block[good]
+        v[jj[good], np.arange(block.size)] = -1.0
         s = dist2[good] + RIDGE * np.einsum("ij,ij->j", v, v)
-        inv[cols] += np.einsum("in,jn->nij", v, v) / s[:, None, None]
+        inv[block] += np.einsum("in,jn->nij", v, v) / s[:, None, None]
     return ok
 
 
-def _invert(inv: np.ndarray, at: np.ndarray, on: np.ndarray, gram: np.ndarray) -> None:
-    """Set inv[at[i]] to (G_AA + RIDGE I)^-1, zero off A = on[:, i], in
-    blocks of 256 columns: the inverse of G + RIDGE I on A x A and I
-    elsewhere, whose LU never mixes the two blocks.  A drop takes this rather
-    than the Schur downdate B - B_:j B_j: / B_jj: if A also holds a
-    near-twin of d_j, at distance delta, B_jj is ~1/(delta^2 + RIDGE), and
-    the downdate leaves ~eps B_jj of rounding in entries of order one."""
-    eye = np.eye(gram.shape[0])
-    for lo in range(0, at.size, 256):
+def _inverse(on: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """(G_AA + RIDGE I)^-1 for each column, A = on[:, i], zero off A, as an
+    N x p x p stack, in blocks of 256 columns: the inverse of G + RIDGE I on
+    A x A and I elsewhere, whose LU never mixes the two blocks.  A drop
+    takes this rather than the Schur downdate B - B_:j B_j: / B_jj: if A
+    also holds a near-twin of d_j, at distance delta, B_jj is ~1/(delta^2 +
+    RIDGE), and the downdate leaves ~eps B_jj of rounding in entries of
+    order one."""
+    p, n_sig = on.shape
+    eye = np.eye(p)
+    inv = np.empty((n_sig, p, p))
+    for lo in range(0, n_sig, 256):
         act = on[:, lo:lo + 256].T
         both = act[:, :, None] & act[:, None, :]
-        inv[at[lo:lo + 256]] = np.linalg.inv(np.where(both, gram + RIDGE * eye, eye)) * both
+        inv[lo:lo + 256] = np.linalg.inv(np.where(both, gram + RIDGE * eye, eye)) * both
+    return inv
+
+
+def _newton_step(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.ndarray,
+                 last: np.ndarray) -> np.ndarray:
+    """Solve each column's bordered system [[M, b], [b^T, 0]] [x; nu] =
+    [top_S; last], M = G_SS + RIDGE I on its support S = on[:, i] and b its
+    border: the Newton finish's step.  By the Schur complement of M, x =
+    M^-1 top - nu M^-1 b with nu = (b.M^-1 top - last) / b.M^-1 b, and nu =
+    0 where b = 0 (inside the ball).  Returns x as p x N, zero off S."""
+    inv = _inverse(on, gram)
+    x, y = _solve(inv, on, gram, top), _solve(inv, on, gram, border)
+    curve = (border * y).sum(axis=0)
+    nu = np.divide((border * x).sum(axis=0) - last, curve, out=np.zeros_like(curve), where=curve > 0.0)
+    return x - nu * y
 
 
 def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -423,14 +420,17 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     updates it per event, not per step, as LARS keeps one factorization
     (Efron et al., 2004).  A join borders it (_join), testing the distance
     from the span on the residual vector d_j - D_A b that bordering computes
-    anyway; a drop inverts the smaller system afresh (_invert).  w is the
-    inverse's product with s_A plus one refinement step.
+    anyway; a drop inverts the smaller system afresh (_inverse).  The
+    inverses of finished columns are dropped with their other arrays.  w is
+    _solve's product of the inverse with s_A, refined once.
 
     Each column is then certified by its duality-gap error slack (see
     _l1_slack).  One that misses ERR_TOL takes up to NEWTON_STEPS Newton
     steps on the KKT system of its support and signs, G_SS a_S + nu s =
-    D_S^T x with s.a_S = lam on the sphere (nu = 0 inside); the steps go on
-    from each new point, and the column keeps the point of lowest slack.
+    D_S^T x with s.a_S = lam on the sphere (nu = 0 inside), solved by the
+    Schur complement of the same inverse and two _solve calls
+    (_newton_step); the steps go on from each new point, and the column
+    keeps the point of lowest slack.
     The first step works from the computed residual D a - x; the others,
     and every certificate after a step, from the exactly rounded residual
     (_exact_residual), whose margin is eps h rather than eps ||x||: the gap
@@ -463,11 +463,9 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     a = np.zeros((p, live.size))
     signs = np.zeros((p, live.size))
     signs[first, cols] = np.sign(corr[first, cols])
-    # live column i's (G_AA + RIDGE I)^-1, zero off its active set A, is
-    # inv[at[i]]; finished columns leave inv once they fill half of it
+    # live column i's (G_AA + RIDGE I)^-1, zero off its active set A
     inv = np.zeros((live.size, p, p))
     inv[cols, first, first] = 1.0 / (gram[first, first] + RIDGE)
-    at = cols
     barred = np.zeros((p, live.size), dtype=bool)
     rejoin = np.zeros((p, live.size))  # the sign a just-dropped atom may not rejoin with
     sigma = np.array([1.0, -1.0])[:, None, None]  # the signs an atom can join with
@@ -475,11 +473,7 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     while live.size and iterations < MAX_ITERS:
         iterations += 1
         on = signs != 0.0
-        # w = inv s_A, then one refinement step: with a near-twin pair in A,
-        # inv's entries are ~1/(delta^2 + RIDGE), and its product alone
-        # leaves (G_AA + RIDGE I) w off s_A by eps times that
-        w = _times(inv, at, signs)
-        w += _times(inv, at, np.where(on, signs - gram @ w - RIDGE * w, 0.0))
+        w = _solve(inv, on, gram, signs)
         u = gram @ w
         c = corr - gram @ a
         slope = (signs * w).sum(axis=0)  # d||a||_1 / d gamma
@@ -505,11 +499,11 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
             rejoin[j, drops] = signs[j, drops]
             a[j, drops] = signs[j, drops] = 0.0
             barred[:, drops] = False
-            _invert(inv, at[drops], signs[:, drops] != 0.0, gram)
+            inv[drops] = _inverse(signs[:, drops] != 0.0, gram)
         joins = np.flatnonzero((event >= 2) & (event < 2 + p))
         if joins.size:
             j = event[joins] - 2
-            ok = _join(inv, at[joins], j, atoms, gram)
+            ok = _join(inv, joins, j, atoms, gram)
             signs[j[ok], joins[ok]] = join_sign[j[ok], joins[ok]]
             barred[j[~ok], joins[~ok]] = True
         done = event <= 1
@@ -517,10 +511,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
             out[:, live[done]] = a[:, done]
             sphere[live[done]] = event[done] == 0
             keep = ~done
-            live, t, corr, a, at = live[keep], t[keep], corr[:, keep], a[:, keep], at[keep]
+            live, t, corr, a, inv = live[keep], t[keep], corr[:, keep], a[:, keep], inv[keep]
             signs, barred, rejoin = signs[:, keep], barred[:, keep], rejoin[:, keep]
-            if 2 * at.size <= inv.shape[0]:
-                inv, at = inv[at], np.arange(at.size)
     capped = live
     out[:, capped] = a
     eps = np.finfo(float).eps
@@ -533,9 +525,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     for _ in range(NEWTON_STEPS):
         if not fix.size:
             break
-        border = np.sign(a) * sphere[fix]
-        step = _kkt_solve(gram, a != 0.0, border, -(atoms.T @ resid),
-                          sphere[fix] * (lam - np.abs(a).sum(axis=0)))
+        step = _newton_step(gram, a != 0.0, np.sign(a) * sphere[fix], -(atoms.T @ resid),
+                            sphere[fix] * (lam - np.abs(a).sum(axis=0)))
         a = _into_l1_ball(a + step, lam)
         resid = _exact_residual(atoms, a, signals[:, fix])
         new = _l1_slack(atoms, a, lam, resid, 2.0 * eps * lam * np.linalg.norm(resid, axis=0))[1]

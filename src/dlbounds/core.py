@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -51,6 +51,18 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(getattr(x, "values", x), dtype=float, order="C")
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+    return v
+
+
+def _finite(value, name: str, floor: float = 0.0, strict: bool = True) -> float:
+    """value as a float that is finite and above floor (or at it, when not
+    strict); None, NaN and infinities raise ValueError."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not (math.isfinite(v) and (v > floor if strict else v >= floor)):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {floor:g} and finite, got {value!r}")
     return v
 
 
@@ -98,12 +110,11 @@ class Dictionary:
             raise ValueError(f"dictionary must be at least 1 x 1, got {atoms.shape}")
         if not np.all(np.isfinite(atoms)):
             raise ValueError("dictionary entries must be finite")
-        if not (float(self.gamma) >= 1.0):
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        gamma = _finite(self.gamma, "gamma", 1.0, strict=False)
         atoms = atoms.copy()
         atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def n(self) -> int:
@@ -206,9 +217,7 @@ class L1Ball:
     lam: float
 
     def __post_init__(self):
-        if not (float(self.lam) >= 0.0) or not math.isfinite(float(self.lam)):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", _finite(self.lam, "lam", strict=False))
 
 
 SparsityConstraint = Union[HardK, L1Ball]

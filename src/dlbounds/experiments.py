@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     Dictionary,
-    HardK,
     InapplicableError,
     L1Ball,
     SearchFailureError,
     Signal,
     SparsityConstraint,
+    _finite,
     as_count,
     me_norm,
     substream,
@@ -36,7 +36,6 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     L1_VARIANTS,
-    _finite,
     ksparse_generalization_bound,
     l1_generalization_bound,
     optimize_fast_params,

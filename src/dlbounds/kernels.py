@@ -25,10 +25,10 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import CoeffVector, InapplicableError, NORM_TOL, as_count, as_vector
+from .core import CoeffVector, InapplicableError, NORM_TOL, _finite, as_count, as_vector
 from .coders import CodingResult, _check_signals, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
-from .bounds import BoundInputs, BoundReport, _finite, _ksparse_lam, slow_rate_generic
+from .bounds import BoundInputs, BoundReport, _ksparse_lam, slow_rate_generic
 
 # Tolerances for kernel sanity checks.
 SYMMETRY_TOL = 1e-12
@@ -83,9 +83,7 @@ def gaussian_kernel(sigma: float) -> KernelFn:
     The per-argument Lipschitz constant is exp(-1/2)/sigma (the maximum
     of the radial derivative, attained at distance sigma).
     """
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    sigma = _finite(sigma, "sigma")
     # cdist is exactly 0 on equal rows (Gram diagonal 1) and makes no a x b x n temporary.
     return KernelFn(fn=lambda xs, ys: np.exp(-cdist(xs, ys, "sqeuclidean") / (2.0 * sigma * sigma)),
                     name=f"gaussian:{sigma:g}",
@@ -162,13 +160,12 @@ class KernelDictionary:
             raise ValueError(f"gram shape {g.shape} does not match {pts.shape[0]} points")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(g))):
             raise ValueError("points and gram must be finite")
-        if not float(self.gamma) >= 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        gamma = _finite(self.gamma, "gamma", 1.0, strict=False)
         pts = pts.copy(); pts.flags.writeable = False
         g = g.copy(); g.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", gamma)
 
     @classmethod
     def build(cls, points: np.ndarray, kf: KernelFn, gamma: float = 1.0) -> "KernelDictionary":
@@ -194,17 +191,14 @@ def validate_kernel_dictionary(kd: KernelDictionary) -> list[str]:
 
 
 def _coeff_support(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(support indices, their values) from a CoeffVector or dense array."""
-    if isinstance(coeffs, CoeffVector):
-        if coeffs.values.shape[0] != p:
-            raise ValueError(f"coefficients have length {coeffs.values.shape[0]}, expected {p}")
-        idx = np.asarray(coeffs.support, dtype=int)
-        return idx, coeffs.values[idx]
-    dense = as_vector(coeffs)
-    if dense.shape[0] != p:
-        raise ValueError(f"coefficients have length {dense.shape[0]}, expected {p}")
-    idx = np.flatnonzero(dense != 0.0)
-    return idx, dense[idx]
+    """(support indices, their values) from a CoeffVector or dense array,
+    which is held to CoeffVector's rules (1-d, finite)."""
+    if not isinstance(coeffs, CoeffVector):
+        coeffs = CoeffVector.from_dense(coeffs)
+    if coeffs.values.shape[0] != p:
+        raise ValueError(f"coefficients have length {coeffs.values.shape[0]}, expected {p}")
+    idx = np.asarray(coeffs.support, dtype=int)
+    return idx, coeffs.values[idx]
 
 
 def _feature_error(kxx: float, vals: np.ndarray, g_ss: np.ndarray, kx_s: np.ndarray) -> float:
@@ -267,7 +261,9 @@ def holder_feature_check(kf: KernelFn, pairs) -> float:
     worst = -math.inf
     count = 0
     for x, y in pairs:
-        xv, yv = as_vector(x), as_vector(y)
+        # finite vectors of one dimension: max() drops a NaN violation
+        xv = _check_signals(as_vector(x).size, as_vector(x)[:, None])[:, 0]
+        yv = _check_signals(xv.size, as_vector(y)[:, None])[:, 0]
         sq = kf(xv, xv) - 2.0 * kf(xv, yv) + kf(yv, yv)
         if sq < PSD_QUAD_FLOOR:
             raise ValueError(f"feature distance squared {sq:.3g} below PSD floor")

@@ -9,8 +9,7 @@ dictionary update, the classic method-of-optimal-directions scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +20,13 @@ from .core import (
     SearchFailureError,
     Signal,
     SparsityConstraint,
+    _finite,
     as_count,
     sample_uniform_sphere,
     substream,
     uniform_sphere_matrix,
     validate_dictionary,
 )
-from .bounds import _finite
 from .coders import exact_ksparse_batch, greedy_ksparse_batch, l1_solve_batch
 from .coherence import babel
 

@@ -625,16 +625,72 @@ def test_l1_near_twin_atoms_certify():
 def test_l1_path_alone_certifies_in_gengap_regime(monkeypatch):
     # gengap-l1's regime: n = 8, p = 12, lam = 1, unit-sphere dictionaries
     # and signals.  The homotopy's path certifies every column by itself, so
-    # the Newton finish, _kkt_solve's only caller, never runs.
+    # the Newton finish, which calls _exact_residual once per step, never
+    # runs.
     calls = []
-    kkt_solve = coders._kkt_solve
-    monkeypatch.setattr(coders, "_kkt_solve", lambda *args: calls.append(args) or kkt_solve(*args))
+    exact_residual = coders._exact_residual
+    monkeypatch.setattr(coders, "_exact_residual", lambda *args: calls.append(args) or exact_residual(*args))
     for i in range(10):
         d = Dictionary(uniform_sphere_matrix(8, 12, substream(37, i)))
         signals = uniform_sphere_matrix(8, 200, substream(38, i))
         coeffs, _errors, _iters, _residual = l1_solve_batch(d, signals, 1.0)
         assert _l1_slack_reference(d.atoms, coeffs, signals, 1.0).max() <= ERR_TOL
     assert not calls
+
+
+def _kkt_reference(gram, on, border, top, last):
+    """Each column's bordered system [[G_SS + RIDGE I, b_S], [b_S^T, 0]]
+    (a zero border means nu = 0) solved by LU for (top_S, last)."""
+    out = np.zeros(on.shape)
+    for i in range(on.shape[1]):
+        sup = np.flatnonzero(on[:, i])
+        k, b = sup.size, border[sup, i]
+        mat = np.empty((k + 1, k + 1))
+        mat[:k, :k] = gram[np.ix_(sup, sup)] + coders.RIDGE * np.eye(k)
+        mat[:k, k] = mat[k, :k] = b
+        mat[k, k] = not b.any()
+        out[sup, i] = np.linalg.solve(mat, np.append(top[sup, i], last[i]))[:k]
+    return out
+
+
+def test_newton_step_matches_bordered_lu():
+    # supports of 1-6 atoms in R^8, half of the columns on the sphere (border
+    # s) and half inside the ball (no border); top is D^T of a signal, as
+    # -D^T r in the finish.  With atom 7 a near-twin of atom 0 at delta =
+    # 1e-8 in every support of two or more, cond(G_SS + RIDGE I) reaches
+    # ~1e12.  The inverse's product with one refinement step agrees with the
+    # LU to within eps cond(G_SS + RIDGE I) of the larger of step and top
+    # (on the sphere, M^-1 top and nu M^-1 b cancel down to the step).
+    base = uniform_sphere_matrix(8, 12, substream(41, 0))
+    d0 = base[:, 0]
+    u = uniform_sphere_matrix(8, 1, substream(41, 2))[:, 0]
+    v = u - (u @ d0) * d0
+    v /= np.linalg.norm(v)
+    twin = base.copy()
+    twin[:, 7] = (d0 + 1e-8 * v) / np.linalg.norm(d0 + 1e-8 * v)
+    n_sig = 60
+    sphere = np.arange(n_sig) % 2 == 0
+    for atoms, pair in ((base, False), (twin, True)):
+        rng = substream(41, 1)
+        on = np.zeros((12, n_sig), dtype=bool)
+        for i in range(n_sig):
+            on[rng.choice(12, 1 + i % 6, replace=False), i] = True
+            if pair and i % 6:
+                on[[0, 7], i] = True
+        border = np.where(on, np.sign(rng.standard_normal((12, n_sig))), 0.0) * sphere
+        top = atoms.T @ rng.standard_normal((8, n_sig))
+        last = sphere * rng.uniform(-0.1, 0.1, n_sig)
+        gram = atoms.T @ atoms
+        step = coders._newton_step(gram, on, border, top, last)
+        ref = _kkt_reference(gram, on, border, top, last)
+        assert not step[~on].any()
+        cond = np.array([np.linalg.cond(gram[np.ix_(s, s)] + coders.RIDGE * np.eye(s.size))
+                         for s in (np.flatnonzero(col) for col in on.T)])
+        assert not pair or cond.max() > 1e11
+        tol = 4 * np.finfo(float).eps * cond * np.maximum(np.abs(ref), np.abs(top) * on).max(axis=0)
+        assert np.all(np.abs(step - ref).max(axis=0) <= tol)
+        if not pair:
+            assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_l1_batch_matches_single():
@@ -753,12 +809,12 @@ def test_project_l1_inside_ball_untouched():
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
 def test_l1_rejects_bad_radius(lam):
     # NaN passes a plain `radius < 0` test and an infinite radius runs the
-    # solver on NaNs, so both are rejected with L1Ball's message
+    # solver on NaNs, so both are rejected with core._finite's message
     d = Dictionary(uniform_sphere_matrix(4, 6, substream(40, 0)))
     signals = uniform_sphere_matrix(4, 3, substream(40, 1))
     for call in (lambda: project_l1(signals[:, 0], lam), lambda: l1_solve(d, signals[:, 0], lam),
                  lambda: l1_solve_batch(d, signals, lam)):
-        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+        with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
             call()
 
 

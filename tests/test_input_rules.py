@@ -15,6 +15,8 @@ from dlbounds.bounds import (
     l1_generalization_bound,
     log_cover_ksparse,
     log_cover_l1,
+    log_integral_check,
+    optimize_fast_params,
     slow_rate_generic,
 )
 from dlbounds.cli import main
@@ -28,12 +30,22 @@ from dlbounds.coders import (
     repr_error,
 )
 from dlbounds.coherence import babel, babel_bruteforce, babel_from_gram
-from dlbounds.core import Dictionary, HardK, L1Ball, Signal, substream, uniform_sphere_matrix
+from dlbounds.core import (
+    Dictionary,
+    HardK,
+    InapplicableError,
+    L1Ball,
+    Signal,
+    substream,
+    uniform_sphere_matrix,
+)
 from dlbounds.experiments import gengap_run, mc_babel, nonlipschitz_demo, perturbed_pair
 from dlbounds.kernels import (
     KernelDictionary,
     feature_babel,
+    gaussian_kernel,
     kernel_cover_log,
+    kernel_from_name,
     kernel_gen_bound,
     kernel_greedy_ksparse,
     kernel_repr_error,
@@ -124,14 +136,26 @@ def real_calls(v):
     yield "SignalSource sigma", lambda: dictionary_source(D, 2, sigma=v)
     yield "mc_babel threshold", lambda: mc_babel(6, 4, 1, trials=3, threshold=v, seed=1)
     yield "perturbed_pair scale", lambda: perturbed_pair(D, v, substream(21, 2))
+    # an infinite gamma makes coeff_l1_bound infinite, and an infinite width
+    # a constant kernel with smoothness L = 0
+    yield "Dictionary gamma", lambda: Dictionary(D.atoms, gamma=v)
+    yield "KernelDictionary gamma", lambda: KernelDictionary(KD.points, KD.gram, gamma=v)
+    yield "L1Ball lam", lambda: L1Ball(v)
+    yield "gaussian_kernel sigma", lambda: gaussian_kernel(v)
+    yield "kernel_from_name gaussian", lambda: kernel_from_name(f"gaussian:{v}")
+    yield "log_integral_check gamma", lambda: log_integral_check(v, [0.5])
+    yield "optimize_fast_params empirical", lambda: optimize_fast_params(
+        BoundInputs(n=3, p=5, m=10**4, x=2.0, lam=1.5), [2.0], [1.0], empirical=v)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("name", [n for n, _ in real_calls(0.0)])
 def test_non_finite_real_raises(name, value):
     call = dict(real_calls(value))[name]
-    with pytest.raises(ValueError, match=r"must be >=? [0-9.]+ and finite, got"):
+    with pytest.raises(ValueError, match=r"must be >=? [0-9.]+ and finite, got") as excinfo:
         call()
+    # a malformed input, not a formula's unmet precondition
+    assert not isinstance(excinfo.value, InapplicableError)
 
 
 @pytest.mark.parametrize("sigma", ["inf", "nan"])

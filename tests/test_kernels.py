@@ -193,6 +193,16 @@ def test_kernel_repr_error_psd_floor():
         kernel_repr_error(np.array([1.0, 0.0]), np.zeros(1), kd, kf)
 
 
+def test_kernel_repr_error_rejects_non_finite_coeffs():
+    # dense coefficients follow CoeffVector's rule, as a CoeffVector does
+    pts = sphere_points(4, 3, seed=11)
+    kd = KernelDictionary.build(pts, linear_kernel())
+    x = uniform_sphere_matrix(3, 1, substream(11, 1))[:, 0]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            kernel_repr_error(x, np.array([0.5, bad, 0.0, 0.0]), kd, linear_kernel())
+
+
 def test_kernel_repr_error_dimension_checks():
     pts = sphere_points(3, 2, seed=11)
     kd = KernelDictionary.build(pts, linear_kernel())
@@ -323,6 +333,16 @@ def test_holder_shipped_kernels_on_unit_ball(kf):
         y *= rng.uniform(0, 1) / np.linalg.norm(y)
         pairs.append((x, y))
     assert holder_feature_check(kf, pairs) <= 1e-8
+
+
+def test_holder_rejects_non_finite_pairs():
+    # a NaN violation would be dropped by max() and read as "consistent"
+    x = np.array([0.3, 0.4])
+    for pair in ((x, np.array([np.nan, 0.0])), (np.array([0.1, np.inf]), x)):
+        with pytest.raises(ValueError, match="finite"):
+            holder_feature_check(gaussian_kernel(1.0), [(x, x), pair])
+    with pytest.raises(ValueError, match="dimension"):
+        holder_feature_check(gaussian_kernel(1.0), [(x, np.zeros(3))])
 
 
 def test_holder_requires_metadata():
