@@ -20,6 +20,7 @@ from .core import (
     L1Ball,
     SearchFailureError,
     Signal,
+    SignalBatch,
     SparsityConstraint,
     load_dictionary,
     load_matrix,

@@ -99,13 +99,12 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _check_delta(delta) -> float:
-    _require(delta is not None and float(delta) >= 0.0,
-             f"delta must be >= 0, got {delta}")
-    # delta >= 1 is not a malformed input but a dictionary class the
-    # k-sparse machinery cannot cover (the coefficient l1 control fails)
-    if float(delta) >= 1.0:
+    delta = _finite(delta, "delta", strict=False)
+    # a finite delta >= 1 is not a malformed input but a dictionary class
+    # the k-sparse machinery cannot cover (the coefficient l1 control fails)
+    if delta >= 1.0:
         raise InapplicableError(f"needs delta < 1, got delta = {delta}")
-    return float(delta)
+    return delta
 
 
 def _ksparse_lam(k, delta) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -153,6 +154,36 @@ class Signal:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
+
+
+@dataclass(frozen=True)
+class SignalBatch(Sequence):
+    """m signals in R^n, stored as the columns of one read-only n x m array
+    (`values`) and checked once by Signal's rules; `unit` marks a batch whose
+    every column must lie on the sphere.  The array is a C-contiguous copy,
+    since numpy's products round a strided matrix differently.  Indexing and
+    iteration yield Signals."""
+
+    values: np.ndarray
+    unit: bool = False
+
+    def __post_init__(self):
+        v = np.array(self.values, dtype=float, order="C")
+        if v.ndim != 2 or v.size < 1:
+            raise ValueError(f"signal batch must be a nonempty 2-d array, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("signal entries must be finite")
+        # einsum's column norms make no n x m temporary
+        if self.unit and np.any(np.abs(np.sqrt(np.einsum("ij,ij->j", v, v)) - 1.0) > NORM_TOL):
+            raise ValueError("signal flagged as unit-sphere has norm != 1")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    def __getitem__(self, i) -> Signal:
+        return Signal(self.values[:, i], unit=self.unit)
 
 
 @dataclass(frozen=True)

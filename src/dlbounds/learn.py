@@ -18,7 +18,7 @@ from .core import (
     HardK,
     L1Ball,
     SearchFailureError,
-    Signal,
+    SignalBatch,
     SparsityConstraint,
     _finite,
     as_count,
@@ -92,9 +92,10 @@ def sphere_source(n: int, seed: int = 0) -> SignalSource:
     return SignalSource(kind="sphere", n=n, seed=seed)
 
 
-def synth_sample(source: SignalSource, m: int, stream: int = 0) -> list[Signal]:
-    """Draw m unit-norm signals; identical streams for identical
-    (source.seed, stream), independent streams otherwise.
+def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
+    """Draw m unit-norm signals as the columns of one checked n x m
+    SignalBatch; identical streams for identical (source.seed, stream),
+    independent streams otherwise.
 
     A dictionary source draws, per block of signals, every support (the
     first k_true of a random permutation), every coefficient row, then the
@@ -103,12 +104,13 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> list[Signal]:
     m = as_count(m, "m")
     rng = substream(source.seed, stream)
     if source.kind == "sphere":
-        return [Signal(c, unit=True) for c in uniform_sphere_matrix(source.n, m, rng).T]
+        return SignalBatch(uniform_sphere_matrix(source.n, m, rng), unit=True)
     atoms, k, sigma = source.dictionary.atoms, source.k_true, source.sigma
     n, p = atoms.shape
-    out: list[Signal] = []
-    while len(out) < m:
-        c = min(m - len(out), max(1, SAMPLE_BLOCK // (n * k + p)))
+    out = np.empty((n, m))
+    kept = 0
+    while kept < m:
+        c = min(m - kept, max(1, SAMPLE_BLOCK // (n * k + p)))
         supports = np.argsort(rng.random((c, p)), axis=1)[:, :k]
         coef = rng.uniform(-1.0, 1.0, (c, k))
         norms = np.linalg.norm(coef, axis=1, keepdims=True)
@@ -118,12 +120,17 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> list[Signal]:
             x += sigma * rng.standard_normal((n, c))[:, live]
         norms = np.linalg.norm(x, axis=0)
         live = norms >= DEAD_ATOM_TOL
-        out.extend(Signal(col, unit=True) for col in (x[:, live] / norms[live]).T)
-    return out
+        x = x[:, live] / norms[live]
+        out[:, kept:kept + x.shape[1]] = x
+        kept += x.shape[1]
+    return SignalBatch(out, unit=True)
 
 
 def signals_to_matrix(signals) -> np.ndarray:
-    """Column-stack a list of Signals (or accept an n x m array as-is)."""
+    """The n x m matrix of a SignalBatch (its own read-only values), an
+    n x m array as-is, or a list of Signals column-stacked."""
+    if isinstance(signals, SignalBatch):
+        return signals.values
     if isinstance(signals, np.ndarray):
         x = np.asarray(signals, dtype=float)
         if x.ndim != 2:

@@ -11,6 +11,7 @@ from dlbounds.core import (
     L1Ball,
     NORM_TOL,
     Signal,
+    SignalBatch,
     as_vector,
     load_dictionary,
     load_matrix,
@@ -58,6 +59,43 @@ def test_signal_unit_flag():
         Signal(np.array([0.6, 0.9]), unit=True)
     # non-unit signals are fine when not flagged
     Signal(np.array([3.0, 4.0]))
+
+
+def test_signal_batch_holds_read_only_columns():
+    x = np.asfortranarray(uniform_sphere_matrix(4, 3, substream(7, 0)))
+    batch = SignalBatch(x, unit=True)
+    assert len(batch) == 3 and batch.values.flags.c_contiguous
+    assert np.array_equal(batch.values, x) and not np.shares_memory(batch.values, x)
+    with pytest.raises(ValueError):
+        batch.values[0, 0] = 5.0
+    assert isinstance(batch[1], Signal) and batch[1].unit
+    assert [s.values.tolist() for s in batch] == x.T.tolist()
+    assert batch[-1].values.tolist() == x[:, 2].tolist()
+    with pytest.raises(IndexError):
+        batch[3]
+
+
+@pytest.mark.parametrize("bad, scale, message", [
+    (math.nan, 1.0, "signal entries must be finite"),
+    (math.inf, 1.0, "signal entries must be finite"),
+    (None, 1 + 1e-6, "signal flagged as unit-sphere has norm != 1"),
+], ids=["nan", "inf", "off-sphere"])
+def test_signal_batch_checks_like_signal(bad, scale, message):
+    x = uniform_sphere_matrix(4, 3, substream(7, 1))
+    x[:, 2] *= scale
+    if bad is not None:
+        x[1, 2] = bad
+    for make in (lambda: SignalBatch(x, unit=True), lambda: Signal(x[:, 2], unit=True)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+    if bad is None:  # off the sphere is fine when not flagged
+        assert len(SignalBatch(x)) == 3
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 1), (0, 3), (3, 0)])
+def test_signal_batch_rejects_shapes(shape):
+    with pytest.raises(ValueError, match=r"^signal batch must be a nonempty 2-d array, got shape"):
+        SignalBatch(np.ones(shape))
 
 
 def test_coeff_vector_support_consistency():

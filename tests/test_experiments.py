@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dlbounds.cli import main
 from dlbounds.coders import l1_solve_batch
 from dlbounds.coherence import babel
 from dlbounds.core import (
@@ -10,6 +11,7 @@ from dlbounds.core import (
     HardK,
     L1Ball,
     SearchFailureError,
+    Signal,
     me_norm,
     substream,
     uniform_sphere_matrix,
@@ -315,6 +317,22 @@ def test_gengap_fast_variant_records_chosen_params():
         ev = point.evals[0]
         if ev.applicable:
             assert ev.k_fast in FAST_K_GRID and ev.alpha_fast in FAST_ALPHA_GRID
+
+
+def test_sampled_signals_are_never_wrapped_one_by_one(monkeypatch, tmp_path, capsys):
+    # the sampler checks its n x m block once; a Signal per drawn column would
+    # copy and norm-check every signal again (10,600 per gengap-ksparse run)
+    built = []
+    check = Signal.__post_init__
+    monkeypatch.setattr(Signal, "__post_init__", lambda self: (built.append(1), check(self)))
+    for constraint in (HardK(2), L1Ball(1.5)):
+        small_gengap(constraint, ("slow",), m_grid=(24, 32), test_size=50)
+    for synth in ("dict:n=6,ptrue=8,ktrue=2,sigma=0.1,m=40", "sphere:n=6,m=40"):
+        assert main(["learn", "--synth", synth, "--p", "8", "--k", "2", "--iters", "2",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+    assert built == []
+    Signal(np.ones(2))
+    assert built == [1]  # the count sees a Signal when one is built
 
 
 def test_gengap_validation():

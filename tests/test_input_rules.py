@@ -115,6 +115,9 @@ def test_non_integral_count_raises(name, call):
 def real_calls(v):
     for variant in ("maurer", "slow", "fast"):
         yield f"l1 {variant} lam", _bound(l1_generalization_bound, variant, lam=v)
+        yield f"ksparse {variant} delta", _bound(ksparse_generalization_bound, variant, delta=v)
+    for variant in ("maurer_k", "slow"):
+        yield f"kernel {variant} delta", _bound(kernel_gen_bound, variant, delta=v)
     yield "log_cover_l1 lam", lambda: log_cover_l1(2, 3, v, 0.5)
     yield "kernel_cover_log lam", lambda: kernel_cover_log(2, 3, 0.5, lam=v, **COVER)
     yield "log_cover_l1 eps", lambda: log_cover_l1(2, 3, 1.0, v)

@@ -12,6 +12,7 @@ from dlbounds.core import (
     HardK,
     L1Ball,
     SearchFailureError,
+    Signal,
     substream,
     uniform_sphere_matrix,
     validate_dictionary,
@@ -112,6 +113,49 @@ def test_stream_determinism(monkeypatch):
         assert not np.array_equal(a, c)
 
 
+def _sampler_reference(source, m, rng):
+    """The per-signal sampler synth_sample's batch replaced: one checked
+    Signal per drawn column, stacked back into an n x m matrix."""
+    if source.kind == "sphere":
+        signals = [Signal(c, unit=True) for c in uniform_sphere_matrix(source.n, m, rng).T]
+        return np.stack([s.values for s in signals], axis=1)
+    atoms, k, sigma = source.dictionary.atoms, source.k_true, source.sigma
+    n, p = atoms.shape
+    signals = []
+    while len(signals) < m:
+        c = min(m - len(signals), max(1, learn.SAMPLE_BLOCK // (n * k + p)))
+        supports = np.argsort(rng.random((c, p)), axis=1)[:, :k]
+        coef = rng.uniform(-1.0, 1.0, (c, k))
+        norms = np.linalg.norm(coef, axis=1, keepdims=True)
+        live = norms[:, 0] >= learn.DEAD_ATOM_TOL
+        x = np.einsum("nck,ck->nc", atoms[:, supports[live]], coef[live] / norms[live])
+        if sigma > 0.0:
+            x += sigma * rng.standard_normal((n, c))[:, live]
+        norms = np.linalg.norm(x, axis=0)
+        live = norms >= learn.DEAD_ATOM_TOL
+        signals.extend(Signal(col, unit=True) for col in (x[:, live] / norms[live]).T)
+    return np.stack([s.values for s in signals], axis=1)
+
+
+def _assert_matches_reference(batch, ref):
+    # memory layout counts: the coders round a strided matrix differently
+    assert batch.values.shape == ref.shape and batch.values.flags.c_contiguous
+    assert batch.values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("block", [learn.SAMPLE_BLOCK, 40], ids=["one-block", "multi-block"])
+def test_sampler_matches_the_per_signal_reference(monkeypatch, block):
+    # SAMPLE_BLOCK = 40 draws 2 dictionary signals per block
+    monkeypatch.setattr(learn, "SAMPLE_BLOCK", block)
+    d = Dictionary(uniform_sphere_matrix(5, 7, substream(9, 2)))
+    for src in (sphere_source(5, seed=9), dictionary_source(d, 2, 0.0, seed=9),
+                dictionary_source(d, 3, 0.1, seed=9)):
+        for m, stream in ((1, 0), (25, 4)):
+            batch = synth_sample(src, m, stream=stream)
+            _assert_matches_reference(batch, _sampler_reference(src, m, substream(9, stream)))
+            assert signals_to_matrix(batch) is batch.values
+
+
 def test_dictionary_supports_are_uniform_k_subsets():
     # on the identity dictionary a noiseless signal's support is its nonzeros
     n = p = 10
@@ -164,10 +208,13 @@ def test_dictionary_sampler_replaces_dead_rows(monkeypatch, atoms, values, rows)
     d = Dictionary(atoms)
     rng = _DeadRowRng(substream(23, 0), rows, values)
     monkeypatch.setattr(learn, "substream", lambda *key: rng)
-    signals = synth_sample(dictionary_source(d, 2, 0.0, seed=23), 6)
+    source = dictionary_source(d, 2, 0.0, seed=23)
+    signals = synth_sample(source, 6)
     assert len(signals) == 6
     assert all(abs(s.norm() - 1.0) < 1e-12 for s in signals)
     assert rng.blocks == 2  # the stub really forced a second block
+    _assert_matches_reference(signals, _sampler_reference(
+        source, 6, _DeadRowRng(substream(23, 0), rows, values)))
 
 
 def test_sample_counts_must_be_integral():

@@ -42,13 +42,15 @@ def test_exact_hook_binds_the_exact_coder():
 
 def test_synth_hook_binds_the_one_sampler():
     # both traced call sites must reach the sampler, and its hook counts
-    # len(result), so the sampler keeps returning a list of signals
+    # len(result), so the sampler keeps returning a sequence whose len is
+    # the signal count
     assert experiments.synth_sample is learn.synth_sample
     assert cli.synth_sample is learn.synth_sample
     d_true = Dictionary(uniform_sphere_matrix(5, 6, substream(5, 0)))
     for source in (learn.sphere_source(5, seed=5), dictionary_source(d_true, 2, 0.1, seed=5)):
         result = learn.synth_sample(source, 7)
         assert _spans()._synth_hook(learn.synth_sample, (source, 7), {}, result) == {"signals": 7}
+        assert learn.signals_to_matrix(result).shape == (5, 7)
 
 
 def test_gengap_codes_through_the_wrapped_bindings(monkeypatch):
