@@ -156,16 +156,17 @@ class Signal:
         return float(np.linalg.norm(self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalBatch(Sequence):
-    """m signals in R^n, stored as the columns of one read-only n x m array
-    (`values`) and checked once by Signal's rules; `unit` marks a batch whose
-    every column must lie on the sphere.  The array is a C-contiguous copy,
-    since numpy's products round a strided matrix differently.  Indexing and
-    iteration yield Signals."""
+    """m unit-norm signals in R^n, stored as the columns of one read-only
+    n x m array (`values`) and checked once by Signal's rules, every column
+    as a unit-sphere signal.  The array is a C-contiguous copy, since
+    numpy's products round a strided matrix differently.  An integer index
+    yields a Signal; a slice (or an index array) yields a SignalBatch of
+    those columns, which must be nonempty.  Equality and hashing are by
+    identity."""
 
     values: np.ndarray
-    unit: bool = False
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float, order="C")
@@ -174,7 +175,7 @@ class SignalBatch(Sequence):
         if not np.all(np.isfinite(v)):
             raise ValueError("signal entries must be finite")
         # einsum's column norms make no n x m temporary
-        if self.unit and np.any(np.abs(np.sqrt(np.einsum("ij,ij->j", v, v)) - 1.0) > NORM_TOL):
+        if np.any(np.abs(np.sqrt(np.einsum("ij,ij->j", v, v)) - 1.0) > NORM_TOL):
             raise ValueError("signal flagged as unit-sphere has norm != 1")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -182,8 +183,9 @@ class SignalBatch(Sequence):
     def __len__(self) -> int:
         return self.values.shape[1]
 
-    def __getitem__(self, i) -> Signal:
-        return Signal(self.values[:, i], unit=self.unit)
+    def __getitem__(self, i) -> Union[Signal, "SignalBatch"]:
+        cols = self.values[:, i]
+        return Signal(cols, unit=True) if cols.ndim == 1 else SignalBatch(cols)
 
 
 @dataclass(frozen=True)

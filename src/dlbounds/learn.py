@@ -104,7 +104,7 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
     m = as_count(m, "m")
     rng = substream(source.seed, stream)
     if source.kind == "sphere":
-        return SignalBatch(uniform_sphere_matrix(source.n, m, rng), unit=True)
+        return SignalBatch(uniform_sphere_matrix(source.n, m, rng))
     atoms, k, sigma = source.dictionary.atoms, source.k_true, source.sigma
     n, p = atoms.shape
     out = np.empty((n, m))
@@ -123,7 +123,7 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
         x = x[:, live] / norms[live]
         out[:, kept:kept + x.shape[1]] = x
         kept += x.shape[1]
-    return SignalBatch(out, unit=True)
+    return SignalBatch(out)
 
 
 def signals_to_matrix(signals) -> np.ndarray:

@@ -63,7 +63,7 @@ def test_signal_unit_flag():
 
 def test_signal_batch_holds_read_only_columns():
     x = np.asfortranarray(uniform_sphere_matrix(4, 3, substream(7, 0)))
-    batch = SignalBatch(x, unit=True)
+    batch = SignalBatch(x)
     assert len(batch) == 3 and batch.values.flags.c_contiguous
     assert np.array_equal(batch.values, x) and not np.shares_memory(batch.values, x)
     with pytest.raises(ValueError):
@@ -73,6 +73,18 @@ def test_signal_batch_holds_read_only_columns():
     assert batch[-1].values.tolist() == x[:, 2].tolist()
     with pytest.raises(IndexError):
         batch[3]
+    for part in (batch[1:], batch[::-2], batch[[2, 0]]):
+        assert isinstance(part, SignalBatch) and part.values.flags.c_contiguous
+    assert batch[1:].values.tolist() == x[:, 1:].tolist()
+    assert batch[::-2].values.tolist() == x[:, [2, 0]].tolist()
+    assert batch[[2, 0]].values.tolist() == x[:, [2, 0]].tolist()
+
+
+def test_signal_batch_compares_by_identity():
+    batch = SignalBatch(uniform_sphere_matrix(4, 3, substream(7, 2)))
+    twin = SignalBatch(batch.values)
+    assert batch == batch and batch != twin
+    assert len({batch, twin, batch}) == 2
 
 
 @pytest.mark.parametrize("bad, scale, message", [
@@ -85,11 +97,9 @@ def test_signal_batch_checks_like_signal(bad, scale, message):
     x[:, 2] *= scale
     if bad is not None:
         x[1, 2] = bad
-    for make in (lambda: SignalBatch(x, unit=True), lambda: Signal(x[:, 2], unit=True)):
+    for make in (lambda: SignalBatch(x), lambda: Signal(x[:, 2], unit=True)):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
-    if bad is None:  # off the sphere is fine when not flagged
-        assert len(SignalBatch(x)) == 3
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3, 1), (0, 3), (3, 0)])
