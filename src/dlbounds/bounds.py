@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import InapplicableError, _finite, as_count
 
@@ -258,8 +257,11 @@ def log_integral_check(gamma: float, x_grid) -> float:
     over the given x values in (0, 1], for gamma >= sqrt(e).  The left
     side is evaluated by adaptive quadrature (abs tolerance 1e-10); a
     correct implementation keeps the returned maximum <= 0 up to
-    quadrature error.
+    quadrature error.  scipy's `quad` is imported here, on the first
+    call, so importing dlbounds does not load scipy.
     """
+    from scipy.integrate import quad
+
     gamma = float(gamma)
     # a finite gamma below sqrt(e) is outside the inequality's range; NaN
     # and infinities are malformed

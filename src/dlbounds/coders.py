@@ -37,7 +37,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import (
     CoeffVector,
@@ -208,7 +207,8 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
         dense = np.zeros((d.p, n_sig))
         if basis:
             q, r = np.linalg.qr(atoms[:, basis])
-            dense[basis] = solve_triangular(r, q.T @ signals)
+            # as below: R is upper triangular, so solve's LU swaps no rows
+            dense[basis] = np.linalg.solve(r, q.T @ signals)
         supports = np.repeat(np.array(sorted(basis + pad))[:, None], n_sig, axis=1)
     else:
         subsets = np.array(list(combinations(range(d.p), k)))

@@ -16,6 +16,9 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
+# numpy loads its random module on first attribute access; every seeded
+# run draws from it, so it is loaded with the library, not in the first draw
+from numpy.random import SeedSequence, default_rng
 
 
 class InapplicableError(ValueError):
@@ -93,13 +96,14 @@ def me_norm(matrix) -> float:
     return float(np.sqrt((m * m).sum(axis=0)).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """An n x p matrix of atoms with a declared column-norm cap gamma.
 
     The constructor enforces only shape and finiteness; norm bounds are
     checked by :func:`validate_dictionary`, which reports violations
     instead of throwing so that deliberately broken inputs can be probed.
+    Equality and hashing are by identity.
     """
 
     atoms: np.ndarray
@@ -129,9 +133,10 @@ class Dictionary:
         return np.sqrt((self.atoms * self.atoms).sum(axis=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
-    """A point in R^n; `unit` marks signals that must lie on the sphere."""
+    """A point in R^n; `unit` marks signals that must lie on the sphere.
+    Equality and hashing are by identity."""
 
     values: np.ndarray
     unit: bool = False
@@ -188,12 +193,13 @@ class SignalBatch(Sequence):
         return Signal(cols, unit=True) if cols.ndim == 1 else SignalBatch(cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffVector:
     """A coefficient vector together with its support.
 
     Entries off the support are exactly zero; the support is the set of
-    atom indices a coder actually used.
+    atom indices a coder actually used.  Equality and hashing are by
+    identity.
     """
 
     values: np.ndarray
@@ -318,7 +324,7 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Counter-derived RNG substream: substream(seed, i) is the i-th worker
     stream of a master seed, identical whether trials run serially or in
     parallel."""
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *[int(k) for k in key]]))
+    return default_rng(SeedSequence([int(master_seed), *[int(k) for k in key]]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import CoeffVector, InapplicableError, NORM_TOL, _finite, as_count, as_vector
 from .coders import CodingResult, _check_signals, _greedy_columns
@@ -85,6 +84,9 @@ def gaussian_kernel(sigma: float) -> KernelFn:
     """
     sigma = _finite(sigma, "sigma")
     # cdist is exactly 0 on equal rows (Gram diagonal 1) and makes no a x b x n temporary.
+    # It is imported here, when a gaussian kernel is built, so importing dlbounds does not load scipy.
+    from scipy.spatial.distance import cdist
+
     return KernelFn(fn=lambda xs, ys: np.exp(-cdist(xs, ys, "sqeuclidean") / (2.0 * sigma * sigma)),
                     name=f"gaussian:{sigma:g}",
                     smoothness=(math.exp(-0.5) / sigma, 1.0), feature_norm_cap=1.0)

@@ -85,6 +85,15 @@ def test_signal_batch_compares_by_identity():
     twin = SignalBatch(batch.values)
     assert batch == batch and batch != twin
     assert len({batch, twin, batch}) == 2
+    # the array-holding value types follow the same rule, so == and hash
+    # neither raise on their arrays nor compare contents
+    for make in (lambda: Signal(np.array([0.6, 0.8])), lambda: Dictionary(np.eye(2)),
+                 lambda: CoeffVector(np.array([0.0, 2.0]), (1,))):
+        one, other = make(), make()
+        assert one == one and one != other
+        assert len({one, other, one}) == 2
+    signal = batch[1]
+    assert signal in [signal] and signal not in batch and batch.count(signal) == 0
 
 
 @pytest.mark.parametrize("bad, scale, message", [

@@ -1,18 +1,25 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+importing the library loads numpy alone.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module, including
 inside a string annotation.  The package's __init__ is exempt: its imports
-are the public re-exports.
+are the public re-exports.  Module-level imports may name only the standard
+library, numpy or the package itself; scipy is imported inside the two
+functions that use it, so a process that never calls them never loads it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dlbounds"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _annotations(tree: ast.AST):
@@ -56,3 +63,61 @@ def test_checker_sees_string_annotations_and_aliases():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Top-level package of every absolute import that runs when the module
+    is imported: everything outside function bodies."""
+    found, stack = [], [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(set(found))
+
+
+def test_import_checker_skips_function_bodies_and_relative_imports():
+    source = ("import os.path\n"
+              "from . import core\n"
+              "from .coders import x\n"
+              "try:\n"
+              "    import scipy.linalg\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "class K:\n"
+              "    import json\n"
+              "def f():\n"
+              "    from scipy.integrate import quad\n")
+    assert module_level_imports(source) == ["json", "os", "scipy"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_level_imports_are_stdlib_or_numpy(path):
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    assert [m for m in module_level_imports(path.read_text(encoding="utf-8")) if m not in allowed] == []
+
+
+def test_cli_import_leaves_scipy_unloaded_until_used():
+    script = (
+        "import sys\n"
+        "import dlbounds.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "import numpy as np\n"
+        "from dlbounds.bounds import log_integral_check\n"
+        "from dlbounds.core import substream, uniform_sphere_matrix\n"
+        "from dlbounds.kernels import gram_matrix, kernel_from_name\n"
+        "points = uniform_sphere_matrix(8, 40, substream(3, 0)).T\n"
+        "gram = gram_matrix(kernel_from_name('gaussian:0.8'), points)\n"
+        "assert np.all(np.diag(gram) == 1.0), np.diag(gram)\n"
+        "assert log_integral_check(10.0, [0.5]) <= 1e-8\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
