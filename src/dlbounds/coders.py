@@ -7,7 +7,7 @@ set A is
 
 with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 (L1Ball).  One engine per minimization codes the columns of an n x N matrix
-behind one signal check; `repr_error` codes one signal as its N=1 case, and
+held to core's array rule; `repr_error` codes one signal as its N=1 case, and
 `exact_ksparse`, `greedy_ksparse` and `l1_solve` are its views.  The
 exhaustive engine is the ground truth: stacked QRs score the full-rank
 supports by the energy they capture, each winner is solved from the QR that
@@ -48,6 +48,7 @@ from .core import (
     SparsityConstraint,
     _finite,
     as_count,
+    as_matrix,
     as_vector,
     validate_dictionary,
 )
@@ -90,14 +91,12 @@ def _full_rank(r: np.ndarray) -> np.ndarray:
     return (r.shape[-2] == r.shape[-1]) & (top > 0.0) & (diag.min(axis=-1) > RANK_RTOL * top)
 
 
-def _check_signals(n: int, signals) -> np.ndarray:
-    """signals as a finite n x N matrix, n the atoms' dimension."""
-    signals = np.asarray(signals, dtype=float)
-    if signals.ndim != 2 or signals.shape[0] != n:
-        raise ValueError(f"signals must be {n} x N (dimension {n}), got shape {signals.shape}")
-    if not np.all(np.isfinite(signals)):
-        raise ValueError("signal entries must be finite")
-    return signals
+def _check_sparsity(k, limit: int, limit_name: str = "p") -> int:
+    """k as a count in [1, limit]; limit_name words the limit in the message."""
+    k = as_count(k, "k")
+    if not k <= limit:
+        raise ValueError(f"k must satisfy 1 <= k <= {limit_name} = {limit}, got {k}")
+    return k
 
 
 def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
@@ -144,9 +143,7 @@ def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
 
 
 def _greedy_signals(d: Dictionary, signals: np.ndarray, k: int):
-    k = as_count(k, "k")
-    if not k <= min(d.n, d.p):
-        raise ValueError(f"k must satisfy 1 <= k <= min(n, p) = {min(d.n, d.p)}, got {k}")
+    k = _check_sparsity(k, min(d.n, d.p), "min(n, p)")
     return _greedy_columns(d.atoms.T @ d.atoms, d.atoms.T @ signals, k)
 
 
@@ -159,7 +156,7 @@ def greedy_ksparse(d: Dictionary, x, k: int) -> CodingResult:
 
 def greedy_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy coder over the columns of an n x N matrix: (coeffs p x N, errors N)."""
-    signals = _check_signals(d.n, signals)
+    signals = as_matrix(signals, "signals", d.n)
     dense = _greedy_signals(d, signals, k)[0]
     return dense, np.linalg.norm(d.atoms @ dense - signals, axis=0)
 
@@ -193,9 +190,7 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     first basis, padded with the lowest other atoms.  Returns (coeffs p x N,
     errors N, supports k x N).
     """
-    k = as_count(k, "k")
-    if not k <= d.p:
-        raise ValueError(f"k must satisfy 1 <= k <= p = {d.p}, got {k}")
+    k = _check_sparsity(k, d.p)
     if comb(d.p, k) > EXACT_GUARD:
         raise GuardExceededError(f"C({d.p},{k}) = {comb(d.p, k)} exceeds guard {EXACT_GUARD}")
     atoms, n_sig = d.atoms, signals.shape[1]
@@ -256,13 +251,13 @@ def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.
     Returns (coeffs, errors) with coeffs p x N dense and errors length N.
     Same engine as exact_ksparse, run on all columns at once.
     """
-    dense, errors, _supports = _exact_columns(d, _check_signals(d.n, signals), k)
+    dense, errors, _supports = _exact_columns(d, as_matrix(signals, "signals", d.n), k)
     return dense, errors
 
 
 def project_l1(v, radius: float) -> np.ndarray:
     """Euclidean projection of a vector onto the l1 ball of the given radius."""
-    v = as_vector(v)
+    v = as_vector(v, "vector")
     return _project_l1_columns(v[:, None], radius)[:, 0]
 
 
@@ -442,7 +437,7 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     residual ||a - P(a - grad/L)|| of the returned coefficients, L the
     squared spectral norm of D).
     """
-    signals = _check_signals(d.n, signals)
+    signals = as_matrix(signals, "signals", d.n)
     p, n_sig = d.p, signals.shape[1]
     lam = L1Ball(lam).lam
     atoms = d.atoms
@@ -569,7 +564,7 @@ def repr_error(d: Dictionary, x, constraint: SparsityConstraint, exact: bool = F
     certified l1 solver (error within ERR_TOL of the optimum, by its duality
     gap).  The error is ||D a - x||_2 of the returned coefficients.
     """
-    signal = _check_signals(d.n, as_vector(x)[:, None])
+    signal = as_vector(x, "signal", d.n)[:, None]
     extra = {}
     if isinstance(constraint, HardK) and exact:
         dense, _errors, supports = _exact_columns(d, signal, constraint.k)
@@ -596,9 +591,7 @@ def coeff_l1_bound(d: Dictionary, k: int) -> float:
     Valid when column norms lie in [1, gamma] and mu_{k-1}(D) < 1; order 0
     is an empty sum, so mu_0 = 0.
     """
-    k = as_count(k, "k")
-    if not k <= d.p:
-        raise ValueError(f"k must satisfy 1 <= k <= p = {d.p}, got {k}")
+    k = _check_sparsity(k, d.p)
     problems = validate_dictionary(d)
     if problems:
         raise ValueError("dictionary invalid: " + "; ".join(problems))

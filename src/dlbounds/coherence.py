@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Dictionary, GuardExceededError, as_count
+from .core import Dictionary, GuardExceededError, as_count, as_matrix
 
 # Enumerating subsets is allowed up to this many (subset, atom) pairs.
 BRUTEFORCE_GUARD = 10**7
@@ -31,7 +31,7 @@ class BabelValue:
 
 
 def _check_order(p: int, k: int) -> int:
-    k = as_count(k, "babel order k")
+    k = as_count(k, "k")
     if not k <= p - 1:
         raise ValueError(f"babel order must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
     return k
@@ -45,8 +45,8 @@ def babel_from_gram(gram: np.ndarray, k: int) -> BabelValue:
     instead of a subset enumeration.  Works for any inner product
     (kernelized atoms included) since only the Gram matrix enters.
     """
-    g = np.asarray(gram, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 2:
+    g = as_matrix(gram, "gram")
+    if g.shape[0] != g.shape[1] or g.shape[0] < 2:
         raise ValueError(f"gram must be square with p >= 2, got shape {g.shape}")
     p = g.shape[0]
     k = _check_order(p, k)

@@ -42,20 +42,33 @@ class SearchFailureError(RuntimeError):
 NORM_TOL = 1e-9
 
 
-def _as_matrix(values) -> np.ndarray:
-    m = np.asarray(values, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
+def _as_array(values, name: str, ndim: int, rows: int | None) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {a.shape}")
+    if rows is not None and a.shape[0] != rows:
+        raise ValueError(f"{name} must have dimension {rows}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce a Signal, CoeffVector, or array-like to a contiguous 1-d float
-    array (numpy's products round a strided view differently)."""
-    v = np.asarray(getattr(x, "values", x), dtype=float, order="C")
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    return v
+def as_matrix(values, name: str, rows: int | None = None) -> np.ndarray:
+    """The rule for every matrix the library is handed: a nonempty 2-d float
+    array with finite entries and, when rows is given, that many rows (the
+    dimension of its column signals).  Taken by np.asarray, so a float array
+    comes back as itself, never copied or re-laid-out; name words the
+    ValueError."""
+    return _as_array(values, name, 2, rows)
+
+
+def as_vector(values, name: str, rows: int | None = None) -> np.ndarray:
+    """The matrix rule for one vector: a Signal's, a CoeffVector's or an
+    array-like's values as a nonempty, finite 1-d float array of length rows
+    when given.  It is made contiguous (numpy's products round a strided
+    view differently)."""
+    v = np.asarray(getattr(values, "values", values), dtype=float, order="C")
+    return _as_array(v, name, 1, rows)
 
 
 def _finite(value, name: str, floor: float = 0.0, strict: bool = True) -> float:
@@ -88,11 +101,7 @@ def me_norm(matrix) -> float:
     This is the metric used for dictionary perturbations: it upper-bounds
     the induced l1 -> l2 operator norm, so ||M a||_2 <= me_norm(M) ||a||_1.
     """
-    m = _as_matrix(matrix)
-    if m.size == 0:
-        raise ValueError("me_norm of an empty matrix is undefined")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    m = as_matrix(matrix, "matrix")
     return float(np.sqrt((m * m).sum(axis=0)).max())
 
 
@@ -100,7 +109,7 @@ def me_norm(matrix) -> float:
 class Dictionary:
     """An n x p matrix of atoms with a declared column-norm cap gamma.
 
-    The constructor enforces only shape and finiteness; norm bounds are
+    The constructor enforces only the matrix rule (as_matrix); norm bounds are
     checked by :func:`validate_dictionary`, which reports violations
     instead of throwing so that deliberately broken inputs can be probed.
     Equality and hashing are by identity.
@@ -110,11 +119,7 @@ class Dictionary:
     gamma: float = 1.0
 
     def __post_init__(self):
-        atoms = _as_matrix(self.atoms)
-        if atoms.shape[0] < 1 or atoms.shape[1] < 1:
-            raise ValueError(f"dictionary must be at least 1 x 1, got {atoms.shape}")
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("dictionary entries must be finite")
+        atoms = as_matrix(self.atoms, "dictionary")
         gamma = _finite(self.gamma, "gamma", 1.0, strict=False)
         atoms = atoms.copy()
         atoms.flags.writeable = False
@@ -142,11 +147,7 @@ class Signal:
     unit: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError(f"signal must be a nonempty 1-d vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal entries must be finite")
+        v = as_vector(self.values, "signal")
         if self.unit and abs(float(np.linalg.norm(v)) - 1.0) > NORM_TOL:
             raise ValueError("signal flagged as unit-sphere has norm != 1")
         v = v.copy()
@@ -164,21 +165,17 @@ class Signal:
 @dataclass(frozen=True, eq=False)
 class SignalBatch(Sequence):
     """m unit-norm signals in R^n, stored as the columns of one read-only
-    n x m array (`values`) and checked once by Signal's rules, every column
-    as a unit-sphere signal.  The array is a C-contiguous copy, since
-    numpy's products round a strided matrix differently.  An integer index
-    yields a Signal; a slice (or an index array) yields a SignalBatch of
-    those columns, which must be nonempty.  Equality and hashing are by
-    identity."""
+    n x m array (`values`), checked once by the matrix rule (as_matrix) and
+    every column by Signal's unit-sphere test.  The array is a C-contiguous
+    copy, since numpy's products round a strided matrix differently.  An
+    integer index yields a Signal; a slice (or an index array) yields a
+    SignalBatch of those columns, which must be nonempty.  Equality and
+    hashing are by identity."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, order="C")
-        if v.ndim != 2 or v.size < 1:
-            raise ValueError(f"signal batch must be a nonempty 2-d array, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal entries must be finite")
+        v = as_matrix(np.array(self.values, dtype=float, order="C"), "signal batch")
         # einsum's column norms make no n x m temporary
         if np.any(np.abs(np.sqrt(np.einsum("ij,ij->j", v, v)) - 1.0) > NORM_TOL):
             raise ValueError("signal flagged as unit-sphere has norm != 1")
@@ -206,11 +203,7 @@ class CoeffVector:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"coefficients must be 1-d, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("coefficients must be finite")
+        v = as_vector(self.values, "coefficients")
         support = tuple(sorted(int(i) for i in self.support))
         if len(set(support)) != len(support):
             raise ValueError("support indices must be distinct")
@@ -269,8 +262,6 @@ def validate_dictionary(d: Dictionary, normalized: bool = False) -> list[str]:
     otherwise norms must lie in [1 - NORM_TOL, gamma + NORM_TOL].
     """
     report: list[str] = []
-    if not np.all(np.isfinite(d.atoms)):
-        report.append("non-finite entries")
     norms = d.column_norms()
     if normalized:
         bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
@@ -339,7 +330,7 @@ def _format_row(row: np.ndarray) -> str:
 
 
 def save_matrix(path, matrix) -> None:
-    m = _as_matrix(matrix)
+    m = as_matrix(matrix, "matrix")
     lines = [_format_row(row) for row in m]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -395,4 +386,4 @@ def load_signal(path) -> Signal:
 
 
 def save_signal(path, x) -> None:
-    save_matrix(path, as_vector(x)[None, :])
+    save_matrix(path, as_vector(x, "signal")[None, :])

@@ -25,13 +25,14 @@ from .core import (
     SparsityConstraint,
     _finite,
     as_count,
+    as_vector,
     me_norm,
     substream,
     uniform_sphere_matrix,
     validate_dictionary,
 )
 from .coders import exact_ksparse, exact_ksparse_batch, l1_solve_batch
-from .coherence import babel
+from .coherence import _check_order, babel
 from .bounds import (
     BoundInputs,
     BoundReport,
@@ -117,17 +118,23 @@ def babel_tail_bound(n: int, p: int, k: int) -> float:
     """Tail bound P(mu_k(D) > 1/2) <= 1/(e^((n-2)/(10 k ln p)^2) - 1) for a
     dictionary of p uniform sphere atoms, clamped to [0, 1] (the clamp
     only ever loosens: nonpositive exponents report the vacuous 1)."""
-    n, p, k = as_count(n, "n"), as_count(p, "p"), as_count(k, "k")
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if not 1 <= k <= p - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
+    n, p = as_count(n, "n"), as_count(p, "p")
+    k = _check_order(p, k)
     exponent = (n - 2) / (10.0 * k * math.log(p)) ** 2
     if exponent <= 0.0:
         return 1.0
     if exponent > 700.0:  # expm1 would overflow; 1/(e^x - 1) = e^-x to double precision
         return math.exp(-exponent)
     return min(1.0, 1.0 / math.expm1(exponent))
+
+
+def _ordered_map(fn, count: int, threads: int) -> list:
+    """[fn(0), ..., fn(count - 1)], on a pool of `threads` threads when
+    threads > 1; results keep their index order either way."""
+    if threads == 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(count)))
 
 
 class McBabelResult(NamedTuple):
@@ -155,11 +162,7 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
         atoms = uniform_sphere_matrix(n, p, substream(seed, i))
         return babel(Dictionary(atoms), k).value
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, range(trials)))
-    else:
-        values = [one(i) for i in range(trials)]
+    values = _ordered_map(one, trials, threads)
     records = [TrialRecord(trial=i, seed=seed, n=n, p=p, k=k, stat=v, bound=bound)
                for i, v in enumerate(values)]
     empirical = sum(v > threshold for v in values) / trials
@@ -260,9 +263,7 @@ def nonlipschitz_demo(n: int, p: int, k: int, eps: float, *, seed: int = 0,
     d = Dictionary(atoms)
 
     if q is not None:
-        qv = np.asarray(getattr(q, "values", q), dtype=float)
-        if qv.shape != (n,):
-            raise ValueError(f"q must have shape ({n},), got {qv.shape}")
+        qv = as_vector(q, "q", n)
         if abs(qv[0]) > 1e-9 or abs(np.linalg.norm(qv) - 1.0) > 1e-9:
             raise ValueError("q must be unit norm and orthogonal to e_1")
         h_value = exact_ksparse(d, qv, k).error
@@ -415,11 +416,7 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
                         train_sq_mean=train_sq, test_sq_mean=test_sq,
                         train_se=train_se, test_se=test_se, delta=delta, evals=evals)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(one, range(len(m_grid))))
-    else:
-        points = [one(i) for i in range(len(m_grid))]
+    points = _ordered_map(one, len(m_grid), threads)
 
     records: list[TrialRecord] = []
     for point in points:

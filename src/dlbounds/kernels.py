@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CoeffVector, InapplicableError, NORM_TOL, _finite, as_count, as_vector
-from .coders import CodingResult, _check_signals, _greedy_columns
+from .core import CoeffVector, InapplicableError, NORM_TOL, _finite, as_count, as_matrix, as_vector
+from .coders import CodingResult, _check_sparsity, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
 from .bounds import BoundInputs, BoundReport, _ksparse_lam, slow_rate_generic
 
@@ -52,22 +52,17 @@ class KernelFn:
     feature_norm_cap: float | None = None
 
     def __call__(self, x, y) -> float:
-        return float(_kernel_block(self, as_vector(x)[None], as_vector(y)[None])[0, 0])
+        return float(_kernel_block(self, as_vector(x, "x")[None], as_vector(y, "y")[None])[0, 0])
 
 
 def _kernel_block(kf: KernelFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """kf's values on the rows of xs and ys, held to the matrix rule: every
+    kernel value the module reads comes through here."""
     block = np.asarray(kf.fn(xs, ys), dtype=float)
     if block.shape != (len(xs), len(ys)):
         raise ValueError(f"kernel {kf.name!r} returned shape {block.shape}, "
                          f"expected the pairwise block {(len(xs), len(ys))}")
-    return block
-
-
-def _check_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"points must be a nonempty 2-d array, got shape {pts.shape}")
-    return pts
+    return as_matrix(block, f"kernel {kf.name!r} values")
 
 
 def linear_kernel() -> KernelFn:
@@ -122,7 +117,7 @@ def kernel_from_name(name: str) -> KernelFn:
 
 def gram_matrix(kf: KernelFn, points: np.ndarray) -> np.ndarray:
     """Gram matrix of kappa over rows of points, filled symmetrically from its upper triangle."""
-    pts = _check_points(points)
+    pts = as_matrix(points, "points")
     block = _kernel_block(kf, pts, pts)
     return np.triu(block) + np.triu(block, 1).T
 
@@ -130,7 +125,7 @@ def gram_matrix(kf: KernelFn, points: np.ndarray) -> np.ndarray:
 def validate_kernel(kf: KernelFn, points: np.ndarray) -> list[str]:
     """Report kernel sanity violations on sample points: asymmetry beyond
     SYMMETRY_TOL, or Gram minimum eigenvalue below EIG_FLOOR."""
-    pts = _check_points(points)
+    pts = as_matrix(points, "points")
     report: list[str] = []
     g = _kernel_block(kf, pts, pts)
     worst_asym = float(np.abs(g - g.T).max())
@@ -156,12 +151,10 @@ class KernelDictionary:
     gamma: float = 1.0
 
     def __post_init__(self):
-        pts = _check_points(self.points)
-        g = np.asarray(self.gram, dtype=float)
-        if g.shape != (pts.shape[0], pts.shape[0]):
+        pts = as_matrix(self.points, "points")
+        g = as_matrix(self.gram, "gram", pts.shape[0])
+        if g.shape[1] != pts.shape[0]:
             raise ValueError(f"gram shape {g.shape} does not match {pts.shape[0]} points")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(g))):
-            raise ValueError("points and gram must be finite")
         gamma = _finite(self.gamma, "gamma", 1.0, strict=False)
         pts = pts.copy(); pts.flags.writeable = False
         g = g.copy(); g.flags.writeable = False
@@ -171,8 +164,7 @@ class KernelDictionary:
 
     @classmethod
     def build(cls, points: np.ndarray, kf: KernelFn, gamma: float = 1.0) -> "KernelDictionary":
-        return cls(points=np.asarray(points, dtype=float),
-                   gram=gram_matrix(kf, points), gamma=gamma)
+        return cls(points=points, gram=gram_matrix(kf, points), gamma=gamma)
 
     @property
     def p(self) -> int:
@@ -194,11 +186,10 @@ def validate_kernel_dictionary(kd: KernelDictionary) -> list[str]:
 
 def _coeff_support(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(support indices, their values) from a CoeffVector or dense array,
-    which is held to CoeffVector's rules (1-d, finite)."""
+    which is held to CoeffVector's rules and must have length p."""
     if not isinstance(coeffs, CoeffVector):
         coeffs = CoeffVector.from_dense(coeffs)
-    if coeffs.values.shape[0] != p:
-        raise ValueError(f"coefficients have length {coeffs.values.shape[0]}, expected {p}")
+    as_vector(coeffs, "coefficients", p)
     idx = np.asarray(coeffs.support, dtype=int)
     return idx, coeffs.values[idx]
 
@@ -219,7 +210,7 @@ def kernel_repr_error(x, coeffs, kd: KernelDictionary, kf: KernelFn) -> float:
     applications).  Raises if the quadratic form dips below the PSD floor
     -1e-8; small negatives above it clamp to 0.
     """
-    xv = _check_signals(kd.points.shape[1], as_vector(x)[:, None])[:, 0]
+    xv = as_vector(x, "signal", kd.points.shape[1])
     idx, vals = _coeff_support(coeffs, kd.p)
     kxx = float(kf(xv, xv))
     kx_s = _kernel_block(kf, xv[None], kd.points[idx])[0] if idx.size else np.zeros(0)
@@ -232,10 +223,8 @@ def kernel_greedy_ksparse(x, kd: KernelDictionary, kf: KernelFn, k: int):
 
     Under the linear kernel this matches greedy_ksparse.
     """
-    xv = _check_signals(kd.points.shape[1], as_vector(x)[:, None])[:, 0]
-    k = as_count(k, "k")
-    if not k <= kd.p:
-        raise ValueError(f"k must satisfy 1 <= k <= p = {kd.p}, got {k}")
+    xv = as_vector(x, "signal", kd.points.shape[1])
+    k = _check_sparsity(k, kd.p)
     kx = _kernel_block(kf, xv[None], kd.points)[0]
     dense, supports, ridge_used = _greedy_columns(kd.gram, kx[:, None], k)
     idx = supports[0][supports[0] >= 0]
@@ -264,8 +253,8 @@ def holder_feature_check(kf: KernelFn, pairs) -> float:
     count = 0
     for x, y in pairs:
         # finite vectors of one dimension: max() drops a NaN violation
-        xv = _check_signals(as_vector(x).size, as_vector(x)[:, None])[:, 0]
-        yv = _check_signals(xv.size, as_vector(y)[:, None])[:, 0]
+        xv = as_vector(x, "x")
+        yv = as_vector(y, "y", xv.size)
         sq = kf(xv, xv) - 2.0 * kf(xv, yv) + kf(yv, yv)
         if sq < PSD_QUAD_FLOOR:
             raise ValueError(f"feature distance squared {sq:.3g} below PSD floor")

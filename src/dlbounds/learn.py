@@ -22,13 +22,14 @@ from .core import (
     SparsityConstraint,
     _finite,
     as_count,
+    as_matrix,
     sample_uniform_sphere,
     substream,
     uniform_sphere_matrix,
     validate_dictionary,
 )
 from .coders import exact_ksparse_batch, greedy_ksparse_batch, l1_solve_batch
-from .coherence import babel
+from .coherence import _check_order, babel
 
 SOURCE_KINDS = ("dictionary", "sphere")
 INIT_KINDS = ("sample-atoms", "random-sphere")
@@ -128,20 +129,13 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
 
 def signals_to_matrix(signals) -> np.ndarray:
     """The n x m matrix of a SignalBatch (its own read-only values), an
-    n x m array as-is, or a list of Signals column-stacked."""
+    n x m array as-is, or a list of Signals column-stacked, held to the
+    matrix rule (as_matrix)."""
     if isinstance(signals, SignalBatch):
         return signals.values
-    if isinstance(signals, np.ndarray):
-        x = np.asarray(signals, dtype=float)
-        if x.ndim != 2:
-            raise ValueError(f"expected an n x m matrix, got shape {x.shape}")
-        return x
-    cols = [np.asarray(getattr(s, "values", s), dtype=float) for s in signals]
-    if not cols:
-        raise ValueError("need at least one signal")
-    if any(c.ndim != 1 or c.shape != cols[0].shape for c in cols):
-        raise ValueError("signals must share one dimension")
-    return np.stack(cols, axis=1)
+    if not isinstance(signals, np.ndarray):
+        signals = np.stack([getattr(s, "values", s) for s in signals], axis=1)
+    return as_matrix(signals, "signals")
 
 
 @dataclass(frozen=True)
@@ -238,8 +232,7 @@ def near_orthogonal_dictionary(n: int, p: int, rng: np.random.Generator, *,
     NEAR_ORTHOGONAL_TRIES candidates raises SearchFailureError carrying the
     best Babel value reached.
     """
-    if not 1 <= babel_order <= p - 1:
-        raise ValueError(f"babel_order must satisfy 1 <= order <= p-1 = {p - 1}, got {babel_order}")
+    babel_order = _check_order(p, babel_order)
     best = math.inf
     for _ in range(NEAR_ORTHOGONAL_TRIES):
         atoms = uniform_sphere_matrix(n, p, rng)

@@ -97,8 +97,8 @@ def test_signal_batch_compares_by_identity():
 
 
 @pytest.mark.parametrize("bad, scale, message", [
-    (math.nan, 1.0, "signal entries must be finite"),
-    (math.inf, 1.0, "signal entries must be finite"),
+    (math.nan, 1.0, "{} must be finite"),
+    (math.inf, 1.0, "{} must be finite"),
     (None, 1 + 1e-6, "signal flagged as unit-sphere has norm != 1"),
 ], ids=["nan", "inf", "off-sphere"])
 def test_signal_batch_checks_like_signal(bad, scale, message):
@@ -106,8 +106,9 @@ def test_signal_batch_checks_like_signal(bad, scale, message):
     x[:, 2] *= scale
     if bad is not None:
         x[1, 2] = bad
-    for make in (lambda: SignalBatch(x), lambda: Signal(x[:, 2], unit=True)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    for make, name in ((lambda: SignalBatch(x), "signal batch"),
+                       (lambda: Signal(x[:, 2], unit=True), "signal")):
+        with pytest.raises(ValueError, match=f"^{message.format(name)}$"):
             make()
 
 
@@ -359,6 +360,6 @@ def test_signal_rejects_multiline(tmp_path):
 
 
 def test_as_vector_coerces():
-    assert np.array_equal(as_vector(Signal(np.array([1.0, 2.0]))), [1.0, 2.0])
+    assert np.array_equal(as_vector(Signal(np.array([1.0, 2.0])), "x"), [1.0, 2.0])
     with pytest.raises(ValueError):
-        as_vector(np.eye(2))
+        as_vector(np.eye(2), "x")

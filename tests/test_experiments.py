@@ -153,7 +153,7 @@ def test_lipschitz_probe_rejects_wrong_dimension(constraint):
     # the coders' signal check makes it, on the first dictionary
     d, d_prime = perturbed_pair(Dictionary(uniform_sphere_matrix(5, 7, substream(1, 0))), 0.1,
                                 substream(1, 2))
-    with pytest.raises(ValueError, match=r"^signals must be 5 x N \(dimension 5\), got shape \(4, 3\)$"):
+    with pytest.raises(ValueError, match=r"^signals must have dimension 5, got shape \(4, 3\)$"):
         lipschitz_probe(d, d_prime, uniform_sphere_matrix(4, 3, substream(1, 1)), constraint)
 
 

@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and
-importing the library loads numpy alone.
+"""Every name a library module imports is used in that module, importing
+the library loads numpy alone, and only core tests arrays for finiteness.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module, including
@@ -7,6 +7,9 @@ inside a string annotation.  The package's __init__ is exempt: its imports
 are the public re-exports.  Module-level imports may name only the standard
 library, numpy or the package itself; scipy is imported inside the two
 functions that use it, so a process that never calls them never loads it.
+Every vector and matrix is checked by core's array rule (as_matrix and
+as_vector), so `np.isfinite` appears in core alone: a second call site is a
+hand-written copy of the rule.
 """
 
 import ast
@@ -121,3 +124,24 @@ def test_cli_import_leaves_scipy_unloaded_until_used():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def isfinite_calls(source: str) -> int:
+    """Calls of numpy's isfinite, as np.isfinite or numpy.isfinite."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "isfinite" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id in ("np", "numpy")
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_isfinite_checker_counts_numpy_calls_only():
+    source = ("import math\n"
+              "import numpy as np\n"
+              "def f(a, x):\n"
+              "    return np.isfinite(a).all() and math.isfinite(x) and np.all(np.isfinite(a))\n")
+    assert isfinite_calls(source) == 2
+
+
+def test_only_core_calls_np_isfinite():
+    calls = {p.name: isfinite_calls(p.read_text(encoding="utf-8")) for p in ALL_MODULES}
+    assert [name for name, count in calls.items() if count] == ["core.py"]

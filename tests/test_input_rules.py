@@ -1,9 +1,12 @@
 """One rule per kind of input: counts go through core.as_count, positive
-reals must be finite and above their floor, a single signal goes through
-the batch coders' signal check, and each calculator's slow bound is built
-on the same covering number its log-cover function reports."""
+reals must be finite and above their floor, every vector and matrix (a
+kernel's values included) goes through core's array rule, and each
+calculator's slow bound is built on the same covering number its log-cover
+function reports."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -27,23 +30,32 @@ from dlbounds.coders import (
     greedy_ksparse,
     greedy_ksparse_batch,
     l1_solve,
+    l1_solve_batch,
+    project_l1,
     repr_error,
 )
 from dlbounds.coherence import babel, babel_bruteforce, babel_from_gram
 from dlbounds.core import (
+    CoeffVector,
     Dictionary,
     HardK,
     InapplicableError,
     L1Ball,
     Signal,
+    me_norm,
+    save_matrix,
+    save_signal,
     substream,
     uniform_sphere_matrix,
 )
-from dlbounds.experiments import gengap_run, mc_babel, nonlipschitz_demo, perturbed_pair
+from dlbounds.experiments import gengap_run, lipschitz_probe, mc_babel, nonlipschitz_demo, perturbed_pair
 from dlbounds.kernels import (
     KernelDictionary,
+    KernelFn,
     feature_babel,
     gaussian_kernel,
+    gram_matrix,
+    holder_feature_check,
     kernel_cover_log,
     kernel_from_name,
     kernel_gen_bound,
@@ -51,8 +63,15 @@ from dlbounds.kernels import (
     kernel_repr_error,
     linear_kernel,
     polynomial_kernel,
+    validate_kernel,
 )
-from dlbounds.learn import LearnerConfig, dictionary_source, sphere_source
+from dlbounds.learn import (
+    LearnerConfig,
+    dictionary_source,
+    learn_dictionary,
+    signals_to_matrix,
+    sphere_source,
+)
 
 D = Dictionary(uniform_sphere_matrix(4, 6, substream(21, 0)))
 X = uniform_sphere_matrix(4, 3, substream(21, 1))
@@ -194,17 +213,103 @@ def _fields(result):
 def test_single_signal_rule(name):
     code = SINGLE[name]
     # a matrix is not one signal, even one whose columns have the atoms' dimension
-    with pytest.raises(ValueError, match=r"^expected a 1-d vector, got shape \(4, 2\)$"):
+    with pytest.raises(ValueError, match=r"^signal must be a nonempty 1-d array, got shape \(4, 2\)$"):
         code(X[:, :2])
-    with pytest.raises(ValueError, match=r"^signals must be 4 x N \(dimension 4\), got shape \(5, 1\)$"):
+    with pytest.raises(ValueError, match=r"^signal must be a nonempty 1-d array, got shape \(0,\)$"):
+        code(np.ones(0))
+    with pytest.raises(ValueError, match=r"^signal must have dimension 4, got shape \(5,\)$"):
         code(np.ones(5))
-    bad = X[:, 0].copy()
-    bad[1] = math.nan
-    with pytest.raises(ValueError, match="^signal entries must be finite$"):
-        code(bad)
+    for value in (math.nan, math.inf):
+        bad = X[:, 0].copy()
+        bad[1] = value
+        with pytest.raises(ValueError, match="^signal must be finite$"):
+            code(bad)
     x = X[:, 0]  # a strided view
     results = {_fields(code(form)) for form in (Signal(x), x.tolist(), x, x.copy())}
     assert len(results) == 1
+
+
+# Every other public entry that takes a vector or a matrix, as (entry, the
+# rule's name for the input, the dimension the entry knows or None, a good
+# input, the call on an input).  The single-signal coders are above, the
+# SignalBatch shapes and entries in tests/test_core.py, and lipschitz_probe's
+# dimension in tests/test_experiments.py.
+def array_calls():
+    n, lin = D.n, linear_kernel()
+    yield "me_norm", "matrix", None, D.atoms, me_norm
+    yield "Dictionary", "dictionary", None, D.atoms, Dictionary
+    yield "Signal", "signal", None, X[:, 0], Signal
+    yield "CoeffVector", "coefficients", None, np.zeros(D.p), lambda v: CoeffVector(v, ())
+    yield "CoeffVector.from_dense", "coefficients", None, np.zeros(D.p), CoeffVector.from_dense
+    yield "save_matrix", "matrix", None, D.atoms, lambda m: save_matrix(os.devnull, m)
+    yield "save_signal", "signal", None, X[:, 0], lambda v: save_signal(os.devnull, v)
+    yield "greedy_ksparse_batch", "signals", n, X, lambda x: greedy_ksparse_batch(D, x, 2)
+    yield "exact_ksparse_batch", "signals", n, X, lambda x: exact_ksparse_batch(D, x, 2)
+    yield "l1_solve_batch", "signals", n, X, lambda x: l1_solve_batch(D, x, 1.0)
+    yield "project_l1", "vector", None, X[:, 0], lambda v: project_l1(v, 1.0)
+    yield "babel_from_gram", "gram", None, D.atoms.T @ D.atoms, lambda g: babel_from_gram(g, 1)
+    yield "KernelFn x", "x", None, X[:, 0], lambda v: lin(v, X[:, 1])
+    yield "KernelFn y", "y", None, X[:, 0], lambda v: lin(X[:, 1], v)
+    yield "gram_matrix", "points", None, KD.points, lambda pts: gram_matrix(lin, pts)
+    yield "validate_kernel", "points", None, KD.points, lambda pts: validate_kernel(lin, pts)
+    yield "KernelDictionary points", "points", None, KD.points, lambda pts: KernelDictionary(
+        pts, KD.gram)
+    yield "KernelDictionary gram", "gram", KD.p, KD.gram, lambda g: KernelDictionary(KD.points, g)
+    yield "KernelDictionary.build", "points", None, KD.points, lambda pts: KernelDictionary.build(pts, lin)
+    yield "kernel_repr_error coeffs", "coefficients", KD.p, np.zeros(KD.p), lambda c: kernel_repr_error(
+        X[:, 0], c, KD, lin)
+    yield "holder_feature_check x", "x", None, X[:, 0], lambda v: holder_feature_check(lin, [(v, X[:, 1])])
+    yield "holder_feature_check y", "y", n, X[:, 1], lambda v: holder_feature_check(lin, [(X[:, 0], v)])
+    yield "signals_to_matrix", "signals", None, X, signals_to_matrix
+    yield "learn_dictionary", "signals", None, X, lambda x: learn_dictionary(
+        x, LearnerConfig(p=2, constraint=HardK(1), iterations=1))
+    d_prime = perturbed_pair(D, 0.1, substream(21, 3))[1]
+    yield "lipschitz_probe", "signals", None, X, lambda x: lipschitz_probe(D, d_prime, x, HardK(2))
+    yield "nonlipschitz_demo q", "q", 8, np.eye(8)[1], lambda q: nonlipschitz_demo(8, 8, 2, 1e-3, q=q)
+
+
+def _defect(good: np.ndarray, defect: str, name: str, rows):
+    """(good with the defect, the message the rule gives for it)."""
+    bad = np.array(good, dtype=float)
+    if defect in ("nan", "inf"):
+        bad.flat[1] = math.nan if defect == "nan" else math.inf
+        return bad, f"^{re.escape(name)} must be finite$"
+    bad = {"ndim": bad[None], "empty": bad[..., :0], "rows": bad[:-1]}[defect]
+    shape = re.escape(str(bad.shape))
+    if defect == "rows":
+        return bad, f"^{re.escape(name)} must have dimension {rows}, got shape {shape}$"
+    return bad, f"^{re.escape(name)} must be a nonempty {good.ndim}-d array, got shape {shape}$"
+
+
+# a kernel that reads NaN off finite points, with no RuntimeWarning on the way
+HALFDOT = KernelFn(lambda xs, ys: np.where(xs @ ys.T < 0, np.nan, xs @ ys.T), "halfdot")
+HALF_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+KD_HALF = KernelDictionary.build(HALF_POINTS, linear_kernel())
+
+
+def array_cases():
+    for entry, name, rows, good, call in array_calls():
+        for defect in ("nan", "inf", "ndim", "empty", "rows")[:5 if rows else 4]:
+            bad, message = _defect(good, defect, name, rows)
+            yield f"{entry}-{defect}", lambda call=call, bad=bad: call(bad), message
+    kernel_value = "^kernel 'halfdot' values must be finite$"
+    yield "KernelFn-kernel-nan", lambda: HALFDOT(HALF_POINTS[0], HALF_POINTS[1]), kernel_value
+    yield "gram_matrix-kernel-nan", lambda: gram_matrix(HALFDOT, HALF_POINTS), kernel_value
+    yield "validate_kernel-kernel-nan", lambda: validate_kernel(HALFDOT, HALF_POINTS), kernel_value
+    yield "kernel_greedy_ksparse-kernel-nan", lambda: kernel_greedy_ksparse(
+        HALF_POINTS[1], KD_HALF, HALFDOT, 1), kernel_value
+    yield "kernel_repr_error-kernel-nan", lambda: kernel_repr_error(
+        HALF_POINTS[1], [1.0, 0.0, 0.0], KD_HALF, HALFDOT), kernel_value
+
+
+ARRAY_CASES = list(array_cases())
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in ARRAY_CASES],
+                         ids=[case[0] for case in ARRAY_CASES])
+def test_array_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # each single coder with its repr_error constraint and exact flag

@@ -381,5 +381,10 @@ def test_near_orthogonal_dictionary_failure_carries_best():
 
 
 def test_near_orthogonal_dictionary_order_validation():
-    with pytest.raises(ValueError):
-        near_orthogonal_dictionary(4, 6, substream(9, 0), babel_order=6)
+    for order in (6, 1.5):
+        # the order is checked before a candidate is drawn
+        rng = substream(9, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            near_orthogonal_dictionary(4, 6, rng, babel_order=order)
+        assert rng.bit_generator.state == state
