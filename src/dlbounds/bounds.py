@@ -116,11 +116,15 @@ def _l1_cover(n, p, lam) -> tuple[float, int]:
     return 4.0 * _finite(lam, "lam"), as_count(n, "n") * as_count(p, "p")
 
 
+def _log_cover(c, d, eps) -> float:
+    """log of the covering number (C / eps)^d at radius eps, clamped at 0."""
+    return max(0.0, d * math.log(c / _finite(eps, "eps")))
+
+
 def log_cover_l1(n: int, p: int, lam: float, eps: float) -> float:
     """log of the covering number (4 lam / eps)^(np) of the l1-constrained
     error-function class at radius eps, clamped at 0."""
-    c, d = _l1_cover(n, p, lam)
-    return max(0.0, d * math.log(c / _finite(eps, "eps")))
+    return _log_cover(*_l1_cover(n, p, lam), eps)
 
 
 def log_cover_ksparse(n: int, p: int, k: int, delta: float, eps: float) -> float:
@@ -254,14 +258,12 @@ def log_integral_check(gamma: float, x_grid) -> float:
 
         int_0^x sqrt(log(gamma / eps)) d(eps) <= 2 x sqrt(log(gamma / x))
 
-    over the given x values in (0, 1], for gamma >= sqrt(e).  The left
-    side is evaluated by adaptive quadrature (abs tolerance 1e-10); a
-    correct implementation keeps the returned maximum <= 0 up to
-    quadrature error.  scipy's `quad` is imported here, on the first
-    call, so importing dlbounds does not load scipy.
+    over the given x values in (0, 1], for gamma >= sqrt(e).  With
+    L = log(gamma / x) the left side is x sqrt(L) + gamma (sqrt(pi)/2)
+    erfc(sqrt(L)) in closed form, so the violation is
+    gamma (sqrt(pi)/2) erfc(sqrt(L)) - x sqrt(L), exact up to rounding; a
+    correct inequality keeps the returned maximum <= 0.
     """
-    from scipy.integrate import quad
-
     gamma = float(gamma)
     # a finite gamma below sqrt(e) is outside the inequality's range; NaN
     # and infinities are malformed
@@ -272,9 +274,7 @@ def log_integral_check(gamma: float, x_grid) -> float:
     _require(xs.size > 0, "x_grid must be nonempty")
     _require(bool(np.all((xs > 0.0) & (xs <= 1.0))), "x values must lie in (0, 1]")
     worst = -math.inf
-    for x in xs:
-        lhs, _abserr = quad(lambda e: math.sqrt(math.log(gamma / e)), 0.0, x,
-                            epsabs=1e-10, limit=200)
-        rhs = 2.0 * x * math.sqrt(math.log(gamma / x))
-        worst = max(worst, lhs - rhs)
-    return float(worst)
+    for x in xs.tolist():
+        root = math.sqrt(math.log(gamma / x))
+        worst = max(worst, gamma * math.sqrt(math.pi) / 2.0 * math.erfc(root) - x * root)
+    return worst

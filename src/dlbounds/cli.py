@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -81,22 +81,14 @@ class RunManifest:
     log_base: str = LOG_BASE_NOTE
 
     def to_json(self) -> str:
-        body = {
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "version": self.version,
-            "input_digests": self.input_digests,
-            "log_base": self.log_base,
-        }
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
+        """The manifest of a JSON text: a missing field raises KeyError,
+        and extra keys are ignored."""
         body = json.loads(text)
-        return cls(subcommand=body["subcommand"], params=body["params"],
-                   seed=body["seed"], version=body["version"],
-                   input_digests=body["input_digests"], log_base=body["log_base"])
+        return cls(**{f.name: body[f.name] for f in fields(cls)})
 
 
 def argv_from_manifest(manifest: RunManifest) -> list[str]:

@@ -43,7 +43,6 @@ from .core import (
     Dictionary,
     GuardExceededError,
     HardK,
-    InapplicableError,
     L1Ball,
     SparsityConstraint,
     _finite,
@@ -52,6 +51,8 @@ from .core import (
     as_vector,
     validate_dictionary,
 )
+from .coherence import babel
+from .bounds import _ksparse_lam
 
 # Exhaustive coding is allowed up to this many supports.
 EXACT_GUARD = 10**6
@@ -586,21 +587,14 @@ def repr_error(d: Dictionary, x, constraint: SparsityConstraint, exact: bool = F
 
 def coeff_l1_bound(d: Dictionary, k: int) -> float:
     """Upper bound gamma * k / (1 - mu_{k-1}) on the l1 norm of an optimal
-    k-sparse coefficient vector for a unit signal.
+    k-sparse coefficient vector for a unit signal: the k-sparse radius of
+    the bounds (bounds._ksparse_lam at delta = mu_{k-1}) times gamma.
 
-    Valid when column norms lie in [1, gamma] and mu_{k-1}(D) < 1; order 0
-    is an empty sum, so mu_0 = 0.
+    Valid when column norms lie in [1, gamma] and mu_{k-1}(D) < 1, else
+    InapplicableError; order 0 is an empty sum, so mu_0 = 0.
     """
     k = _check_sparsity(k, d.p)
     problems = validate_dictionary(d)
     if problems:
         raise ValueError("dictionary invalid: " + "; ".join(problems))
-    if k == 1:
-        mu = 0.0
-    else:
-        from .coherence import babel
-
-        mu = babel(d, k - 1).value
-    if mu >= 1.0:
-        raise InapplicableError(f"mu_{k - 1}(D) = {mu:.6g} >= 1; bound does not apply")
-    return d.gamma * k / (1.0 - mu)
+    return _ksparse_lam(k, babel(d, k - 1).value if k > 1 else 0.0) * d.gamma

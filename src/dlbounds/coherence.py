@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Dictionary, GuardExceededError, as_count, as_matrix
+from .core import Dictionary, GuardExceededError, as_count, as_gram
 
 # Enumerating subsets is allowed up to this many (subset, atom) pairs.
 BRUTEFORCE_GUARD = 10**7
@@ -43,11 +43,10 @@ def babel_from_gram(gram: np.ndarray, k: int) -> BabelValue:
     For each atom i the worst subset S is just the k largest |G_ji| over
     j != i, so the exact value is a per-column partial sort, O(p^2 log p),
     instead of a subset enumeration.  Works for any inner product
-    (kernelized atoms included) since only the Gram matrix enters.
+    (kernelized atoms included) since only the Gram matrix enters.  The
+    Gram is held to core's rule (as_gram): square and symmetric.
     """
-    g = as_matrix(gram, "gram")
-    if g.shape[0] != g.shape[1] or g.shape[0] < 2:
-        raise ValueError(f"gram must be square with p >= 2, got shape {g.shape}")
+    g = as_gram(gram, "gram")
     p = g.shape[0]
     k = _check_order(p, k)
     a = np.abs(g)

@@ -40,6 +40,8 @@ class SearchFailureError(RuntimeError):
 # Column norms may undershoot 1 or overshoot gamma by this much before a
 # dictionary is reported invalid.
 NORM_TOL = 1e-9
+# A Gram matrix may differ from its transpose by this much.
+SYMMETRY_TOL = 1e-12
 
 
 def _as_array(values, name: str, ndim: int, rows: int | None) -> np.ndarray:
@@ -69,6 +71,18 @@ def as_vector(values, name: str, rows: int | None = None) -> np.ndarray:
     view differently)."""
     v = np.asarray(getattr(values, "values", values), dtype=float, order="C")
     return _as_array(v, name, 1, rows)
+
+
+def as_gram(values, name: str, rows: int | None = None) -> np.ndarray:
+    """The matrix rule for a Gram matrix: as_matrix, then square (rows x rows
+    when rows is given) and symmetric to within SYMMETRY_TOL, since a Babel
+    value read off its columns would otherwise depend on its orientation."""
+    g = as_matrix(values, name, rows)
+    if g.shape[1] != g.shape[0]:
+        raise ValueError(f"{name} must be square, got shape {g.shape}")
+    if np.abs(g - g.T).max() > SYMMETRY_TOL:
+        raise ValueError(f"{name} must be symmetric to within {SYMMETRY_TOL:g}")
+    return g
 
 
 def _finite(value, name: str, floor: float = 0.0, strict: bool = True) -> float:

@@ -274,9 +274,7 @@ def nonlipschitz_demo(n: int, p: int, k: int, eps: float, *, seed: int = 0,
         while drawn < search_samples:
             width = min(SEARCH_BATCH, search_samples - drawn)
             drawn += width
-            cand = rng.standard_normal((n - 1, width))
-            cand /= np.linalg.norm(cand, axis=0)
-            block = np.vstack([np.zeros(width), cand])
+            block = np.vstack([np.zeros(width), uniform_sphere_matrix(n - 1, width, rng)])
             errors = exact_ksparse_batch(d, block, k)[1]
             hits = np.flatnonzero(errors >= target)
             if hits.size:

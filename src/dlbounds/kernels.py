@@ -24,13 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CoeffVector, InapplicableError, NORM_TOL, _finite, as_count, as_matrix, as_vector
+from .core import (CoeffVector, InapplicableError, NORM_TOL, SYMMETRY_TOL, _finite, as_count,
+                   as_gram, as_matrix, as_vector)
 from .coders import CodingResult, _check_sparsity, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
-from .bounds import BoundInputs, BoundReport, _ksparse_lam, slow_rate_generic
+from .bounds import BoundInputs, BoundReport, _ksparse_lam, _log_cover, slow_rate_generic
 
-# Tolerances for kernel sanity checks.
-SYMMETRY_TOL = 1e-12
+# Tolerances for kernel sanity checks; SYMMETRY_TOL comes from core's Gram rule.
 EIG_FLOOR = -1e-8
 PSD_QUAD_FLOOR = -1e-8
 
@@ -152,9 +152,7 @@ class KernelDictionary:
 
     def __post_init__(self):
         pts = as_matrix(self.points, "points")
-        g = as_matrix(self.gram, "gram", pts.shape[0])
-        if g.shape[1] != pts.shape[0]:
-            raise ValueError(f"gram shape {g.shape} does not match {pts.shape[0]} points")
+        g = as_gram(self.gram, "gram", pts.shape[0])
         gamma = _finite(self.gamma, "gamma", 1.0, strict=False)
         pts = pts.copy(); pts.flags.writeable = False
         g = g.copy(); g.flags.writeable = False
@@ -287,8 +285,7 @@ def kernel_cover_log(n: int, p: int, eps: float, *, cover_c: float, holder_l: fl
     """log covering number of the kernelized error-function class, clamped
     at 0.  With lam set: np * log(C (lam gamma L / eps)^(1/alpha)); with
     (k, delta) set: the same at lam gamma = k gamma^2 / (1 - delta)."""
-    c, d = _kernel_cover(n, p, cover_c, holder_l, holder_alpha, gamma, lam, k, delta)
-    return max(0.0, d * math.log(c / _finite(eps, "eps")))
+    return _log_cover(*_kernel_cover(n, p, cover_c, holder_l, holder_alpha, gamma, lam, k, delta), eps)
 
 
 KERNEL_VARIANTS = ("maurer_k", "slow")
@@ -311,6 +308,7 @@ def kernel_gen_bound(inputs: BoundInputs, variant: str) -> BoundReport:
         if abs(_finite(inputs.gamma, "gamma", 1.0, strict=False) - 1.0) > 1e-12:
             raise InapplicableError(
                 f"maurer_k needs feature norms capped by 1 (gamma = 1), got gamma = {inputs.gamma}")
+        # looked up on dlbounds.bounds at call time, where tracing wraps it
         from .bounds import ksparse_generalization_bound
 
         return ksparse_generalization_bound(inputs, "maurer")

@@ -23,7 +23,6 @@ from .core import (
     _finite,
     as_count,
     as_matrix,
-    sample_uniform_sphere,
     substream,
     uniform_sphere_matrix,
     validate_dictionary,
@@ -175,12 +174,13 @@ def _code_batch(atoms: np.ndarray, x: np.ndarray, config: LearnerConfig) -> tupl
 
 
 def _normalize_columns(atoms: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unit-normalize columns, replacing dead ones with fresh sphere atoms."""
+    """Unit-normalize columns, replacing dead ones with one block of sphere atoms."""
     atoms = atoms.copy()
     norms = np.linalg.norm(atoms, axis=0)
-    for j in np.flatnonzero(norms < DEAD_ATOM_TOL):
-        atoms[:, j] = sample_uniform_sphere(atoms.shape[0], rng).values
-        norms[j] = 1.0
+    dead = np.flatnonzero(norms < DEAD_ATOM_TOL)
+    if dead.size:
+        atoms[:, dead] = uniform_sphere_matrix(atoms.shape[0], dead.size, rng)
+        norms[dead] = 1.0
     return atoms / norms
 
 

@@ -333,6 +333,21 @@ def test_log_integral_gamma_ten_sweep():
     assert log_integral_check(10.0, grid) <= 1e-8
 
 
+def test_log_integral_closed_form_matches_quadrature():
+    # the closed-form violation against adaptive quadrature of the left side,
+    # on criterion 7's grid
+    import numpy as np
+    from scipy.integrate import quad
+
+    worst = 0.0
+    for gamma in np.linspace(math.sqrt(math.e), 10.0, 20):
+        for x in np.linspace(0.01, 1.0, 100):
+            lhs = quad(lambda e: math.sqrt(math.log(gamma / e)), 0.0, x, epsabs=1e-10, limit=200)[0]
+            oracle = lhs - 2.0 * x * math.sqrt(math.log(gamma / x))
+            worst = max(worst, abs(log_integral_check(gamma, [x]) - oracle))
+    assert worst <= 1e-9
+
+
 def test_log_integral_rejects_small_gamma():
     with pytest.raises(InapplicableError):
         log_integral_check(1.0, [0.5])

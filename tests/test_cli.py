@@ -279,6 +279,12 @@ def test_manifest_roundtrip_and_argv():
                            seed=5)
     again = RunManifest.from_json(manifest.to_json())
     assert again == manifest
+    # extra keys are ignored; a missing field raises
+    body = json.loads(manifest.to_json())
+    assert RunManifest.from_json(json.dumps({**body, "extra": 1})) == manifest
+    del body["log_base"]
+    with pytest.raises(KeyError, match="log_base"):
+        RunManifest.from_json(json.dumps(body))
     argv = argv_from_manifest(manifest)
     assert argv[0] == "mc-babel"
     assert "--brute" not in argv and "--lam" not in argv and "--lambda" not in argv

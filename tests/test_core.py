@@ -10,8 +10,10 @@ from dlbounds.core import (
     HardK,
     L1Ball,
     NORM_TOL,
+    SYMMETRY_TOL,
     Signal,
     SignalBatch,
+    as_gram,
     as_vector,
     load_dictionary,
     load_matrix,
@@ -182,6 +184,20 @@ def test_me_norm_is_a_norm():
 
 
 # ------------------------------------------------------------------ validate
+
+
+def test_gram_rule_requires_square_and_symmetric():
+    g = np.eye(3)
+    assert as_gram(g, "gram", 3) is g  # never copied
+    g[0, 1] = SYMMETRY_TOL / 2  # asymmetry within the tolerance passes
+    assert as_gram(g, "gram") is g
+    with pytest.raises(ValueError, match=r"^gram must be square, got shape \(3, 2\)$"):
+        as_gram(np.ones((3, 2)), "gram")
+    with pytest.raises(ValueError, match=r"^gram must have dimension 2, got shape \(3, 3\)$"):
+        as_gram(g, "gram", 2)
+    g[0, 1] = 2 * SYMMETRY_TOL
+    with pytest.raises(ValueError, match="^gram must be symmetric to within 1e-12$"):
+        as_gram(g, "gram")
 
 
 def test_validate_dictionary_reports():

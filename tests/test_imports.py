@@ -5,8 +5,9 @@ No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module, including
 inside a string annotation.  The package's __init__ is exempt: its imports
 are the public re-exports.  Module-level imports may name only the standard
-library, numpy or the package itself; scipy is imported inside the two
-functions that use it, so a process that never calls them never loads it.
+library, numpy or the package itself; scipy is imported only inside
+`kernels.gaussian_kernel`, the one function that uses it, so a process
+that never builds a gaussian kernel never loads it.
 Every vector and matrix is checked by core's array rule (as_matrix and
 as_vector), so `np.isfinite` appears in core alone: a second call site is a
 hand-written copy of the rule.
@@ -105,20 +106,59 @@ def test_module_level_imports_are_stdlib_or_numpy(path):
     assert [m for m in module_level_imports(path.read_text(encoding="utf-8")) if m not in allowed] == []
 
 
+def scipy_import_sites(source: str) -> list[str]:
+    """Qualified name of the function (or class) around every absolute
+    import of scipy, or "<module>" for one outside any."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+        found.extend(where for name in names if name.split(".")[0] == "scipy")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scipy_site_checker_names_the_enclosing_function():
+    source = ("import scipy\n"
+              "class K:\n"
+              "    def f(self):\n"
+              "        from scipy.integrate import quad\n"
+              "def g():\n"
+              "    import os, scipy.linalg\n"
+              "    from .scipy import x\n")
+    assert scipy_import_sites(source) == ["<module>", "K.f", "g"]
+
+
+def test_only_the_gaussian_kernel_imports_scipy():
+    sites = {f"{p.stem}.{site}" for p in ALL_MODULES
+             for site in scipy_import_sites(p.read_text(encoding="utf-8"))}
+    assert sites == {"kernels.gaussian_kernel"}
+
+
 def test_cli_import_leaves_scipy_unloaded_until_used():
     script = (
         "import sys\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import dlbounds.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
         "import numpy as np\n"
         "from dlbounds.bounds import log_integral_check\n"
         "from dlbounds.core import substream, uniform_sphere_matrix\n"
         "from dlbounds.kernels import gram_matrix, kernel_from_name\n"
+        "assert log_integral_check(10.0, [0.5]) <= 1e-8\n"
         "points = uniform_sphere_matrix(8, 40, substream(3, 0)).T\n"
+        "gram_matrix(kernel_from_name('poly:2'), points)\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
         "gram = gram_matrix(kernel_from_name('gaussian:0.8'), points)\n"
         "assert np.all(np.diag(gram) == 1.0), np.diag(gram)\n"
-        "assert log_integral_check(10.0, [0.5]) <= 1e-8\n"
+        "assert 'scipy.spatial' in sys.modules, scipy_loaded()\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))

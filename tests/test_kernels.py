@@ -6,7 +6,7 @@ import pytest
 
 from dlbounds.bounds import BoundInputs, l1_generalization_bound, slow_rate_generic
 from dlbounds.coders import greedy_ksparse
-from dlbounds.coherence import babel
+from dlbounds.coherence import babel, babel_from_gram
 from dlbounds.core import (
     CoeffVector,
     Dictionary,
@@ -276,6 +276,18 @@ def test_kernel_greedy_k_range():
 
 
 # ------------------------------------------------------------ feature babel
+
+
+def test_asymmetric_gram_is_rejected_in_either_orientation():
+    # Babel values read off an asymmetric Gram's columns depend on its
+    # orientation: order 2 would be 0.4 on g and 0.8 on g.T
+    g = np.eye(4)
+    g[0, 1:] = 0.4
+    for gram in (g, g.T):
+        with pytest.raises(ValueError, match="^gram must be symmetric"):
+            KernelDictionary(np.eye(4), gram)
+        with pytest.raises(ValueError, match="^gram must be symmetric"):
+            babel_from_gram(gram, 2)
 
 
 def test_feature_babel_linear_matches_euclidean():

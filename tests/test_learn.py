@@ -13,6 +13,7 @@ from dlbounds.core import (
     L1Ball,
     SearchFailureError,
     Signal,
+    sample_uniform_sphere,
     substream,
     uniform_sphere_matrix,
     validate_dictionary,
@@ -318,6 +319,22 @@ def test_unused_atom_is_resampled():
     assert min(np.linalg.norm(atoms[:, 0] - [1, 0]),
                np.linalg.norm(atoms[:, 0] + [1, 0])) < 1e-9
     assert abs(np.linalg.norm(atoms[:, 1]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("dead", [(), (3,), (0, 2, 5)], ids=["none", "one", "three"])
+def test_dead_atom_refill_matches_the_per_column_loop(dead):
+    # one block draw for every dead column equals drawing them one at a
+    # time in index order, bit for bit, and leaves the generator in step
+    atoms = uniform_sphere_matrix(5, 7, substream(40, 0)) * 3.0
+    atoms[:, list(dead)] = 0.0
+    rng, ref_rng = substream(41, 0), substream(41, 0)
+    ref, norms = atoms.copy(), np.linalg.norm(atoms, axis=0)
+    for j in dead:
+        ref[:, j] = sample_uniform_sphere(5, ref_rng).values
+        norms[j] = 1.0
+    out = learn._normalize_columns(atoms, rng)
+    assert out.tobytes() == (ref / norms).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_learning_is_deterministic_in_seed():
