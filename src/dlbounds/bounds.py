@@ -14,7 +14,8 @@ vacuous; reports carry that flag and the loss scale explicitly.
 Variants:
   "maurer"  dimension-free second-moment bound, squared-error scale;
   "slow"    covering-number bound decaying like sqrt(log(m)/m);
-  "fast"    localized bound decaying like log(m)/m with multiplier K/(K-1).
+  "fast"    localized bound decaying like log(m)/m with multiplier K/(K-1),
+            at weight alpha* = W(cm)/c; a K picked from data pays ln|K grid|.
 
 The k-sparse family is the l1 family at lam = k / (1 - delta), where
 delta bounds the order-(k-1) Babel value of the dictionary.
@@ -23,7 +24,8 @@ delta bounds the order-(k-1) Babel value of the dictionary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,7 +42,7 @@ class BoundInputs:
     x: confidence exponent (failure probability exp(-x)); lam: l1 radius;
     k, delta: sparsity level and Babel bound for the k-sparse family;
     K, alpha: fast-rate multiplier parameter (K > 1) and localization
-    weight; gamma: column-norm cap (feature-norm cap for kernels);
+    weight (None: alpha*); gamma: column-norm cap (feature-norm cap for kernels);
     cover_c, holder_l, holder_alpha: kernel covering constants.
     """
 
@@ -65,13 +67,14 @@ class BoundReport:
 
     parts is an ordered name -> value breakdown; additive is their exact
     sum.  loss_scale is "plain" for h in [0, 1] and "squared" for h^2.
-    branch names the active branch of a max, when the bound has one.
+    branch names the active branch of a max, alpha a fast bound's weight.
     """
 
     multiplier: float
     parts: dict[str, float]
     loss_scale: str = "plain"
     branch: str | None = None
+    alpha: float | None = None
 
     @property
     def additive(self) -> float:
@@ -82,14 +85,7 @@ class BoundReport:
         return self.additive >= 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "multiplier": self.multiplier,
-            "additive": self.additive,
-            "parts": dict(self.parts),
-            "vacuous": self.vacuous,
-            "loss_scale": self.loss_scale,
-            "branch": self.branch,
-        }
+        return {**asdict(self), "additive": self.additive, "vacuous": self.vacuous}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -154,24 +150,42 @@ def slow_rate_generic(B: float, C: float, d: float, m: int, x: float) -> BoundRe
     return BoundReport(multiplier=1.0, parts=parts, loss_scale="plain")
 
 
-def fast_rate_generic(C: float, d: float, m: int, x: float, K: float, alpha: float) -> BoundReport:
+def lambert_w(z: float) -> float:
+    """Lambert W at z > 0: the root of w + ln(w/z) = 0 by four Halley steps
+    from log1p(z) (Corless et al., Adv. Comput. Math. 1996)."""
+    w = math.log1p(_finite(z, "z"))
+    for _ in range(4):
+        f = w + math.log(w / z)
+        w -= f * w / (1.0 + w) / (1.0 + f / (2.0 * (1.0 + w) ** 2))
+    return w
+
+
+def fast_rate_generic(C: float, d: float, m: int, x: float, K: float, alpha: float | None = None) -> BoundReport:
     """Localized bound for a [0, 1]-valued class with covering numbers
     (C / eps)^d, C > 2:
 
         E f <= K/(K-1) E_m f + 6 K max(branches) + (11 x + 5 K) / m
 
     with branches alpha C^2 / (2m), 480^2 (d+1) ln(m/alpha) / m, and
-    (20 + 22 ln m) / m.  The report records which branch is active.
+    (20 + 22 ln m) / m.  The report records the active branch and alpha;
+    alpha None takes alpha* = W(cm)/c, where the first two branches meet.
     """
     m, x = as_count(m, "m"), _finite(x, "x", strict=False)
     C, d = _finite(C, "C"), _finite(d, "d", 1.0, strict=False)
-    K, alpha = _finite(K, "K", 1.0), _finite(alpha, "alpha")
+    K = _finite(K, "K", 1.0)
     if not C > 2.0:
         raise InapplicableError(f"fast rate needs a cover constant C > 2, got C = {C:.6g}")
-    _require(m / alpha > 1.0, f"need m/alpha > 1 for ln(m/alpha), got m={m}, alpha={alpha}")
+    if alpha is None:  # z = cm, c = C^2 / (2 480^2 (d+1)); ln(m/alpha*) = W(z)
+        z = C * C * m / (2.0 * 480.0 ** 2 * (d + 1.0))
+        log_ratio = lambert_w(z)
+        alpha = m * (log_ratio / z)  # W(z)/c, and <= m after rounding too
+    else:
+        alpha = _finite(alpha, "alpha")
+        _require(m / alpha > 1.0, f"need m/alpha > 1 for ln(m/alpha), got m={m}, alpha={alpha}")
+        log_ratio = math.log(m / alpha)
     branches = {
         "alpha": alpha * C * C / (2.0 * m),
-        "entropy": 480.0 ** 2 * (d + 1.0) * math.log(m / alpha) / m,
+        "entropy": 480.0 ** 2 * (d + 1.0) * log_ratio / m,
         "logm": (20.0 + 22.0 * math.log(m)) / m,
     }
     branch = max(branches, key=lambda name: branches[name])
@@ -179,7 +193,7 @@ def fast_rate_generic(C: float, d: float, m: int, x: float, K: float, alpha: flo
         "localization": 6.0 * K * branches[branch],
         "confidence": (11.0 * x + 5.0 * K) / m,
     }
-    return BoundReport(multiplier=K / (K - 1.0), parts=parts, loss_scale="plain", branch=branch)
+    return BoundReport(K / (K - 1.0), parts, loss_scale="plain", branch=branch, alpha=alpha)
 
 
 def l1_generalization_bound(inputs: BoundInputs, variant: str) -> BoundReport:
@@ -218,39 +232,32 @@ def ksparse_generalization_bound(inputs: BoundInputs, variant: str) -> BoundRepo
     return l1_generalization_bound(replace(inputs, lam=lam_eff), variant)
 
 
-def optimize_fast_params(inputs: BoundInputs, K_grid, alpha_grid,
-                         family: str | None = None, empirical: float = 0.0) -> tuple[float, float, BoundReport]:
-    """Pick (K, alpha) on a grid minimizing multiplier * empirical + additive.
+def optimize_fast_params(inputs: BoundInputs, K_grid, family: str,
+                         empirical: float | None = None) -> tuple[float, float, BoundReport]:
+    """Pick K on a grid minimizing multiplier * empirical + additive; return
+    (K, alpha, report), alpha being inputs.alpha or else alpha* = W(cm)/c.
 
-    Ties break toward smaller K, then smaller alpha.  Grid points where
-    the bound is inapplicable are skipped; if none remain the search
-    raises InapplicableError.  family is inferred from the populated
-    inputs when not given ("l1" if lam is set, else "ksparse").
+    A K chosen with an empirical value depends on the sample, so the bound
+    is then evaluated at x + ln|K_grid| (the union bound over the grid).
+    Ties break toward smaller K; inapplicable grid points are skipped, and
+    if none remain the search raises InapplicableError.
     """
     ks = sorted(float(v) for v in K_grid)
-    alphas = sorted(float(v) for v in alpha_grid)
-    _require(len(ks) > 0 and len(alphas) > 0, "K_grid and alpha_grid must be nonempty")
-    empirical = _finite(empirical, "empirical", strict=False)
-    if family is None:
-        family = "l1" if inputs.lam is not None else "ksparse"
+    _require(len(ks) > 0, "K_grid must be nonempty")
+    weight = 0.0 if empirical is None else _finite(empirical, "empirical", strict=False)
+    if empirical is not None:
+        inputs = replace(inputs, x=_finite(inputs.x, "x", strict=False) + math.log(len(ks)))
     if family not in ("l1", "ksparse"):
         raise ValueError(f"family must be 'l1' or 'ksparse', got {family!r}")
     calc = l1_generalization_bound if family == "l1" else ksparse_generalization_bound
-    best: tuple[float, float, BoundReport] | None = None
-    best_obj = math.inf
+    reports = []
     for k_val in ks:
-        for a_val in alphas:
-            try:
-                report = calc(replace(inputs, K=k_val, alpha=a_val), "fast")
-            except InapplicableError:
-                continue
-            objective = report.multiplier * empirical + report.additive
-            if objective < best_obj:
-                best_obj = objective
-                best = (k_val, a_val, report)
-    if best is None:
+        with suppress(InapplicableError):
+            reports.append((k_val, calc(replace(inputs, K=k_val), "fast")))
+    if not reports:
         raise InapplicableError("fast bound inapplicable at every grid point")
-    return best
+    k_val, report = min(reports, key=lambda kr: kr[1].multiplier * weight + kr[1].additive)
+    return k_val, report.alpha, report
 
 
 def log_integral_check(gamma: float, x_grid) -> float:

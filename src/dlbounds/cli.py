@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -50,7 +50,6 @@ from .learn import (
     synth_sample,
 )
 from .experiments import (
-    FAST_ALPHA_GRID,
     FAST_K_GRID,
     gengap_run,
     mc_babel,
@@ -207,17 +206,11 @@ def _cmd_bounds(args) -> int:
     inputs = BoundInputs(n=args.n, p=args.p, m=args.m, x=args.x, lam=args.lam,
                          k=args.k, delta=args.delta, K=args.K, alpha=args.alpha)
     calc = l1_generalization_bound if args.family == "l1" else ksparse_generalization_bound
-    chosen = {}
     if args.variant == "fast" and args.K is None:
-        k_fast, alpha_fast, report = optimize_fast_params(
-            inputs, FAST_K_GRID, FAST_ALPHA_GRID, family=args.family)
-        chosen = {"K": k_fast, "alpha": alpha_fast}
+        k_fast, _, report = optimize_fast_params(inputs, FAST_K_GRID, family=args.family)
+        body = {**report.to_dict(), "K": k_fast}
     else:
-        if args.variant == "fast" and args.alpha is None:
-            inputs = replace(inputs, alpha=1.0)
-        report = calc(inputs, args.variant)
-    body = report.to_dict()
-    body.update(chosen)
+        body = calc(inputs, args.variant).to_dict()
     print(json.dumps(body, sort_keys=True, indent=2))
     _write_manifest(args, Path(args.out))
     return 0

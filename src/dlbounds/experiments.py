@@ -54,9 +54,8 @@ DEGENERATE_TOL = 1e-12
 # nonlipschitz_demo codes its candidate signals in blocks of this many.
 SEARCH_BATCH = 256
 
-# Fast-rate parameter grids used when a harness has to pick (K, alpha).
+# Fast-rate multiplier parameters a harness picks K from.
 FAST_K_GRID = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
-FAST_ALPHA_GRID = (0.25, 1.0, 4.0, 16.0)
 
 
 @dataclass(frozen=True)
@@ -355,7 +354,7 @@ def _eval_variant(variant: str, inputs: BoundInputs, family: str,
     try:
         if variant == "fast":
             k_fast, alpha_fast, report = optimize_fast_params(
-                inputs, FAST_K_GRID, FAST_ALPHA_GRID, family=family, empirical=plain[0])
+                inputs, FAST_K_GRID, family=family, empirical=plain[0])
         else:
             report = calc(inputs, variant)
     except InapplicableError as exc:

@@ -9,6 +9,7 @@ from dlbounds.bounds import (
     fast_rate_generic,
     ksparse_generalization_bound,
     l1_generalization_bound,
+    lambert_w,
     log_cover_ksparse,
     log_cover_l1,
     log_integral_check,
@@ -128,6 +129,46 @@ def test_fast_rate_generic_K_validation():
 def test_fast_rate_generic_decreasing_in_m():
     values = [fast_rate_generic(4.0, 4.0, m, 2.0, 2.0, 1.0).additive for m in M_GRID]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_lambert_w_matches_scipy():
+    from scipy.special import lambertw
+
+    for e in range(-300, 301):
+        z = 10.0 ** e
+        reference = float(lambertw(z).real)
+        assert abs(lambert_w(z) - reference) <= 4.5e-16 * reference, z
+
+
+def _scan_additive(C, d, m, alphas):
+    return [fast_rate_generic(C, d, m, 2.0, 2.0, a).additive for a in alphas]
+
+
+@pytest.mark.parametrize("C, d, m, branch", [
+    (2.1, 1.0, 10, "logm"),        # the alpha-free branch dominates every alpha
+    (4.0, 4.0, 10**4, None),       # the alpha and entropy branches meet at alpha*
+    (4.0, 96.0, 10**9, None),      # gengap-l1's class (n = 8, p = 12, lam = 1)
+])
+def test_fast_alpha_star_beats_a_dense_scan(C, d, m, branch):
+    star = fast_rate_generic(C, d, m, 2.0, 2.0)
+    assert (star.branch == "logm") == (branch == "logm")
+    assert 0.0 < star.alpha < m
+    z = C * C * m / (2.0 * 480.0 ** 2 * (d + 1.0))
+    assert star.alpha == pytest.approx(m * lambert_w(z) / z, rel=1e-14)
+    scan = [m * 10.0 ** (-t / 500.0) for t in range(1, 6001)]  # m e-12 .. m (1 - 0.5%)
+    scan += [m * (1.0 - 10.0 ** -e) for e in range(3, 13)]     # up against m
+    assert min(_scan_additive(C, d, m, scan)) >= star.additive * (1.0 - 1e-12)
+
+
+def test_fast_alpha_star_at_m_one_and_huge_d():
+    # z = cm underflows towards 0: W(z) = z to rounding and alpha* = m
+    for d in (1e6, 1e12, 1e300):
+        report = fast_rate_generic(C=4.0, d=d, m=1, x=2.0, K=2.0)
+        assert 0.0 < report.alpha <= 1.0
+        assert report.branch == "logm" and report.additive == pytest.approx(6 * 2 * 20.0 + 11 * 2 + 5 * 2)
+    report = fast_rate_generic(C=400.0, d=1e300, m=1, x=2.0, K=2.0)
+    assert report.branch in ("alpha", "entropy")
+    assert report.parts["localization"] == pytest.approx(12 * 400.0 ** 2 / 2, rel=1e-12)
 
 
 # ---------------------------------------------------------------- l1 bounds
@@ -274,7 +315,8 @@ def test_report_parts_sum_and_dict():
     report = slow_rate_generic(1.0, 4.0, 4.0, 10**4, 2.0)
     as_dict = report.to_dict()
     assert as_dict["additive"] == pytest.approx(sum(as_dict["parts"].values()), abs=1e-12)
-    assert set(as_dict) == {"multiplier", "additive", "parts", "vacuous", "loss_scale", "branch"}
+    assert set(as_dict) == {"multiplier", "additive", "parts", "vacuous", "loss_scale", "branch",
+                            "alpha"}
     assert isinstance(report, BoundReport)
 
 
@@ -282,7 +324,7 @@ def test_report_parts_sum_and_dict():
 
 
 def test_optimize_single_point_grid():
-    k, alpha, report = optimize_fast_params(l1_inputs(), [3.0], [2.0])
+    k, alpha, report = optimize_fast_params(l1_inputs(alpha=2.0), [3.0], "l1")
     assert (k, alpha) == (3.0, 2.0)
     direct = l1_generalization_bound(l1_inputs(K=3.0, alpha=2.0), "fast")
     assert report.parts == direct.parts
@@ -290,18 +332,14 @@ def test_optimize_single_point_grid():
 
 def test_optimize_zero_proxy_minimizes_additive():
     ks = [1.25, 1.5, 2.0, 3.0]
-    alphas = [0.25, 1.0, 4.0]
-    k, alpha, report = optimize_fast_params(l1_inputs(), ks, alphas, empirical=0.0)
-    best = min(
-        l1_generalization_bound(l1_inputs(K=kv, alpha=av), "fast").additive
-        for kv in ks for av in alphas)
+    k, alpha, report = optimize_fast_params(l1_inputs(), ks, "l1")
+    best = min(l1_generalization_bound(l1_inputs(K=kv), "fast").additive for kv in ks)
     assert report.additive == pytest.approx(best, rel=1e-12)
 
 
 def test_optimize_refined_grid_dominates():
-    coarse = optimize_fast_params(l1_inputs(), [2.0], [1.0], empirical=0.3)
-    fine = optimize_fast_params(
-        l1_inputs(), [1.25, 1.5, 2.0, 3.0, 5.0], [0.25, 1.0, 4.0], empirical=0.3)
+    coarse = optimize_fast_params(l1_inputs(), [2.0], "l1", empirical=0.3)
+    fine = optimize_fast_params(l1_inputs(), [1.25, 1.5, 2.0, 3.0, 5.0], "l1", empirical=0.3)
 
     def objective(result):
         _, _, report = result
@@ -310,9 +348,40 @@ def test_optimize_refined_grid_dominates():
     assert objective(fine) <= objective(coarse) + 1e-12
 
 
+def test_optimize_keeps_a_given_alpha_and_otherwise_uses_alpha_star():
+    ks = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
+    k, alpha, report = optimize_fast_params(l1_inputs(alpha=0.25), ks, "l1")
+    assert alpha == report.alpha == 0.25
+    assert report.parts == l1_generalization_bound(l1_inputs(K=k, alpha=0.25), "fast").parts
+    k, alpha, report = optimize_fast_params(l1_inputs(), ks, "l1")
+    assert alpha == report.alpha == l1_generalization_bound(l1_inputs(K=k), "fast").alpha
+
+
+def test_optimize_confidence_carries_log_grid_size_with_empirical():
+    # a K chosen from the sample pays the union bound over the six-point grid
+    ks = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
+    inputs = l1_inputs(n=8, p=12, m=10**6)
+    k, _, report = optimize_fast_params(inputs, ks, "l1", empirical=0.1)
+    expected = (11.0 * (2.0 + math.log(6)) + 5.0 * k) / 10**6
+    assert report.parts["confidence"] == pytest.approx(expected, rel=1e-12)
+    k, _, report = optimize_fast_params(inputs, ks, "l1")
+    assert report.parts["confidence"] == pytest.approx((11.0 * 2.0 + 5.0 * k) / 10**6, rel=1e-12)
+
+
+@pytest.mark.parametrize("empirical", [None, 0.2])
+def test_optimize_reports_every_small_m(empirical):
+    # alpha* < m at every m, where a fixed alpha of 16 would raise "need m/alpha > 1"
+    for m in range(1, 17):
+        inputs = BoundInputs(n=8, p=12, m=m, x=2.0, lam=1.0)
+        k, alpha, report = optimize_fast_params(inputs, (1.25, 2.0, 10.0), "l1", empirical=empirical)
+        assert 0.0 < alpha < m and math.isfinite(report.additive)
+        ks_inputs = BoundInputs(n=8, p=12, m=m, x=2.0, k=2, delta=0.3)
+        assert optimize_fast_params(ks_inputs, (1.25, 2.0), "ksparse", empirical=empirical)[1] < m
+
+
 def test_optimize_all_inapplicable():
     with pytest.raises(InapplicableError):
-        optimize_fast_params(l1_inputs(lam=0.4), [2.0], [1.0])
+        optimize_fast_params(l1_inputs(lam=0.4), [2.0], "l1")
 
 
 def test_variants_tuple_exposed():

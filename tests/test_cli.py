@@ -167,6 +167,31 @@ def test_bounds_fast_grid_reports_chosen_params(capsys, tmp_path):
     assert "K" not in json.loads(out)  # explicit K: no grid search, no echo
 
 
+def test_bounds_fast_prints_the_given_alpha_or_alpha_star(capsys, tmp_path):
+    from scipy.special import lambertw
+
+    base = ["bounds", "--variant", "fast", "--family", "ksparse", "--n", 4, "--p", 6,
+            "--m", 100000, "--x", 2, "--k", 2, "--delta", 0.5, "--out", tmp_path]
+    code, out, _ = run(capsys, *base, "--alpha", 0.25)
+    assert code == 0 and json.loads(out)["alpha"] == 0.25  # the K search keeps it
+    # alpha* = W(cm)/c, c = C^2 / (2 480^2 (d+1)), C = 4k/(1 - delta) = 16, d = np = 24
+    c = 16.0 ** 2 / (2.0 * 480.0 ** 2 * 25.0)
+    alpha_star = float(lambertw(c * 100000).real) / c
+    for extra in ((), ("--K", 2.0)):
+        code, out, _ = run(capsys, *base, *extra)
+        assert code == 0
+        assert json.loads(out)["alpha"] == pytest.approx(alpha_star, rel=1e-13)
+
+
+def test_bounds_fast_at_small_m(capsys, tmp_path):
+    # a fixed alpha of 16 or more would make every m <= 16 exit 1
+    code, out, err = run(capsys, "bounds", "--variant", "fast", "--family", "l1",
+                         "--n", 8, "--p", 12, "--m", 10, "--x", 2, "--lambda", 1,
+                         "--out", tmp_path)
+    assert code == 0, err
+    assert 0.0 < json.loads(out)["alpha"] < 10.0
+
+
 def test_bounds_inapplicable_is_runtime_error(capsys, tmp_path):
     code, _, err = run(capsys, "bounds", "--variant", "maurer", "--family", "l1",
                        "--n", 2, "--p", 2, "--m", 1, "--x", 2,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dlbounds.bounds import L1_VARIANTS
 from dlbounds.cli import main
 from dlbounds.coders import l1_solve_batch
 from dlbounds.coherence import babel
@@ -18,7 +19,6 @@ from dlbounds.core import (
 )
 from dlbounds.experiments import (
     CSV_HEADER,
-    FAST_ALPHA_GRID,
     FAST_K_GRID,
     GapPoint,
     McBabelResult,
@@ -316,7 +316,22 @@ def test_gengap_fast_variant_records_chosen_params():
     for point in points:
         ev = point.evals[0]
         if ev.applicable:
-            assert ev.k_fast in FAST_K_GRID and ev.alpha_fast in FAST_ALPHA_GRID
+            assert ev.k_fast in FAST_K_GRID and 0.0 < ev.alpha_fast < point.m
+            assert ev.alpha_fast == ev.report.alpha
+
+
+def test_gengap_at_m_up_to_16_keeps_fast_records_applicable():
+    # a fixed alpha of 16 or more would raise "need m/alpha > 1" at these m
+    d_true = Dictionary(uniform_sphere_matrix(6, 8, substream(11, 0)))
+    source = dictionary_source(d_true, k_true=2, sigma=0.0, seed=11)
+    config = LearnerConfig(p=8, constraint=L1Ball(1.0), iterations=6, seed=11)
+    records, points = gengap_run(source, config, (8, 16), 100)  # the default variants
+    assert [ev.variant for ev in points[0].evals] == list(L1_VARIANTS)
+    for point in points:
+        fast = point.evals[L1_VARIANTS.index("fast")]
+        assert fast.applicable and 0.0 < fast.alpha_fast < point.m
+        assert fast.test_stat <= fast.bound_value
+    assert len(records) == 2 * len(L1_VARIANTS)
 
 
 def test_sampled_signals_are_never_wrapped_one_by_one(monkeypatch, tmp_path, capsys):

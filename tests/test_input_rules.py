@@ -16,6 +16,7 @@ from dlbounds.bounds import (
     fast_rate_generic,
     ksparse_generalization_bound,
     l1_generalization_bound,
+    lambert_w,
     log_cover_ksparse,
     log_cover_l1,
     log_integral_check,
@@ -149,6 +150,7 @@ def real_calls(v):
     yield "l1 fast K", _bound(l1_generalization_bound, "fast", K=v)
     yield "fast alpha", lambda: fast_rate_generic(4.0, 4.0, 10**4, 2.0, 2.0, v)
     yield "l1 fast alpha", _bound(l1_generalization_bound, "fast", alpha=v)
+    yield "lambert_w z", lambda: lambert_w(v)
     for name in COVER:
         yield f"kernel_cover_log {name}", lambda name=name: kernel_cover_log(
             2, 3, 0.5, lam=1.0, **{**COVER, name: v})
@@ -167,7 +169,7 @@ def real_calls(v):
     yield "kernel_from_name gaussian", lambda: kernel_from_name(f"gaussian:{v}")
     yield "log_integral_check gamma", lambda: log_integral_check(v, [0.5])
     yield "optimize_fast_params empirical", lambda: optimize_fast_params(
-        BoundInputs(n=3, p=5, m=10**4, x=2.0, lam=1.5), [2.0], [1.0], empirical=v)
+        BoundInputs(n=3, p=5, m=10**4, x=2.0, lam=1.5), [2.0], "l1", empirical=v)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
