@@ -233,12 +233,14 @@ def ksparse_generalization_bound(inputs: BoundInputs, variant: str) -> BoundRepo
 
 
 def optimize_fast_params(inputs: BoundInputs, K_grid, family: str,
-                         empirical: float | None = None) -> tuple[float, float, BoundReport]:
+                         empirical: float | None = None) -> tuple[float, BoundReport]:
     """Pick K on a grid minimizing multiplier * empirical + additive; return
-    (K, alpha, report), alpha being inputs.alpha or else alpha* = W(cm)/c.
+    (K, report), report.alpha being inputs.alpha or else alpha* = W(cm)/c.
 
     A K chosen with an empirical value depends on the sample, so the bound
     is then evaluated at x + ln|K_grid| (the union bound over the grid).
+    Without one the pick is always the grid's smallest K: both K-dependent
+    parts of the additive term, 6 K max(branches) and 5 K / m, grow with K.
     Ties break toward smaller K; inapplicable grid points are skipped, and
     if none remain the search raises InapplicableError.
     """
@@ -257,7 +259,7 @@ def optimize_fast_params(inputs: BoundInputs, K_grid, family: str,
     if not reports:
         raise InapplicableError("fast bound inapplicable at every grid point")
     k_val, report = min(reports, key=lambda kr: kr[1].multiplier * weight + kr[1].additive)
-    return k_val, report.alpha, report
+    return k_val, report
 
 
 def log_integral_check(gamma: float, x_grid) -> float:

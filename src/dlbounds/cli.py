@@ -207,7 +207,7 @@ def _cmd_bounds(args) -> int:
                          k=args.k, delta=args.delta, K=args.K, alpha=args.alpha)
     calc = l1_generalization_bound if args.family == "l1" else ksparse_generalization_bound
     if args.variant == "fast" and args.K is None:
-        k_fast, _, report = optimize_fast_params(inputs, FAST_K_GRID, family=args.family)
+        k_fast, report = optimize_fast_params(inputs, FAST_K_GRID, family=args.family)
         body = {**report.to_dict(), "K": k_fast}
     else:
         body = calc(inputs, args.variant).to_dict()

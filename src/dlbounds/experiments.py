@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -56,6 +56,13 @@ SEARCH_BATCH = 256
 
 # Fast-rate multiplier parameters a harness picks K from.
 FAST_K_GRID = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
+
+# gengap's k-sparse bounds (k >= 2) round the measured delta = mu_{k-1} up to
+# this grid: delta is chosen after seeing the sample, so the bound must hold
+# at all J grid values at once, which the union bound gives at x + ln J
+# (stratification: Shawe-Taylor, Bartlett, Williamson & Anthony, IEEE Trans.
+# Inf. Theory 1998).
+DELTA_GRID = tuple(j / 20 for j in range(20))
 
 
 @dataclass(frozen=True)
@@ -315,7 +322,6 @@ class BoundEval:
     report: BoundReport | None
     note: str = ""
     k_fast: float | None = None
-    alpha_fast: float | None = None
 
 
 @dataclass(frozen=True)
@@ -347,13 +353,25 @@ def _mean_se(values: np.ndarray) -> tuple[float, float, float]:
     return mean, sq_mean, se
 
 
+def _on_delta_grid(inputs: BoundInputs) -> BoundInputs:
+    """inputs at the smallest DELTA_GRID value >= the measured delta, and at
+    x + ln|DELTA_GRID|; a measured delta above the grid is inapplicable."""
+    above = [d for d in DELTA_GRID if d >= inputs.delta]
+    if not above:
+        raise InapplicableError(f"measured delta {inputs.delta:.6g} is above the delta grid's "
+                                f"top value {DELTA_GRID[-1]:g}")
+    return replace(inputs, delta=above[0], x=inputs.x + math.log(len(DELTA_GRID)))
+
+
 def _eval_variant(variant: str, inputs: BoundInputs, family: str,
                   plain: tuple[float, float], squared: tuple[float, float]) -> BoundEval:
     calc = l1_generalization_bound if family == "l1" else ksparse_generalization_bound
-    k_fast = alpha_fast = None
+    k_fast = None
     try:
+        if family == "ksparse" and inputs.k > 1:
+            inputs = _on_delta_grid(inputs)
         if variant == "fast":
-            k_fast, alpha_fast, report = optimize_fast_params(
+            k_fast, report = optimize_fast_params(
                 inputs, FAST_K_GRID, family=family, empirical=plain[0])
         else:
             report = calc(inputs, variant)
@@ -364,7 +382,7 @@ def _eval_variant(variant: str, inputs: BoundInputs, family: str,
     return BoundEval(variant=variant, applicable=True, train_stat=train_stat,
                      test_stat=test_stat,
                      bound_value=report.multiplier * train_stat + report.additive,
-                     report=report, note="", k_fast=k_fast, alpha_fast=alpha_fast)
+                     report=report, note="", k_fast=k_fast)
 
 
 def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int],
@@ -374,11 +392,12 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
     learned dictionary with exact coding, and evaluate the selected bound
     variants with matched parameters.
 
-    k-sparse variants take delta = measured babel(D, k-1) per point; a
-    measured value >= 1 (or any other unmet precondition) marks the record
-    inapplicable rather than dropping it.  One shared test set serves all
-    grid points.  Deterministic given source.seed/config.seed, independent
-    of threads.
+    k-sparse variants take delta = measured babel(D, k-1) per point, rounded
+    up to DELTA_GRID at x + ln|DELTA_GRID| when k >= 2 (GapPoint.delta keeps
+    the measured value); a measured value above the grid (or any other unmet
+    precondition) marks the record inapplicable rather than dropping it.
+    One shared test set serves all grid points.  Deterministic given
+    source.seed/config.seed, independent of threads.
     """
     m_grid = [as_count(m, "every m_grid entry") for m in m_grid]
     if not m_grid:

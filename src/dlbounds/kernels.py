@@ -71,18 +71,29 @@ def linear_kernel() -> KernelFn:
                     smoothness=(1.0, 1.0), feature_norm_cap=1.0)
 
 
+def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of xs (a x n) and ys (b x n): |x|^2 + |y|^2 - 2<x, y>
+    by one matrix product, with every entry within its rounding bound (n + 2) eps (|x|^2 + |y|^2)
+    of 0 (Higham, Accuracy and Stability, 3.1) recomputed from x - y: equal rows give exactly 0."""
+    scale = np.einsum("ij,ij->i", xs, xs)[:, None] + np.einsum("ij,ij->i", ys, ys)
+    dist = (-2.0 * xs) @ ys.T
+    dist += scale
+    scale *= (xs.shape[1] + 2) * np.finfo(float).eps
+    rows, cols = np.nonzero(dist <= scale)
+    diff = xs.take(rows, 0) - ys.take(cols, 0)
+    dist[rows, cols] = np.einsum("ij,ij->i", diff, diff)
+    return dist
+
+
 def gaussian_kernel(sigma: float) -> KernelFn:
     """kappa(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 
     The per-argument Lipschitz constant is exp(-1/2)/sigma (the maximum
-    of the radial derivative, attained at distance sigma).
+    of the radial derivative, attained at distance sigma).  Distances come
+    from _sq_distances, exactly 0 on equal rows, so kappa(x, x) = 1 exactly.
     """
     sigma = _finite(sigma, "sigma")
-    # cdist is exactly 0 on equal rows (Gram diagonal 1) and makes no a x b x n temporary.
-    # It is imported here, when a gaussian kernel is built, so importing dlbounds does not load scipy.
-    from scipy.spatial.distance import cdist
-
-    return KernelFn(fn=lambda xs, ys: np.exp(-cdist(xs, ys, "sqeuclidean") / (2.0 * sigma * sigma)),
+    return KernelFn(fn=lambda xs, ys: np.exp(_sq_distances(xs, ys) / (-2.0 * sigma * sigma)),
                     name=f"gaussian:{sigma:g}",
                     smoothness=(math.exp(-0.5) / sigma, 1.0), feature_norm_cap=1.0)
 
@@ -204,15 +215,15 @@ def _feature_error(kxx: float, vals: np.ndarray, g_ss: np.ndarray, kx_s: np.ndar
 def kernel_repr_error(x, coeffs, kd: KernelDictionary, kf: KernelFn) -> float:
     """sqrt of the feature-space squared error of the given coefficients.
 
-    Works on the support only (O(k^2) Gram lookups plus k kernel
-    applications).  Raises if the quadratic form dips below the PSD floor
-    -1e-8; small negatives above it clamp to 0.
+    Works on the support only: O(k^2) Gram lookups plus one kernel block,
+    kappa(x, d_i) over the support and kappa(x, x).  Raises if the
+    quadratic form dips below the PSD floor -1e-8; small negatives above it
+    clamp to 0.
     """
     xv = as_vector(x, "signal", kd.points.shape[1])
     idx, vals = _coeff_support(coeffs, kd.p)
-    kxx = float(kf(xv, xv))
-    kx_s = _kernel_block(kf, xv[None], kd.points[idx])[0] if idx.size else np.zeros(0)
-    return _feature_error(kxx, vals, kd.gram[np.ix_(idx, idx)], kx_s)
+    kx = _kernel_block(kf, xv[None], np.vstack((kd.points[idx], xv)))[0]
+    return _feature_error(float(kx[-1]), vals, kd.gram[np.ix_(idx, idx)], kx[:-1])
 
 
 def kernel_greedy_ksparse(x, kd: KernelDictionary, kf: KernelFn, k: int):
@@ -223,10 +234,10 @@ def kernel_greedy_ksparse(x, kd: KernelDictionary, kf: KernelFn, k: int):
     """
     xv = as_vector(x, "signal", kd.points.shape[1])
     k = _check_sparsity(k, kd.p)
-    kx = _kernel_block(kf, xv[None], kd.points)[0]
-    dense, supports, ridge_used = _greedy_columns(kd.gram, kx[:, None], k)
+    kx = _kernel_block(kf, xv[None], np.vstack((kd.points, xv)))[0]  # last: kappa(x, x)
+    dense, supports, ridge_used = _greedy_columns(kd.gram, kx[:-1, None], k)
     idx = supports[0][supports[0] >= 0]
-    error = _feature_error(float(kf(xv, xv)), dense[idx, 0], kd.gram[np.ix_(idx, idx)], kx[idx])
+    error = _feature_error(float(kx[-1]), dense[idx, 0], kd.gram[np.ix_(idx, idx)], kx[idx])
     return CodingResult(coeffs=CoeffVector(dense[:, 0], tuple(idx)), error=error,
                         method="greedy", ridge_used=bool(ridge_used[0]))
 

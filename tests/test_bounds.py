@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -324,15 +325,15 @@ def test_report_parts_sum_and_dict():
 
 
 def test_optimize_single_point_grid():
-    k, alpha, report = optimize_fast_params(l1_inputs(alpha=2.0), [3.0], "l1")
-    assert (k, alpha) == (3.0, 2.0)
+    k, report = optimize_fast_params(l1_inputs(alpha=2.0), [3.0], "l1")
+    assert (k, report.alpha) == (3.0, 2.0)
     direct = l1_generalization_bound(l1_inputs(K=3.0, alpha=2.0), "fast")
     assert report.parts == direct.parts
 
 
 def test_optimize_zero_proxy_minimizes_additive():
     ks = [1.25, 1.5, 2.0, 3.0]
-    k, alpha, report = optimize_fast_params(l1_inputs(), ks, "l1")
+    k, report = optimize_fast_params(l1_inputs(), ks, "l1")
     best = min(l1_generalization_bound(l1_inputs(K=kv), "fast").additive for kv in ks)
     assert report.additive == pytest.approx(best, rel=1e-12)
 
@@ -342,7 +343,7 @@ def test_optimize_refined_grid_dominates():
     fine = optimize_fast_params(l1_inputs(), [1.25, 1.5, 2.0, 3.0, 5.0], "l1", empirical=0.3)
 
     def objective(result):
-        _, _, report = result
+        _, report = result
         return report.multiplier * 0.3 + report.additive
 
     assert objective(fine) <= objective(coarse) + 1e-12
@@ -350,21 +351,21 @@ def test_optimize_refined_grid_dominates():
 
 def test_optimize_keeps_a_given_alpha_and_otherwise_uses_alpha_star():
     ks = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
-    k, alpha, report = optimize_fast_params(l1_inputs(alpha=0.25), ks, "l1")
-    assert alpha == report.alpha == 0.25
+    k, report = optimize_fast_params(l1_inputs(alpha=0.25), ks, "l1")
+    assert report.alpha == 0.25
     assert report.parts == l1_generalization_bound(l1_inputs(K=k, alpha=0.25), "fast").parts
-    k, alpha, report = optimize_fast_params(l1_inputs(), ks, "l1")
-    assert alpha == report.alpha == l1_generalization_bound(l1_inputs(K=k), "fast").alpha
+    k, report = optimize_fast_params(l1_inputs(), ks, "l1")
+    assert report.alpha == l1_generalization_bound(l1_inputs(K=k), "fast").alpha
 
 
 def test_optimize_confidence_carries_log_grid_size_with_empirical():
     # a K chosen from the sample pays the union bound over the six-point grid
     ks = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
     inputs = l1_inputs(n=8, p=12, m=10**6)
-    k, _, report = optimize_fast_params(inputs, ks, "l1", empirical=0.1)
+    k, report = optimize_fast_params(inputs, ks, "l1", empirical=0.1)
     expected = (11.0 * (2.0 + math.log(6)) + 5.0 * k) / 10**6
     assert report.parts["confidence"] == pytest.approx(expected, rel=1e-12)
-    k, _, report = optimize_fast_params(inputs, ks, "l1")
+    k, report = optimize_fast_params(inputs, ks, "l1")
     assert report.parts["confidence"] == pytest.approx((11.0 * 2.0 + 5.0 * k) / 10**6, rel=1e-12)
 
 
@@ -373,10 +374,25 @@ def test_optimize_reports_every_small_m(empirical):
     # alpha* < m at every m, where a fixed alpha of 16 would raise "need m/alpha > 1"
     for m in range(1, 17):
         inputs = BoundInputs(n=8, p=12, m=m, x=2.0, lam=1.0)
-        k, alpha, report = optimize_fast_params(inputs, (1.25, 2.0, 10.0), "l1", empirical=empirical)
-        assert 0.0 < alpha < m and math.isfinite(report.additive)
+        k, report = optimize_fast_params(inputs, (1.25, 2.0, 10.0), "l1", empirical=empirical)
+        assert 0.0 < report.alpha < m and math.isfinite(report.additive)
         ks_inputs = BoundInputs(n=8, p=12, m=m, x=2.0, k=2, delta=0.3)
-        assert optimize_fast_params(ks_inputs, (1.25, 2.0), "ksparse", empirical=empirical)[1] < m
+        _, report = optimize_fast_params(ks_inputs, (1.25, 2.0), "ksparse", empirical=empirical)
+        assert report.alpha < m
+
+
+@pytest.mark.parametrize("inputs,family", [
+    (l1_inputs(), "l1"), (l1_inputs(alpha=0.25), "l1"), (l1_inputs(n=8, p=12, m=10**9), "l1"),
+    (BoundInputs(n=8, p=12, m=5, x=2.0, lam=1.0), "l1"),
+    (BoundInputs(n=4, p=6, m=10**5, x=2.0, k=2, delta=0.5), "ksparse")])
+def test_optimize_without_empirical_picks_the_smallest_k(inputs, family):
+    # 6 K max(branches) and 5 K / m both grow with K, and nothing else in the
+    # additive term depends on it
+    ks = (10.0, 1.5, 3.0, 1.25, 2.0, 5.0)
+    assert optimize_fast_params(inputs, ks, family)[0] == 1.25
+    calc = l1_generalization_bound if family == "l1" else ksparse_generalization_bound
+    additives = [calc(replace(inputs, K=kv), "fast").additive for kv in sorted(ks)]
+    assert all(a < b for a, b in zip(additives, additives[1:]))
 
 
 def test_optimize_all_inapplicable():

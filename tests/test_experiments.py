@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from dlbounds.bounds import L1_VARIANTS
+from dlbounds.bounds import (
+    BoundInputs,
+    L1_VARIANTS,
+    ksparse_generalization_bound,
+    optimize_fast_params,
+)
 from dlbounds.cli import main
 from dlbounds.coders import l1_solve_batch
 from dlbounds.coherence import babel
 from dlbounds.core import (
     Dictionary,
     HardK,
+    InapplicableError,
     L1Ball,
     SearchFailureError,
     Signal,
@@ -19,10 +25,12 @@ from dlbounds.core import (
 )
 from dlbounds.experiments import (
     CSV_HEADER,
+    DELTA_GRID,
     FAST_K_GRID,
     GapPoint,
     McBabelResult,
     TrialRecord,
+    _on_delta_grid,
     babel_tail_bound,
     gap_trend_nonincreasing,
     gengap_run,
@@ -273,6 +281,37 @@ def test_gengap_ksparse_records_and_bounds():
     assert lines[1].split(",")[4] == "2"
 
 
+def test_gengap_ksparse_bounds_take_delta_from_the_grid_at_x_plus_log_j():
+    # the measured delta is chosen after seeing the sample: the bound rounds it
+    # up to the fixed grid and pays ln|DELTA_GRID| = ln 20 in x
+    _, (point,) = small_gengap(HardK(2), L1_VARIANTS, m_grid=(64,))
+    step = DELTA_GRID[1]
+    used = min(d for d in DELTA_GRID if d >= point.delta)
+    assert used - step < point.delta <= used and point.delta != used  # 0.894 -> 0.9
+    inputs = BoundInputs(n=6, p=8, m=64, x=2.0 + math.log(20), k=2, delta=used)
+    for ev in point.evals:
+        assert ev.applicable
+        if ev.variant == "fast":
+            _, expected = optimize_fast_params(inputs, FAST_K_GRID, "ksparse",
+                                               empirical=point.train_mean)
+            assert ev.report.parts["confidence"] == pytest.approx(
+                (11.0 * (2.0 + math.log(20) + math.log(6)) + 5.0 * ev.k_fast) / 64, rel=1e-12)
+        else:
+            expected = ksparse_generalization_bound(inputs, ev.variant)
+            assert ev.report.parts["confidence"] == pytest.approx(
+                math.sqrt((2.0 + math.log(20)) / 128), rel=1e-12)
+        assert ev.report == expected
+
+
+def test_delta_grid_rounds_up_and_is_inapplicable_above_its_top():
+    assert len(DELTA_GRID) == 20 and DELTA_GRID[-1] == 0.95
+    for measured, used in [(0.0, 0.0), (0.45, 0.45), (0.4501, 0.5), (0.93, 0.95), (0.95, 0.95)]:
+        inputs = _on_delta_grid(BoundInputs(n=6, p=8, m=64, x=2.0, k=2, delta=measured))
+        assert (inputs.delta, inputs.x) == (used, 2.0 + math.log(20))
+    with pytest.raises(InapplicableError, match="above the delta grid's top value 0.95"):
+        _on_delta_grid(BoundInputs(n=6, p=8, m=64, x=2.0, k=2, delta=0.9501))
+
+
 def test_gengap_babel_at_least_one_records_every_variant_inapplicable():
     # nine atoms in R^3 have mu_2 >= 1, so no k-sparse calculator applies;
     # each variant still gets a record: the plain test mean and no bound
@@ -316,8 +355,7 @@ def test_gengap_fast_variant_records_chosen_params():
     for point in points:
         ev = point.evals[0]
         if ev.applicable:
-            assert ev.k_fast in FAST_K_GRID and 0.0 < ev.alpha_fast < point.m
-            assert ev.alpha_fast == ev.report.alpha
+            assert ev.k_fast in FAST_K_GRID and 0.0 < ev.report.alpha < point.m
 
 
 def test_gengap_at_m_up_to_16_keeps_fast_records_applicable():
@@ -329,7 +367,7 @@ def test_gengap_at_m_up_to_16_keeps_fast_records_applicable():
     assert [ev.variant for ev in points[0].evals] == list(L1_VARIANTS)
     for point in points:
         fast = point.evals[L1_VARIANTS.index("fast")]
-        assert fast.applicable and 0.0 < fast.alpha_fast < point.m
+        assert fast.applicable and 0.0 < fast.report.alpha < point.m
         assert fast.test_stat <= fast.bound_value
     assert len(records) == 2 * len(L1_VARIANTS)
 

@@ -1,13 +1,12 @@
 """Every name a library module imports is used in that module, importing
-the library loads numpy alone, and only core tests arrays for finiteness.
+the library needs numpy alone, and only core tests arrays for finiteness.
 
 No linter ships with the project, so this walks each module's syntax tree.
 A name counts as used when it is read anywhere in the module, including
 inside a string annotation.  The package's __init__ is exempt: its imports
-are the public re-exports.  Module-level imports may name only the standard
-library, numpy or the package itself; scipy is imported only inside
-`kernels.gaussian_kernel`, the one function that uses it, so a process
-that never builds a gaussian kernel never loads it.
+are the public re-exports.  Imports at every level, function bodies
+included, may name only the standard library, numpy or the package itself,
+and numpy is the one runtime dependency pyproject.toml declares.
 Every vector and matrix is checked by core's array rule (as_matrix and
 as_vector), so `np.isfinite` appears in core alone: a second call site is a
 hand-written copy of the rule.
@@ -15,6 +14,7 @@ hand-written copy of the rule.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,23 +69,19 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def module_level_imports(source: str) -> list[str]:
-    """Top-level package of every absolute import that runs when the module
-    is imported: everything outside function bodies."""
-    found, stack = [], [ast.parse(source)]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+def absolute_imports(source: str) -> list[str]:
+    """Top-level package of every absolute import in the module, at any
+    level: module body, class body or function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module.split(".")[0])
-        stack.extend(ast.iter_child_nodes(node))
     return sorted(set(found))
 
 
-def test_import_checker_skips_function_bodies_and_relative_imports():
+def test_import_checker_sees_every_level_and_skips_relative_imports():
     source = ("import os.path\n"
               "from . import core\n"
               "from .coders import x\n"
@@ -96,49 +92,17 @@ def test_import_checker_skips_function_bodies_and_relative_imports():
               "class K:\n"
               "    import json\n"
               "def f():\n"
-              "    from scipy.integrate import quad\n")
-    assert module_level_imports(source) == ["json", "os", "scipy"]
+              "    from scipy.integrate import quad\n"
+              "    def g():\n"
+              "        import re\n")
+    assert absolute_imports(source) == ["json", "os", "re", "scipy"]
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
 def test_module_level_imports_are_stdlib_or_numpy(path):
+    # every level, function bodies included: the library needs numpy alone
     allowed = set(sys.stdlib_module_names) | {"numpy"}
-    assert [m for m in module_level_imports(path.read_text(encoding="utf-8")) if m not in allowed] == []
-
-
-def scipy_import_sites(source: str) -> list[str]:
-    """Qualified name of the function (or class) around every absolute
-    import of scipy, or "<module>" for one outside any."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = node.name if where == "<module>" else f"{where}.{node.name}"
-        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                 else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
-        found.extend(where for name in names if name.split(".")[0] == "scipy")
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
-    return found
-
-
-def test_scipy_site_checker_names_the_enclosing_function():
-    source = ("import scipy\n"
-              "class K:\n"
-              "    def f(self):\n"
-              "        from scipy.integrate import quad\n"
-              "def g():\n"
-              "    import os, scipy.linalg\n"
-              "    from .scipy import x\n")
-    assert scipy_import_sites(source) == ["<module>", "K.f", "g"]
-
-
-def test_only_the_gaussian_kernel_imports_scipy():
-    sites = {f"{p.stem}.{site}" for p in ALL_MODULES
-             for site in scipy_import_sites(p.read_text(encoding="utf-8"))}
-    assert sites == {"kernels.gaussian_kernel"}
+    assert [m for m in absolute_imports(path.read_text(encoding="utf-8")) if m not in allowed] == []
 
 
 def test_cli_import_leaves_scipy_unloaded_until_used():
@@ -155,15 +119,27 @@ def test_cli_import_leaves_scipy_unloaded_until_used():
         "assert log_integral_check(10.0, [0.5]) <= 1e-8\n"
         "points = uniform_sphere_matrix(8, 40, substream(3, 0)).T\n"
         "gram_matrix(kernel_from_name('poly:2'), points)\n"
-        "assert not scipy_loaded(), scipy_loaded()\n"
         "gram = gram_matrix(kernel_from_name('gaussian:0.8'), points)\n"
         "assert np.all(np.diag(gram) == 1.0), np.diag(gram)\n"
-        "assert 'scipy.spatial' in sys.modules, scipy_loaded()\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def distribution_names(requirements: list[str]) -> list[str]:
+    """The distribution name of each requirement string, "numpy>=1.23" -> "numpy"."""
+    return [re.match(r"[\w.-]+", req).group() for req in requirements]
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert distribution_names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in distribution_names(project["optional-dependencies"]["test"])
 
 
 def isfinite_calls(source: str) -> int:

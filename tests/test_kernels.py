@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist  # the oracle for _sq_distances
 
 from dlbounds.bounds import BoundInputs, l1_generalization_bound, slow_rate_generic
 from dlbounds.coders import greedy_ksparse
@@ -18,6 +20,7 @@ from dlbounds.kernels import (
     KERNEL_VARIANTS,
     KernelDictionary,
     KernelFn,
+    _sq_distances,
     feature_babel,
     gaussian_kernel,
     gram_matrix,
@@ -45,6 +48,47 @@ def test_linear_kernel_is_dot():
     kf = linear_kernel()
     assert kf([1.0, 2.0], [3.0, -1.0]) == pytest.approx(1.0)
     assert kf.smoothness == (1.0, 1.0) and kf.feature_norm_cap == 1.0
+
+
+def distance_tol(xs, ys):
+    """3 (n + 2) eps (|x|^2 + |y|^2): _sq_distances' rounding bound, (n + 2) eps
+    times that scale, plus cdist's own, at most twice as much since
+    |x - y|^2 <= 2 (|x|^2 + |y|^2)."""
+    scale = (xs ** 2).sum(1)[:, None] + (ys ** 2).sum(1)
+    return 3 * (xs.shape[1] + 2) * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 1000, 5000])
+def test_sq_distances_of_equal_rows_are_exactly_zero(n):
+    rng = np.random.default_rng(n)
+    xs = np.logspace(-2, 2, 5)[:, None] * rng.standard_normal((5, n))  # row scales 1e-2..1e2
+    for i, x in enumerate(xs):
+        assert _sq_distances(x[None], x[None]).tolist() == [[0.0]]  # 1 x 1
+        assert _sq_distances(x[None], xs)[0, i] == 0.0  # 1 x b
+    repeats = xs[[0, 2, 0, 4, 2, 1]]
+    for ys in (xs, repeats):  # a x b, each row of xs once, or some twice
+        got = _sq_distances(xs, ys)
+        assert np.array_equal(got == 0.0, cdist(xs, ys, "sqeuclidean") == 0.0)
+        assert np.count_nonzero(got == 0.0) == len(ys)
+        assert np.all(np.abs(got - cdist(xs, ys, "sqeuclidean")) <= distance_tol(xs, ys))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.integers(1, 4), b=st.integers(1, 4), n=st.integers(1, 40), exponent=st.integers(-2, 2),
+       layout=st.sampled_from(["random", "near", "repeat"]), seed=st.integers(0, 2**32 - 1))
+def test_sq_distances_match_cdist(a, b, n, exponent, layout, seed):
+    rng = np.random.default_rng(seed)
+    xs = 10.0 ** exponent * rng.standard_normal((a, n))
+    ys = xs[rng.integers(a, size=b)]  # rows that repeat inside one block
+    if layout == "random":
+        ys = 10.0 ** exponent * rng.standard_normal((b, n))
+    elif layout == "near":  # each y within about 1e-8 times the scale of a row of xs
+        ys = ys + 1e-8 * 10.0 ** exponent * rng.standard_normal((b, n))
+    got, want = _sq_distances(xs, ys), cdist(xs, ys, "sqeuclidean")
+    assert np.all(np.abs(got - want) <= distance_tol(xs, ys))
+    assert np.all(got >= 0.0)  # a negative rounding residue is within the bound, so recomputed
+    if layout == "repeat":
+        assert np.array_equal(got == 0.0, want == 0.0)
 
 
 def test_gaussian_kernel_values():
