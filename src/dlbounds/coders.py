@@ -25,7 +25,7 @@ optimum.  A signal the gap does not certify takes at most NEWTON_STEPS
 Newton steps on its KKT system, from an exactly rounded residual after the
 first; one still uncertified, or one cut off at MAX_ITERS path steps, raises
 a RuntimeWarning.  One inverse per column, applied with one refinement step
-(_solve), serves both the path and the Newton finish.
+(_solve), serves the path; the Newton finish solves by LU.
 """
 
 from __future__ import annotations
@@ -361,21 +361,24 @@ def _join(inv: np.ndarray, cols: np.ndarray, j: np.ndarray, atoms: np.ndarray, g
     return ok
 
 
+def _support_matrices(on: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's G + RIDGE I on A x A (A = on[:, i]) and I elsewhere, whose
+    LU never mixes the two blocks, as an N x p x p stack, with its A x A masks."""
+    both = on.T[:, :, None] & on.T[:, None, :]
+    eye = np.eye(on.shape[0])
+    return both, np.where(both, gram + RIDGE * eye, eye)
+
+
 def _inverse(on: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """(G_AA + RIDGE I)^-1 for each column, A = on[:, i], zero off A, as an
-    N x p x p stack, in blocks of 256 columns: the inverse of G + RIDGE I on
-    A x A and I elsewhere, whose LU never mixes the two blocks.  A drop
-    takes this rather than the Schur downdate B - B_:j B_j: / B_jj: if A
-    also holds a near-twin of d_j, at distance delta, B_jj is ~1/(delta^2 +
-    RIDGE), and the downdate leaves ~eps B_jj of rounding in entries of
-    order one."""
-    p, n_sig = on.shape
-    eye = np.eye(p)
-    inv = np.empty((n_sig, p, p))
-    for lo in range(0, n_sig, 256):
-        act = on[:, lo:lo + 256].T
-        both = act[:, :, None] & act[:, None, :]
-        inv[lo:lo + 256] = np.linalg.inv(np.where(both, gram + RIDGE * eye, eye)) * both
+    N x p x p stack, inverted in blocks of 256 columns.  A drop takes this
+    rather than the Schur downdate B - B_:j B_j: / B_jj: if A also holds a
+    near-twin of d_j, at distance delta, B_jj is ~1/(delta^2 + RIDGE), and
+    the downdate leaves ~eps B_jj of rounding in entries of order one."""
+    inv = np.empty((on.shape[1], on.shape[0], on.shape[0]))
+    for lo in range(0, on.shape[1], 256):
+        both, mat = _support_matrices(on[:, lo:lo + 256], gram)
+        inv[lo:lo + 256] = np.linalg.inv(mat) * both
     return inv
 
 
@@ -385,9 +388,11 @@ def _newton_step(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.n
     [top_S; last], M = G_SS + RIDGE I on its support S = on[:, i] and b its
     border: the Newton finish's step.  By the Schur complement of M, x =
     M^-1 top - nu M^-1 b with nu = (b.M^-1 top - last) / b.M^-1 b, and nu =
-    0 where b = 0 (inside the ball).  Returns x as p x N, zero off S."""
-    inv = _inverse(on, gram)
-    x, y = _solve(inv, on, gram, top), _solve(inv, on, gram, border)
+    0 where b = 0 (inside the ball).  M^-1 [top_S b] is one batched LU
+    solve, since an inverse's product leaves ~eps cond(M) |top| of residual.
+    Returns x as p x N, zero off S."""
+    rhs = np.stack([np.where(on, top, 0.0), border]).T
+    x, y = np.linalg.solve(_support_matrices(on, gram)[1], rhs).T
     curve = (border * y).sum(axis=0)
     nu = np.divide((border * x).sum(axis=0) - last, curve, out=np.zeros_like(curve), where=curve > 0.0)
     return x - nu * y
@@ -424,9 +429,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float) -> tuple[np.n
     _l1_slack).  One that misses ERR_TOL takes up to NEWTON_STEPS Newton
     steps on the KKT system of its support and signs, G_SS a_S + nu s =
     D_S^T x with s.a_S = lam on the sphere (nu = 0 inside), solved by the
-    Schur complement of the same inverse and two _solve calls
-    (_newton_step); the steps go on from each new point, and the column
-    keeps the point of lowest slack.
+    Schur complement of one batched LU solve (_newton_step); the steps go
+    on from each new point, and the column keeps the point of lowest slack.
     The first step works from the computed residual D a - x; the others,
     and every certificate after a step, from the exactly rounded residual
     (_exact_residual), whose margin is eps h rather than eps ||x||: the gap

@@ -304,25 +304,19 @@ def uniform_sphere_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarra
     """n x p matrix whose columns are independent uniform unit-sphere draws.
 
     Each column is a standard Gaussian vector divided by its norm; draws
-    with norm below 1e-12 are rejected and redrawn.  The p draws come in
-    one block and rejected rows are replaced by further blocks.  The
-    Generator fills sequentially, so the output bits and the generator's
-    end state equal those of a loop drawing rng.standard_normal(n) until p
-    draws are kept.
+    with norm below 1e-12 are rejected and redrawn.  Each try draws into
+    one length-n buffer, divided into the next column once kept, so the
+    output is the one n x p array made.  Its bits and the generator's end
+    state are those of a loop of rng.standard_normal(n) until p are kept.
     """
-    p = as_count(p, "column count p")
-    n = as_count(n, "dimension n")
-    rows = np.empty((p, n))
-    kept = 0
-    while kept < p:
-        rng.standard_normal(out=rows[kept:])
-        for row in rows[kept:]:
-            # per-row norms: norm(axis=1) sums in a different order
-            norm = float(np.linalg.norm(row))
-            if norm >= 1e-12:
-                np.divide(row, norm, out=rows[kept])
-                kept += 1
-    return np.ascontiguousarray(rows.T)
+    p, n = as_count(p, "column count p"), as_count(n, "dimension n")
+    out, draw = np.empty((n, p)), np.empty(n)
+    for column in out.T:
+        norm = 0.0
+        while norm < 1e-12:
+            norm = float(np.linalg.norm(rng.standard_normal(out=draw)))
+        np.divide(draw, norm, out=column)
+    return out
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

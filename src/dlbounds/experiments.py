@@ -32,7 +32,7 @@ from .core import (
     validate_dictionary,
 )
 from .coders import exact_ksparse, exact_ksparse_batch, l1_solve_batch
-from .coherence import _check_order, babel
+from .coherence import _check_order, babel, babel_from_gram
 from .bounds import (
     BoundInputs,
     BoundReport,
@@ -157,7 +157,9 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
     The reported bound is the threshold-1/2 tail formula regardless of the
     threshold argument.  Trial i's dictionary depends only on (seed, i) —
     not on k or the thread count — so runs at different orders k share
-    dictionaries trial-by-trial and parallel runs match serial ones.
+    dictionaries trial-by-trial and parallel runs match serial ones.  A
+    trial reads Babel off its atoms' Gram, as babel(Dictionary(atoms), k)
+    does after copying them: one n x p array, so no heap trim and refault.
     """
     n, p, k, trials = as_count(n, "n"), as_count(p, "p"), as_count(k, "k"), as_count(trials, "trials")
     threads = as_count(threads, "threads")
@@ -166,7 +168,7 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
 
     def one(i: int) -> float:
         atoms = uniform_sphere_matrix(n, p, substream(seed, i))
-        return babel(Dictionary(atoms), k).value
+        return babel_from_gram(atoms.T @ atoms, k).value
 
     values = _ordered_map(one, trials, threads)
     records = [TrialRecord(trial=i, seed=seed, n=n, p=p, k=k, stat=v, bound=bound)

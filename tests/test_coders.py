@@ -653,14 +653,30 @@ def _kkt_reference(gram, on, border, top, last):
     return out
 
 
+def _bordered_residual(gram, on, border, top, last, step):
+    """Each column's residual in its bordered system at x = step, with nu
+    fitted by least squares, relative to max |top_S|."""
+    out = np.empty(on.shape[1])
+    for i in range(on.shape[1]):
+        sup = np.flatnonzero(on[:, i])
+        b, x = border[sup, i], step[sup, i]
+        r = top[sup, i] - (gram[np.ix_(sup, sup)] + coders.RIDGE * np.eye(sup.size)) @ x
+        if b.any():
+            r = np.append(r - (b @ r) / (b @ b) * b, b @ x - last[i])
+        out[i] = np.abs(r).max() / np.abs(top[sup, i]).max()
+    return out
+
+
 def test_newton_step_matches_bordered_lu():
     # supports of 1-6 atoms in R^8, half of the columns on the sphere (border
     # s) and half inside the ball (no border); top is D^T of a signal, as
     # -D^T r in the finish.  With atom 7 a near-twin of atom 0 at delta =
     # 1e-8 in every support of two or more, cond(G_SS + RIDGE I) reaches
-    # ~1e12.  The inverse's product with one refinement step agrees with the
-    # LU to within eps cond(G_SS + RIDGE I) of the larger of step and top
-    # (on the sphere, M^-1 top and nu M^-1 b cancel down to the step).
+    # ~1e12.  The step agrees with the LU to within eps cond(G_SS + RIDGE I)
+    # of the larger of step and top (on the sphere, M^-1 top and nu M^-1 b
+    # cancel down to the step), and solves its bordered system to the LU's
+    # backward error, about 2e-12 of |top| on the pair, where an explicit
+    # inverse's product left 3e-8.
     base = uniform_sphere_matrix(8, 12, substream(41, 0))
     d0 = base[:, 0]
     u = uniform_sphere_matrix(8, 1, substream(41, 2))[:, 0]
@@ -687,6 +703,7 @@ def test_newton_step_matches_bordered_lu():
         cond = np.array([np.linalg.cond(gram[np.ix_(s, s)] + coders.RIDGE * np.eye(s.size))
                          for s in (np.flatnonzero(col) for col in on.T)])
         assert not pair or cond.max() > 1e11
+        assert _bordered_residual(gram, on, border, top, last, step).max() <= 1e-10
         tol = 4 * np.finfo(float).eps * cond * np.maximum(np.abs(ref), np.abs(top) * on).max(axis=0)
         assert np.all(np.abs(step - ref).max(axis=0) <= tol)
         if not pair:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,38 @@ def test_mc_babel_shares_dictionaries_across_k():
     high = mc_babel(20, 6, 3, trials=25, seed=6)
     for r1, r3 in zip(low.records, high.records):
         assert r3.stat >= r1.stat - 1e-12  # same trial dictionary, larger k
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, p, k", [(5000, 10, 1), (5000, 10, 2), (6, 12, 1), (6, 12, 2)])
+def test_mc_babel_stat_is_the_babel_of_the_trial_dictionary(n, p, k, threads):
+    # trials read Babel off their atoms' Gram without building a Dictionary;
+    # that must move no bit of babel(Dictionary(atoms), k)
+    records = mc_babel(n, p, k, trials=4, seed=9, threads=threads).records
+    for i, record in enumerate(records):
+        atoms = uniform_sphere_matrix(n, p, substream(9, i))
+        assert record.stat.hex() == babel(Dictionary(atoms), k).value.hex()
+
+
+def test_sphere_sampler_and_mc_babel_trials_hold_one_n_by_p_array():
+    # the sampler fills its output a column at a time from one length-n
+    # buffer, and a trial keeps no copy of the atoms: two n x p arrays live
+    # at once would make glibc hand the heap top back and fault it in again
+    # every trial
+    n, p = 5000, 10
+    bound = n * p * 8 + n * 8 + 16 * 1024
+    mc_babel(n, p, 1, trials=1, seed=12)
+    tracemalloc.start()
+    try:
+        uniform_sphere_matrix(n, p, substream(12, 0))
+        sampler_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        mc_babel(n, p, 1, trials=3, seed=12)
+        trials_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler_peak <= bound
+    assert trials_peak <= bound
 
 
 def test_mc_babel_validation():
