@@ -133,15 +133,17 @@ def slow_rate_generic(B: float, C: float, d: float, m: int, x: float) -> BoundRe
     """Covering-number deviation bound for a [0, B]-valued function class
     with covering numbers (C / eps)^d, evaluated at eps = 1 / sqrt(m).
 
-    Applicable when the cover at that radius has more than e / B^2
-    elements; otherwise raises InapplicableError.
+    Applicable when the cover at that radius has at least one element and
+    more than e / B^2; otherwise raises InapplicableError.  A formula value
+    below one element is outside the range where (C / eps)^d bounds a
+    covering number (and its log would enter a square root).
     """
     m, x = as_count(m, "m"), _finite(x, "x", strict=False)
     B, C, d = _finite(B, "B"), _finite(C, "C"), _finite(d, "d", 1.0, strict=False)
     log_cover = d * math.log(C * math.sqrt(m))
-    if not log_cover > 1.0 - 2.0 * math.log(B):
+    if log_cover < 0.0 or not log_cover > 1.0 - 2.0 * math.log(B):
         raise InapplicableError(
-            f"cover size (C sqrt(m))^d = exp({log_cover:.6g}) does not exceed e/B^2")
+            f"cover size (C sqrt(m))^d = exp({log_cover:.6g}) is below 1 or does not exceed e/B^2")
     parts = {
         "cover": B * math.sqrt(log_cover / (2.0 * m)),
         "confidence": B * math.sqrt(x / (2.0 * m)),

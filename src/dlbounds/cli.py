@@ -112,8 +112,7 @@ def _digest(path) -> str:
 def _write_manifest(args, out_dir: Path, inputs: list = ()) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     digests = {str(p): _digest(p) for p in inputs}
-    manifest = RunManifest(subcommand=args.func.__name__.removeprefix("_cmd_").replace("_", "-"),
-                           params=params, seed=getattr(args, "seed", 0),
+    manifest = RunManifest(subcommand=args.subcommand, params=params, seed=args.seed,
                            input_digests=digests)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = manifest.subcommand.replace("-", "_") + "_manifest.json"

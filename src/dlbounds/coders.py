@@ -92,14 +92,6 @@ def _full_rank(r: np.ndarray) -> np.ndarray:
     return (r.shape[-2] == r.shape[-1]) & (top > 0.0) & (diag.min(axis=-1) > RANK_RTOL * top)
 
 
-def _check_sparsity(k, limit: int, limit_name: str = "p") -> int:
-    """k as a count in [1, limit]; limit_name words the limit in the message."""
-    k = as_count(k, "k")
-    if not k <= limit:
-        raise ValueError(f"k must satisfy 1 <= k <= {limit_name} = {limit}, got {k}")
-    return k
-
-
 def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
     """Batch OMP (Rubinstein, Zibulevsky & Elad, 2008) from the p x p atom
     Gram and the p x N atom-signal inner products.  Each round a column picks
@@ -144,7 +136,7 @@ def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
 
 
 def _greedy_signals(d: Dictionary, signals: np.ndarray, k: int):
-    k = _check_sparsity(k, min(d.n, d.p), "min(n, p)")
+    k = as_count(k, "k", min(d.n, d.p), "min(n, p)")
     return _greedy_columns(d.atoms.T @ d.atoms, d.atoms.T @ signals, k)
 
 
@@ -191,7 +183,7 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     first basis, padded with the lowest other atoms.  Returns (coeffs p x N,
     errors N, supports k x N).
     """
-    k = _check_sparsity(k, d.p)
+    k = as_count(k, "k", d.p)
     if comb(d.p, k) > EXACT_GUARD:
         raise GuardExceededError(f"C({d.p},{k}) = {comb(d.p, k)} exceeds guard {EXACT_GUARD}")
     atoms, n_sig = d.atoms, signals.shape[1]
@@ -597,7 +589,7 @@ def coeff_l1_bound(d: Dictionary, k: int) -> float:
     Valid when column norms lie in [1, gamma] and mu_{k-1}(D) < 1, else
     InapplicableError; order 0 is an empty sum, so mu_0 = 0.
     """
-    k = _check_sparsity(k, d.p)
+    k = as_count(k, "k", d.p)
     problems = validate_dictionary(d)
     if problems:
         raise ValueError("dictionary invalid: " + "; ".join(problems))

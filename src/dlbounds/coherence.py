@@ -30,13 +30,6 @@ class BabelValue:
     k: int
 
 
-def _check_order(p: int, k: int) -> int:
-    k = as_count(k, "k")
-    if not k <= p - 1:
-        raise ValueError(f"babel order must satisfy 1 <= k <= p-1 = {p - 1}, got {k}")
-    return k
-
-
 def babel_from_gram(gram: np.ndarray, k: int) -> BabelValue:
     """Order-k Babel value from a Gram matrix of atom inner products.
 
@@ -48,7 +41,7 @@ def babel_from_gram(gram: np.ndarray, k: int) -> BabelValue:
     """
     g = as_gram(gram, "gram")
     p = g.shape[0]
-    k = _check_order(p, k)
+    k = as_count(k, "k", p - 1, "p-1")
     a = np.abs(g)
     # The diagonal must never enter a top-k selection; off-diagonals are >= 0
     # so -1 can never be picked while k <= p-1.
@@ -69,7 +62,7 @@ def babel_bruteforce(d: Dictionary, k: int) -> BabelValue:
     instances where C(p, k) * p exceeds BRUTEFORCE_GUARD.
     """
     p = d.p
-    k = _check_order(p, k)
+    k = as_count(k, "k", p - 1, "p-1")
     if comb(p, k) * p > BRUTEFORCE_GUARD:
         raise GuardExceededError(
             f"C({p},{k}) * {p} = {comb(p, k) * p} exceeds guard {BRUTEFORCE_GUARD}"

@@ -97,16 +97,30 @@ def _finite(value, name: str, floor: float = 0.0, strict: bool = True) -> float:
     return v
 
 
-def as_count(value, name: str) -> int:
-    """A positive integer count; a non-integral value raises instead of
-    being truncated by int()."""
+def as_count(value, name: str, limit: int | None = None, limit_name: str = "p") -> int:
+    """A positive integer count, at most limit when limit is given; a
+    non-integral value raises instead of being truncated by int().  The one
+    rule for every bounded count: k <= p atoms (min(n, p) for greedy
+    pursuit), a Babel order k <= p - 1, a source's k_true <= p.  limit_name
+    words the limit in the message, e.g. "k must satisfy 1 <= k <= p = 5,
+    got 7"."""
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or count < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if limit is not None and count > limit:
+        raise ValueError(f"{name} must satisfy 1 <= {name} <= {limit_name} = {limit}, got {count}")
     return count
+
+
+def _read_only(values) -> np.ndarray:
+    """A float, C-contiguous copy of values with its write flag off: the
+    array a frozen type holds, so no caller's later write can reach it."""
+    a = np.array(values, dtype=float, order="C")
+    a.flags.writeable = False
+    return a
 
 
 def me_norm(matrix) -> float:
@@ -133,10 +147,8 @@ class Dictionary:
     gamma: float = 1.0
 
     def __post_init__(self):
-        atoms = as_matrix(self.atoms, "dictionary")
+        atoms = _read_only(as_matrix(self.atoms, "dictionary"))
         gamma = _finite(self.gamma, "gamma", 1.0, strict=False)
-        atoms = atoms.copy()
-        atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "gamma", gamma)
 
@@ -164,9 +176,7 @@ class Signal:
         v = as_vector(self.values, "signal")
         if self.unit and abs(float(np.linalg.norm(v)) - 1.0) > NORM_TOL:
             raise ValueError("signal flagged as unit-sphere has norm != 1")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v))
 
     @property
     def n(self) -> int:
@@ -189,11 +199,10 @@ class SignalBatch(Sequence):
     values: np.ndarray
 
     def __post_init__(self):
-        v = as_matrix(np.array(self.values, dtype=float, order="C"), "signal batch")
+        v = as_matrix(_read_only(self.values), "signal batch")
         # einsum's column norms make no n x m temporary
         if np.any(np.abs(np.sqrt(np.einsum("ij,ij->j", v, v)) - 1.0) > NORM_TOL):
             raise ValueError("signal flagged as unit-sphere has norm != 1")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -227,9 +236,7 @@ class CoeffVector:
         off[list(support)] = False
         if np.any(v[off] != 0.0):
             raise ValueError("entries off the support must be exactly zero")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v))
         object.__setattr__(self, "support", support)
 
     @classmethod
@@ -269,26 +276,24 @@ class L1Ball:
 SparsityConstraint = Union[HardK, L1Ball]
 
 
-def validate_dictionary(d: Dictionary, normalized: bool = False) -> list[str]:
-    """Return a list of violated dictionary invariants (empty means valid).
+def _norm_report(values: np.ndarray, cap: float, label: str, cap_text: str) -> list[str]:
+    """The norm rule: one line per value outside [1 - NORM_TOL, cap +
+    NORM_TOL], in index order, "<label i> <value> below 1" or "... above
+    <cap_text>"; label is a format string taking the index."""
+    bad = np.flatnonzero((values < 1.0 - NORM_TOL) | (values > cap + NORM_TOL))
+    return [f"{label.format(i)} {values[i]:.12g} " + ("below 1" if values[i] < 1.0 else f"above {cap_text}")
+            for i in bad]
 
-    With normalized=True every column norm must be within NORM_TOL of 1;
-    otherwise norms must lie in [1 - NORM_TOL, gamma + NORM_TOL].
+
+def validate_dictionary(d: Dictionary, normalized: bool = False) -> list[str]:
+    """Return a list of violated dictionary invariants (empty means valid):
+    one line per column whose norm lies outside [1 - NORM_TOL, gamma +
+    NORM_TOL], or outside [1 - NORM_TOL, 1 + NORM_TOL] with normalized=True.
+    Kernel dictionaries are held to the same report on their Gram diagonal
+    (kernels.validate_kernel_dictionary).
     """
-    report: list[str] = []
-    norms = d.column_norms()
-    if normalized:
-        bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
-        for i in bad:
-            report.append(f"column {i}: norm {norms[i]:.12g} not within {NORM_TOL:g} of 1")
-        return report
-    low = np.flatnonzero(norms < 1.0 - NORM_TOL)
-    high = np.flatnonzero(norms > d.gamma + NORM_TOL)
-    for i in low:
-        report.append(f"column {i}: norm {norms[i]:.12g} below 1")
-    for i in high:
-        report.append(f"column {i}: norm {norms[i]:.12g} above gamma={d.gamma:g}")
-    return report
+    cap, cap_text = (1.0, "1") if normalized else (d.gamma, f"gamma={d.gamma:g}")
+    return _norm_report(d.column_norms(), cap, "column {}: norm", cap_text)
 
 
 def sample_uniform_sphere(n: int, rng: np.random.Generator) -> Signal:

@@ -32,7 +32,7 @@ from .core import (
     validate_dictionary,
 )
 from .coders import exact_ksparse, exact_ksparse_batch, l1_solve_batch
-from .coherence import _check_order, babel, babel_from_gram
+from .coherence import babel, babel_from_gram
 from .bounds import (
     BoundInputs,
     BoundReport,
@@ -85,10 +85,9 @@ class TrialRecord:
     applicable: bool = True
 
     def __post_init__(self):
-        if not math.isfinite(self.stat):
-            raise ValueError(f"stat must be finite, got {self.stat}")
-        if self.bound is not None and not math.isfinite(self.bound):
-            raise ValueError(f"bound must be finite or absent, got {self.bound}")
+        _finite(self.stat, "stat", strict=False)
+        if self.bound is not None:
+            _finite(self.bound, "bound", strict=False)
 
 
 def _format_field(value) -> str:
@@ -109,12 +108,6 @@ def records_to_csv(records: Iterable[TrialRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_records(records: Iterable[TrialRecord], path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(records_to_csv(records), encoding="ascii")
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo tail of the Babel function on random dictionaries.
 # ---------------------------------------------------------------------------
@@ -125,7 +118,7 @@ def babel_tail_bound(n: int, p: int, k: int) -> float:
     dictionary of p uniform sphere atoms, clamped to [0, 1] (the clamp
     only ever loosens: nonpositive exponents report the vacuous 1)."""
     n, p = as_count(n, "n"), as_count(p, "p")
-    k = _check_order(p, k)
+    k = as_count(k, "k", p - 1, "p-1")
     exponent = (n - 2) / (10.0 * k * math.log(p)) ** 2
     if exponent <= 0.0:
         return 1.0

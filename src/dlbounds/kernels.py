@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (CoeffVector, InapplicableError, NORM_TOL, SYMMETRY_TOL, _finite, as_count,
-                   as_gram, as_matrix, as_vector)
-from .coders import CodingResult, _check_sparsity, _greedy_columns
+from .core import (CoeffVector, InapplicableError, SYMMETRY_TOL, _finite, _norm_report, _read_only,
+                   as_count, as_gram, as_matrix, as_vector)
+from .coders import CodingResult, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
 from .bounds import BoundInputs, BoundReport, _ksparse_lam, _log_cover, slow_rate_generic
 
@@ -153,7 +153,7 @@ class KernelDictionary:
     """Atom pre-images (rows of points) plus their cached Gram matrix.
 
     gamma caps the feature norms sqrt(kappa(d_i, d_i)); for bound use the
-    Gram diagonal must lie in [1 - tol, gamma^2 + tol], which
+    Gram diagonal must lie in [1 - NORM_TOL, gamma^2 + NORM_TOL], which
     validate_kernel_dictionary reports on.
     """
 
@@ -165,10 +165,8 @@ class KernelDictionary:
         pts = as_matrix(self.points, "points")
         g = as_gram(self.gram, "gram", pts.shape[0])
         gamma = _finite(self.gamma, "gamma", 1.0, strict=False)
-        pts = pts.copy(); pts.flags.writeable = False
-        g = g.copy(); g.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "points", _read_only(pts))
+        object.__setattr__(self, "gram", _read_only(g))
         object.__setattr__(self, "gamma", gamma)
 
     @classmethod
@@ -181,16 +179,11 @@ class KernelDictionary:
 
 
 def validate_kernel_dictionary(kd: KernelDictionary) -> list[str]:
-    """Report Gram-diagonal entries outside [1 - tol, gamma^2 + tol]."""
-    report: list[str] = []
-    diag = np.diag(kd.gram)
-    low = np.flatnonzero(diag < 1.0 - NORM_TOL)
-    high = np.flatnonzero(diag > kd.gamma ** 2 + NORM_TOL)
-    for i in low:
-        report.append(f"atom {i}: kappa(d,d) = {diag[i]:.12g} below 1")
-    for i in high:
-        report.append(f"atom {i}: kappa(d,d) = {diag[i]:.12g} above gamma^2 = {kd.gamma ** 2:g}")
-    return report
+    """Report the atoms whose squared feature norm kappa(d_i, d_i), the Gram
+    diagonal, lies outside [1 - NORM_TOL, gamma^2 + NORM_TOL]: core's norm
+    report (validate_dictionary's), with its tolerance on the squared norm."""
+    return _norm_report(np.diag(kd.gram), kd.gamma ** 2, "atom {}: kappa(d,d) =",
+                        f"gamma^2 = {kd.gamma ** 2:g}")
 
 
 def _coeff_support(coeffs, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +226,7 @@ def kernel_greedy_ksparse(x, kd: KernelDictionary, kf: KernelFn, k: int):
     Under the linear kernel this matches greedy_ksparse.
     """
     xv = as_vector(x, "signal", kd.points.shape[1])
-    k = _check_sparsity(k, kd.p)
+    k = as_count(k, "k", kd.p)
     kx = _kernel_block(kf, xv[None], np.vstack((kd.points, xv)))[0]  # last: kappa(x, x)
     dense, supports, ridge_used = _greedy_columns(kd.gram, kx[:-1, None], k)
     idx = supports[0][supports[0] >= 0]

@@ -28,7 +28,7 @@ from .core import (
     validate_dictionary,
 )
 from .coders import exact_ksparse_batch, greedy_ksparse_batch, l1_solve_batch
-from .coherence import _check_order, babel
+from .coherence import babel
 
 SOURCE_KINDS = ("dictionary", "sphere")
 INIT_KINDS = ("sample-atoms", "random-sphere")
@@ -69,18 +69,16 @@ class SignalSource:
         object.__setattr__(self, "n", as_count(self.n, "n"))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "sigma", _finite(self.sigma, "sigma", strict=False))
-        object.__setattr__(self, "k_true", as_count(self.k_true, "k_true"))
         if self.kind == "dictionary":
             if self.dictionary is None:
                 raise ValueError("dictionary kind needs a ground-truth dictionary")
             if self.dictionary.n != self.n:
                 raise ValueError(
                     f"ground dictionary has n = {self.dictionary.n}, source says {self.n}")
-            if not 1 <= self.k_true <= self.dictionary.p:
-                raise ValueError(
-                    f"k_true must satisfy 1 <= k_true <= p = {self.dictionary.p}, got {self.k_true}")
         elif self.dictionary is not None:
             raise ValueError("sphere kind takes no dictionary")
+        limit = self.dictionary.p if self.dictionary is not None else None
+        object.__setattr__(self, "k_true", as_count(self.k_true, "k_true", limit))
 
 
 def dictionary_source(d_true: Dictionary, k_true: int, sigma: float, seed: int = 0) -> SignalSource:
@@ -232,7 +230,7 @@ def near_orthogonal_dictionary(n: int, p: int, rng: np.random.Generator, *,
     NEAR_ORTHOGONAL_TRIES candidates raises SearchFailureError carrying the
     best Babel value reached.
     """
-    babel_order = _check_order(p, babel_order)
+    babel_order = as_count(babel_order, "k", p - 1, "p-1")
     best = math.inf
     for _ in range(NEAR_ORTHOGONAL_TRIES):
         atoms = uniform_sphere_matrix(n, p, rng)

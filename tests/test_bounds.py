@@ -101,6 +101,11 @@ def test_slow_rate_generic_precondition():
     # cover of size (C sqrt(m))^d must exceed e / B^2
     with pytest.raises(InapplicableError):
         slow_rate_generic(B=1.0, C=0.5, d=1.0, m=1, x=1.0)
+    # and be at least 1: for B > sqrt(e), e / B^2 < 1 admits a negative log cover
+    with pytest.raises(InapplicableError, match="is below 1"):
+        slow_rate_generic(B=2.0, C=0.9, d=1.0, m=1, x=1.0)
+    # a one-element cover stays applicable, with no cover term
+    assert slow_rate_generic(B=2.0, C=0.5, d=1.0, m=4, x=1.0).parts["cover"] == 0.0
 
 
 # ------------------------------------------------------------- generic fast

@@ -314,6 +314,9 @@ def test_manifest_roundtrip_and_argv():
     assert argv[0] == "mc-babel"
     assert "--brute" not in argv and "--lam" not in argv and "--lambda" not in argv
     assert argv[argv.index("--threshold") + 1] == "0.5"
+    # a True flag is the bare flag
+    brute = RunManifest(subcommand="babel", params={"dict": "d.csv", "k": 2, "brute": True}, seed=0)
+    assert argv_from_manifest(brute) == ["babel", "--brute", "--dict", "d.csv", "--k", "2"]
 
 
 def test_manifest_rerun_reproduces_bytes(capsys, tmp_path):

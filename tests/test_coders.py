@@ -37,6 +37,7 @@ from dlbounds.core import (
 )
 from dlbounds.coherence import babel
 from dlbounds.experiments import perturbed_pair
+from dlbounds.kernels import KernelDictionary, kernel_greedy_ksparse, linear_kernel
 from dlbounds.learn import near_orthogonal_dictionary
 
 ROOT2 = math.sqrt(2.0)
@@ -158,6 +159,30 @@ def test_greedy_repeated_atom_takes_ridge():
     assert res.error <= 1e-10
     assert res.ridge_used == (len(res.coeffs.support) == 3)
     check_result(Dictionary(atoms), x, res)
+
+
+def test_greedy_near_repeated_atom_refits_with_ridge():
+    # atom 1 is atom 0 turned by 1e-9, so eig_min of G_SS on {0, 1} is ~1e-18
+    # of eig_max and the refit solves G_SS + RIDGE I.  The ridge is then
+    # about as large as eig_min, so the error is held only to the best
+    # one-atom fit's.
+    e = np.eye(3)
+    atoms = np.column_stack([e[0], e[0] + 1e-9 * e[1], e[2]])
+    atoms /= np.linalg.norm(atoms, axis=0)
+    x = (e[0] + 1e-3 * e[1]) / np.linalg.norm(e[0] + 1e-3 * e[1])
+    d = Dictionary(atoms)
+    res = greedy_ksparse(d, x, 2)
+    kernel = kernel_greedy_ksparse(x, KernelDictionary.build(atoms.T, linear_kernel()), linear_kernel(), 2)
+    assert res.ridge_used and kernel.ridge_used
+    coeffs, errors = greedy_ksparse_batch(d, x[:, None], 2)
+    assert np.array_equal(coeffs[:, 0], res.coeffs.values) and errors[0] == res.error
+    assert kernel.error == pytest.approx(res.error, abs=1e-12)
+    sup = list(res.coeffs.support)
+    g_ss = atoms[:, sup].T @ atoms[:, sup] + coders.RIDGE * np.eye(len(sup))
+    assert g_ss @ res.coeffs.values[sup] == pytest.approx(atoms[:, sup].T @ x, abs=1e-12)
+    best_one = min(np.linalg.norm(x - (atoms[:, j] @ x) * atoms[:, j]) for j in range(3))
+    assert res.error <= best_one + 1e-12
+    check_result(d, x, res)
 
 
 def test_greedy_stops_after_exact_fit():

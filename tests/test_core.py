@@ -332,6 +332,9 @@ def test_matrix_roundtrip_exact(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix(path, m)
     assert np.array_equal(load_matrix(path), m)  # repr() round-trips doubles
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")  # a blank line is skipped
+    assert np.array_equal(load_matrix(path), m)
 
 
 def test_matrix_rejects_ragged_and_empty(tmp_path):

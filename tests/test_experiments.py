@@ -40,7 +40,6 @@ from dlbounds.experiments import (
     nonlipschitz_demo,
     perturbed_pair,
     records_to_csv,
-    save_records,
 )
 from dlbounds.learn import (
     LearnerConfig,
@@ -60,9 +59,12 @@ def test_trial_record_finiteness():
         TrialRecord(trial=0, seed=1, n=2, p=3, k=1, stat=float("nan"))
     with pytest.raises(ValueError):
         TrialRecord(trial=0, seed=1, n=2, p=3, k=1, stat=0.5, bound=float("inf"))
+    # stats and bounds are errors and bounds on them, never negative
+    with pytest.raises(ValueError, match="stat must be >= 0 and finite"):
+        TrialRecord(trial=0, seed=1, n=2, p=3, k=1, stat=-0.5)
 
 
-def test_records_csv_formatting(tmp_path):
+def test_records_csv_formatting():
     records = [
         TrialRecord(trial=0, seed=7, n=2, p=3, k=2, stat=0.25, bound=None,
                     applicable=False),
@@ -74,9 +76,6 @@ def test_records_csv_formatting(tmp_path):
     assert lines[0] == CSV_HEADER == "trial,seed,n,p,k,m,stat,bound,applicable"
     assert lines[1] == "0,7,2,3,2,,0.25,,false"
     assert lines[2] == f"1,7,2,3,1.5,100,{1 / 3!r},0.1,true"
-    path = tmp_path / "records.csv"
-    save_records(records, path)
-    assert path.read_text() == text
 
 
 # --------------------------------------------------------------- tail bound

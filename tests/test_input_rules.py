@@ -1,8 +1,9 @@
-"""One rule per kind of input: counts go through core.as_count, positive
-reals must be finite and above their floor, every vector and matrix (a
-kernel's values included) goes through core's array rule, and each
-calculator's slow bound is built on the same covering number its log-cover
-function reports."""
+"""One rule per kind of input: counts go through core.as_count, with their
+limit when they have one, positive reals must be finite and above their
+floor, every vector and matrix (a kernel's values included) goes through
+core's array rule, atom norms and kernel feature norms get one report, and
+each calculator's slow bound is built on the same covering number its
+log-cover function reports."""
 
 import math
 import os
@@ -48,8 +49,10 @@ from dlbounds.core import (
     save_signal,
     substream,
     uniform_sphere_matrix,
+    validate_dictionary,
 )
-from dlbounds.experiments import gengap_run, lipschitz_probe, mc_babel, nonlipschitz_demo, perturbed_pair
+from dlbounds.experiments import (babel_tail_bound, gengap_run, lipschitz_probe, mc_babel,
+                                  nonlipschitz_demo, perturbed_pair)
 from dlbounds.kernels import (
     KernelDictionary,
     KernelFn,
@@ -65,11 +68,13 @@ from dlbounds.kernels import (
     linear_kernel,
     polynomial_kernel,
     validate_kernel,
+    validate_kernel_dictionary,
 )
 from dlbounds.learn import (
     LearnerConfig,
     dictionary_source,
     learn_dictionary,
+    near_orthogonal_dictionary,
     signals_to_matrix,
     sphere_source,
 )
@@ -130,6 +135,49 @@ def test_non_integral_count_raises(name, call):
     # int() would truncate 2.5 to 2 and run at the wrong count
     with pytest.raises(ValueError, match=r"must be an integer >= 1, got (10)?2\.5$"):
         call()
+
+
+# Every count with a limit, as (entry, the count's name, the limit as the
+# message words it, the limit, the call at a count c).  D is 4 x 6.
+def bounded_count_calls():
+    yield "greedy_ksparse", "k", "min(n, p)", 4, lambda c: greedy_ksparse(D, X[:, 0], c)
+    yield "greedy_ksparse_batch", "k", "min(n, p)", 4, lambda c: greedy_ksparse_batch(D, X, c)
+    yield "exact_ksparse", "k", "p", 6, lambda c: exact_ksparse(D, X[:, 0], c)
+    yield "exact_ksparse_batch", "k", "p", 6, lambda c: exact_ksparse_batch(D, X, c)
+    yield "coeff_l1_bound", "k", "p", 6, lambda c: coeff_l1_bound(D, c)
+    yield "kernel_greedy_ksparse", "k", "p", 6, lambda c: kernel_greedy_ksparse(
+        X[:, 0], KD, linear_kernel(), c)
+    yield "babel", "k", "p-1", 5, lambda c: babel(D, c)
+    yield "babel_bruteforce", "k", "p-1", 5, lambda c: babel_bruteforce(D, c)
+    yield "babel_from_gram", "k", "p-1", 5, lambda c: babel_from_gram(D.atoms.T @ D.atoms, c)
+    yield "feature_babel", "k", "p-1", 5, lambda c: feature_babel(KD, c)
+    yield "babel_tail_bound", "k", "p-1", 5, lambda c: babel_tail_bound(4, 6, c)
+    yield "near_orthogonal_dictionary", "k", "p-1", 5, lambda c: near_orthogonal_dictionary(
+        4, 6, substream(21, 4), babel_order=c, babel_cap=5.0)
+    yield "SignalSource k_true", "k_true", "p", 6, lambda c: dictionary_source(D, c, sigma=0.0)
+
+
+BOUNDED = list(bounded_count_calls())
+
+
+@pytest.mark.parametrize("name,count,limit_name,limit,call", BOUNDED, ids=[b[0] for b in BOUNDED])
+def test_count_over_its_limit_raises(name, count, limit_name, limit, call):
+    message = f"^{count} must satisfy 1 <= {count} <= {re.escape(limit_name)} = {limit}, got {limit + 1}$"
+    with pytest.raises(ValueError, match=message):
+        call(limit + 1)
+    try:
+        call(limit)
+    except InapplicableError:  # coeff_l1_bound at mu_5(D) >= 1: a formula's precondition
+        assert name == "coeff_l1_bound"
+
+
+def test_kernel_norm_report_is_the_dictionary_rule():
+    # under the linear kernel the Gram diagonal holds the squared atom norms
+    atoms = np.diag([0.5, 1.0, 3.0])
+    d_report = validate_dictionary(Dictionary(atoms, gamma=2.0))
+    k_report = validate_kernel_dictionary(KernelDictionary.build(atoms.T, linear_kernel(), gamma=2.0))
+    assert d_report == ["column 0: norm 0.5 below 1", "column 2: norm 3 above gamma=2"]
+    assert k_report == ["atom 0: kappa(d,d) = 0.25 below 1", "atom 2: kappa(d,d) = 9 above gamma^2 = 4"]
 
 
 def real_calls(v):

@@ -481,6 +481,10 @@ def test_kernel_slow_precondition():
     with pytest.raises(InapplicableError):
         kernel_gen_bound(BoundInputs(n=1, p=1, m=1, x=1.0, k=1, delta=0.0,
                                      cover_c=1.0, holder_l=1.0, holder_alpha=1.0), "slow")
+    # gamma = 2 > sqrt(e) and a cover formula below one element, log -0.22
+    with pytest.raises(InapplicableError, match="is below 1"):
+        kernel_gen_bound(BoundInputs(n=1, p=1, m=1, x=1.0, k=1, delta=0.0, gamma=2.0,
+                                     cover_c=0.4, holder_l=0.5, holder_alpha=1.0), "slow")
 
 
 def test_kernel_bound_validation():
