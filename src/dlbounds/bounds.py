@@ -24,7 +24,6 @@ delta bounds the order-(k-1) Babel value of the dictionary.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -42,7 +41,7 @@ class BoundInputs:
     x: confidence exponent (failure probability exp(-x)); lam: l1 radius;
     k, delta: sparsity level and Babel bound for the k-sparse family;
     K, alpha: fast-rate multiplier parameter (K > 1) and localization
-    weight (None: alpha*); gamma: column-norm cap (feature-norm cap for kernels);
+    weight (None: alpha*); gamma: kernel feature-norm cap (must be 1 elsewhere);
     cover_c, holder_l, holder_alpha: kernel covering constants.
     """
 
@@ -206,9 +205,13 @@ def l1_generalization_bound(inputs: BoundInputs, variant: str) -> BoundReport:
                  + sqrt(x / (2m));
     slow: slow_rate_generic with B = 1, C = 4 lam, d = n p;
     fast: fast_rate_generic with C = 4 lam, d = n p.
+    All three assume unit atoms: gamma != 1 raises InapplicableError.
     """
     if variant not in L1_VARIANTS:
         raise ValueError(f"variant must be one of {L1_VARIANTS}, got {variant!r}")
+    gamma = _finite(inputs.gamma, "gamma", 1.0, strict=False)
+    if gamma != 1.0:
+        raise InapplicableError(f"the Euclidean bounds need unit atoms (gamma = 1), got gamma = {gamma:g}")
     if variant == "maurer":
         lam, p = _finite(inputs.lam, "lam"), as_count(inputs.p, "p")
         m, x = as_count(inputs.m, "m"), _finite(inputs.x, "x", strict=False)
@@ -243,8 +246,8 @@ def optimize_fast_params(inputs: BoundInputs, K_grid, family: str,
     is then evaluated at x + ln|K_grid| (the union bound over the grid).
     Without one the pick is always the grid's smallest K: both K-dependent
     parts of the additive term, 6 K max(branches) and 5 K / m, grow with K.
-    Ties break toward smaller K; inapplicable grid points are skipped, and
-    if none remain the search raises InapplicableError.
+    Ties break toward smaller K.  No precondition depends on K, so an
+    inapplicable input raises the bound's own InapplicableError.
     """
     ks = sorted(float(v) for v in K_grid)
     _require(len(ks) > 0, "K_grid must be nonempty")
@@ -254,12 +257,7 @@ def optimize_fast_params(inputs: BoundInputs, K_grid, family: str,
     if family not in ("l1", "ksparse"):
         raise ValueError(f"family must be 'l1' or 'ksparse', got {family!r}")
     calc = l1_generalization_bound if family == "l1" else ksparse_generalization_bound
-    reports = []
-    for k_val in ks:
-        with suppress(InapplicableError):
-            reports.append((k_val, calc(replace(inputs, K=k_val), "fast")))
-    if not reports:
-        raise InapplicableError("fast bound inapplicable at every grid point")
+    reports = [(k_val, calc(replace(inputs, K=k_val), "fast")) for k_val in ks]
     k_val, report = min(reports, key=lambda kr: kr[1].multiplier * weight + kr[1].additive)
     return k_val, report
 

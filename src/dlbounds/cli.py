@@ -6,8 +6,10 @@ errors (single-line diagnostic on stderr).  Every successful run writes
 `<dir>/<subcommand>_manifest.json` (dashes as underscores) recording the
 full parameter set, seed, version, and input-file digests; feeding that
 manifest back through `argv_from_manifest` reproduces the run — and its
-CSV outputs — byte for byte.  `--threads` only sizes worker pools whose
-results merge in index order, so it never changes output bytes.
+CSV outputs — byte for byte.  A manifest's seed is null for a subcommand
+without `--seed`; one that records a flag the parser has since dropped
+(seed, threads or family) exits 2 on replay.  `--threads` only sizes worker
+pools whose results merge in index order, so it never changes output bytes.
 """
 
 from __future__ import annotations
@@ -69,12 +71,13 @@ _FLAG_EXCEPTIONS = {"lam": "--lambda"}
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to repeat a run: subcommand, parameters, seed,
-    artifact version, input digests, and the logarithm convention."""
+    """Everything needed to repeat a run: subcommand, parameters, seed
+    (None for a subcommand that takes none), artifact version, input
+    digests, and the logarithm convention."""
 
     subcommand: str
     params: dict
-    seed: int
+    seed: int | None
     version: str = __version__
     input_digests: dict = field(default_factory=dict)
     log_base: str = LOG_BASE_NOTE
@@ -112,7 +115,7 @@ def _digest(path) -> str:
 def _write_manifest(args, out_dir: Path, inputs: list = ()) -> None:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     digests = {str(p): _digest(p) for p in inputs}
-    manifest = RunManifest(subcommand=args.subcommand, params=params, seed=args.seed,
+    manifest = RunManifest(subcommand=args.subcommand, params=params, seed=params.get("seed"),
                            input_digests=digests)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = manifest.subcommand.replace("-", "_") + "_manifest.json"
@@ -183,6 +186,8 @@ def _cmd_babel(args) -> int:
 
 
 def _cmd_code(args) -> int:
+    if args.exact and args.lam is not None:
+        raise ValueError("--exact is the exhaustive k-sparse search; it needs --k")
     d = load_dictionary(args.dict)
     x = load_signal(args.signal)
     _print_coding(repr_error(d, x, _constraint(args), exact=args.exact))
@@ -202,11 +207,16 @@ def _cmd_kcode(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.k is None and args.delta is not None:
+        raise ValueError("--delta bounds the k-sparse class's Babel function and needs --k")
+    if args.variant != "fast" and (args.K is not None or args.alpha is not None):
+        raise ValueError(f"--K and --alpha set the fast rate; --variant {args.variant} does not read them")
     inputs = BoundInputs(n=args.n, p=args.p, m=args.m, x=args.x, lam=args.lam,
                          k=args.k, delta=args.delta, K=args.K, alpha=args.alpha)
-    calc = l1_generalization_bound if args.family == "l1" else ksparse_generalization_bound
+    family = "l1" if args.k is None else "ksparse"
+    calc = l1_generalization_bound if family == "l1" else ksparse_generalization_bound
     if args.variant == "fast" and args.K is None:
-        k_fast, report = optimize_fast_params(inputs, FAST_K_GRID, family=args.family)
+        k_fast, report = optimize_fast_params(inputs, FAST_K_GRID, family=family)
         body = {**report.to_dict(), "K": k_fast}
     else:
         body = calc(inputs, args.variant).to_dict()
@@ -284,11 +294,13 @@ def _cmd_demo_nonlipschitz(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+def _add_common(sub: argparse.ArgumentParser, *, seed: bool = False, threads: bool = False) -> None:
+    """--out on every subcommand; --seed and --threads where they are read."""
     sub.add_argument("--out", default=".", help="output directory (default .)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker-pool cap; never changes results")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    if threads:
+        sub.add_argument("--threads", type=int, default=1, help="worker-pool cap; never changes results")
 
 
 def _add_sparsity(sub: argparse.ArgumentParser) -> None:
@@ -340,14 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("bounds", help="evaluate a generalization-bound calculator")
     sub.add_argument("--variant", required=True, choices=("maurer", "slow", "fast"))
-    sub.add_argument("--family", required=True, choices=("l1", "ksparse"))
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--x", type=float, required=True, help="confidence exponent")
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--lambda", dest="lam", type=float)
+    _add_sparsity(sub)
+    sub.add_argument("--delta", type=float, help="Babel bound of the k-sparse class")
     sub.add_argument("--K", type=float, help="fast-rate multiplier parameter (K > 1)")
     sub.add_argument("--alpha", type=float, help="fast-rate localization weight")
     _add_common(sub)
@@ -358,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--data", help="signals CSV, one signal per row")
     data.add_argument("--synth", help="sphere:n=N,m=M | dict:n=N,ptrue=P,ktrue=K,sigma=S,m=M")
     _add_learner(sub)
-    _add_common(sub)
+    # learn runs on one thread; it takes --threads so that a manifest replayed
+    # with a --threads override (acceptance criterion 10) still parses
+    _add_common(sub, seed=True, threads=True)
     sub.set_defaults(func=_cmd_learn)
     # --out here is the output dictionary CSV path; the manifest lands next to it.
 
@@ -368,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--trials", type=int, required=True)
     sub.add_argument("--threshold", type=float, default=0.5)
-    _add_common(sub)
+    _add_common(sub, seed=True, threads=True)
     sub.set_defaults(func=_cmd_mc_babel)
 
     sub = subs.add_parser("gengap", help="generalization-gap harness on synthetic data")
@@ -378,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--test-size", type=int, default=20_000)
     sub.add_argument("--variants", default="maurer,slow,fast")
     sub.add_argument("--x", type=float, default=2.0, help="confidence exponent")
-    _add_common(sub)
+    _add_common(sub, seed=True, threads=True)
     sub.set_defaults(func=_cmd_gengap)
 
     sub = subs.add_parser("demo-nonlipschitz",
@@ -389,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--eps", type=float, required=True)
     sub.add_argument("--target", type=float, default=0.05)
     sub.add_argument("--samples", type=int, default=10**5)
-    _add_common(sub)
+    _add_common(sub, seed=True)
     sub.set_defaults(func=_cmd_demo_nonlipschitz)
 
     return parser

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (CoeffVector, InapplicableError, SYMMETRY_TOL, _finite, _norm_report, _read_only,
+from .core import (CoeffVector, SYMMETRY_TOL, _finite, _norm_report, _read_only,
                    as_count, as_gram, as_matrix, as_vector)
 from .coders import CodingResult, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
@@ -43,13 +43,13 @@ class KernelFn:
     kernel values; calling the KernelFn on two vectors is the 1 x 1 case.
     smoothness = (L, alpha): kappa is L-Holder of order alpha in each
     argument on the domain the kernel is meant for (the unit ball for the
-    shipped kernels).  feature_norm_cap bounds sqrt(kappa(x, x)) there.
+    shipped kernels).  Feature norms are capped by the atoms, not the kernel:
+    KernelDictionary.gamma, and BoundInputs.gamma for the bounds.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str
     smoothness: tuple[float, float] | None = None
-    feature_norm_cap: float | None = None
 
     def __call__(self, x, y) -> float:
         return float(_kernel_block(self, as_vector(x, "x")[None], as_vector(y, "y")[None])[0, 0])
@@ -67,8 +67,7 @@ def _kernel_block(kf: KernelFn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def linear_kernel() -> KernelFn:
     """kappa(x, y) = <x, y>; on the unit ball it is 1-Lipschitz per argument."""
-    return KernelFn(fn=lambda xs, ys: xs @ ys.T, name="linear",
-                    smoothness=(1.0, 1.0), feature_norm_cap=1.0)
+    return KernelFn(fn=lambda xs, ys: xs @ ys.T, name="linear", smoothness=(1.0, 1.0))
 
 
 def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -95,7 +94,7 @@ def gaussian_kernel(sigma: float) -> KernelFn:
     sigma = _finite(sigma, "sigma")
     return KernelFn(fn=lambda xs, ys: np.exp(_sq_distances(xs, ys) / (-2.0 * sigma * sigma)),
                     name=f"gaussian:{sigma:g}",
-                    smoothness=(math.exp(-0.5) / sigma, 1.0), feature_norm_cap=1.0)
+                    smoothness=(math.exp(-0.5) / sigma, 1.0))
 
 
 def polynomial_kernel(degree: int) -> KernelFn:
@@ -107,8 +106,7 @@ def polynomial_kernel(degree: int) -> KernelFn:
     degree = as_count(degree, "degree")
     return KernelFn(fn=lambda xs, ys: (1.0 + xs @ ys.T) ** degree,
                     name=f"poly:{degree}",
-                    smoothness=(degree * 2.0 ** (degree - 1), 1.0),
-                    feature_norm_cap=2.0 ** (degree / 2.0))
+                    smoothness=(degree * 2.0 ** (degree - 1), 1.0))
 
 
 def kernel_from_name(name: str) -> KernelFn:
@@ -298,8 +296,8 @@ KERNEL_VARIANTS = ("maurer_k", "slow")
 def kernel_gen_bound(inputs: BoundInputs, variant: str) -> BoundReport:
     """Generalization bounds for kernelized k-sparse representation.
 
-    maurer_k: squared scale, feature norms capped by 1 (gamma must be 1),
-        identical to the Euclidean k-sparse maurer bound;
+    maurer_k: squared scale, feature norms capped by 1: the Euclidean
+        k-sparse maurer bound, which refuses gamma other than 1;
     slow: plain scale for gamma-capped feature norms,
 
         E h <= E_m h + gamma (sqrt(np ln(sqrt(m) C^alpha k gamma^2 L /
@@ -309,9 +307,6 @@ def kernel_gen_bound(inputs: BoundInputs, variant: str) -> BoundReport:
     if variant not in KERNEL_VARIANTS:
         raise ValueError(f"variant must be one of {KERNEL_VARIANTS}, got {variant!r}")
     if variant == "maurer_k":
-        if abs(_finite(inputs.gamma, "gamma", 1.0, strict=False) - 1.0) > 1e-12:
-            raise InapplicableError(
-                f"maurer_k needs feature norms capped by 1 (gamma = 1), got gamma = {inputs.gamma}")
         # looked up on dlbounds.bounds at call time, where tracing wraps it
         from .bounds import ksparse_generalization_bound
 

@@ -30,7 +30,6 @@ from .core import (
 from .coders import exact_ksparse_batch, greedy_ksparse_batch, l1_solve_batch
 from .coherence import babel
 
-SOURCE_KINDS = ("dictionary", "sphere")
 INIT_KINDS = ("sample-atoms", "random-sphere")
 
 # Dictionary-update regularizer and the dead-atom threshold.
@@ -50,13 +49,12 @@ NEAR_ORTHOGONAL_TRIES = 50
 class SignalSource:
     """Distribution over unit-norm signals, deterministic given (seed, stream).
 
-    kind "dictionary": x = normalize(D_true a + sigma g) with a supported on
+    With a dictionary: x = normalize(D_true a + sigma g) with a supported on
     k_true uniformly chosen atoms, entries uniform on [-1, 1] and then
     normalized to unit l2 before mixing, g standard Gaussian.
-    kind "sphere": uniform on the unit sphere.
+    Without one: uniform on the unit sphere; k_true must be 1 and sigma 0.
     """
 
-    kind: str
     n: int
     seed: int = 0
     dictionary: Dictionary | None = None
@@ -64,30 +62,24 @@ class SignalSource:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in SOURCE_KINDS:
-            raise ValueError(f"kind must be one of {SOURCE_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "n", as_count(self.n, "n"))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "sigma", _finite(self.sigma, "sigma", strict=False))
-        if self.kind == "dictionary":
-            if self.dictionary is None:
-                raise ValueError("dictionary kind needs a ground-truth dictionary")
-            if self.dictionary.n != self.n:
-                raise ValueError(
-                    f"ground dictionary has n = {self.dictionary.n}, source says {self.n}")
-        elif self.dictionary is not None:
-            raise ValueError("sphere kind takes no dictionary")
-        limit = self.dictionary.p if self.dictionary is not None else None
-        object.__setattr__(self, "k_true", as_count(self.k_true, "k_true", limit))
+        d = self.dictionary
+        if d is not None and d.n != self.n:
+            raise ValueError(f"ground dictionary has n = {d.n}, source says {self.n}")
+        object.__setattr__(self, "k_true", as_count(self.k_true, "k_true", None if d is None else d.p))
+        if d is None and (self.k_true != 1 or self.sigma != 0.0):
+            raise ValueError("a source without a dictionary is uniform on the sphere and takes "
+                             f"k_true = 1, sigma = 0; got k_true = {self.k_true}, sigma = {self.sigma!r}")
 
 
 def dictionary_source(d_true: Dictionary, k_true: int, sigma: float, seed: int = 0) -> SignalSource:
-    return SignalSource(kind="dictionary", n=d_true.n, seed=seed,
-                        dictionary=d_true, k_true=k_true, sigma=sigma)
+    return SignalSource(n=d_true.n, seed=seed, dictionary=d_true, k_true=k_true, sigma=sigma)
 
 
 def sphere_source(n: int, seed: int = 0) -> SignalSource:
-    return SignalSource(kind="sphere", n=n, seed=seed)
+    return SignalSource(n=n, seed=seed)
 
 
 def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
@@ -101,7 +93,7 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
     below DEAD_ATOM_TOL are dropped and replaced from further blocks."""
     m = as_count(m, "m")
     rng = substream(source.seed, stream)
-    if source.kind == "sphere":
+    if source.dictionary is None:
         return SignalBatch(uniform_sphere_matrix(source.n, m, rng))
     atoms, k, sigma = source.dictionary.atoms, source.k_true, source.sigma
     n, p = atoms.shape
@@ -152,6 +144,8 @@ class LearnerConfig:
             raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
         if not isinstance(self.constraint, (HardK, L1Ball)):
             raise ValueError(f"constraint must be HardK or L1Ball, got {self.constraint!r}")
+        if isinstance(self.constraint, L1Ball) and not self.exact_coder:
+            raise ValueError("no greedy l1 coder: exact_coder=False needs a HardK constraint")
         object.__setattr__(self, "seed", int(self.seed))
 
 

@@ -400,6 +400,22 @@ def test_optimize_without_empirical_picks_the_smallest_k(inputs, family):
     assert all(a < b for a, b in zip(additives, additives[1:]))
 
 
+@pytest.mark.parametrize("variant", L1_VARIANTS)
+@pytest.mark.parametrize("family", ["l1", "ksparse"])
+def test_euclidean_bounds_refuse_gamma_other_than_one(family, variant):
+    # the l1 and k-sparse bounds are for unit atoms; a norm cap they would
+    # not read is refused, and the same inputs at gamma = 1 are applicable
+    calc = l1_generalization_bound if family == "l1" else ksparse_generalization_bound
+    inputs = BoundInputs(n=3, p=5, m=10**4, x=2.0, lam=1.5, k=2, delta=0.2, K=2.0, gamma=2.0)
+    with pytest.raises(InapplicableError, match=r"need unit atoms \(gamma = 1\), got gamma = 2"):
+        calc(inputs, variant)
+    if variant == "fast":
+        with pytest.raises(InapplicableError, match="need unit atoms"):
+            optimize_fast_params(inputs, [1.5, 2.0], family)
+        optimize_fast_params(replace(inputs, gamma=1.0), [1.5, 2.0], family)
+    calc(replace(inputs, gamma=1.0), variant)
+
+
 def test_optimize_all_inapplicable():
     with pytest.raises(InapplicableError):
         optimize_fast_params(l1_inputs(lam=0.4), [2.0], "l1")

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from dlbounds.cli import RunManifest, argv_from_manifest, main
+from dlbounds.cli import RunManifest, argv_from_manifest, build_parser, main
 from dlbounds.coders import exact_ksparse, greedy_ksparse, l1_solve
 from dlbounds.core import (
     Dictionary,
@@ -60,6 +61,57 @@ def test_exit_codes(capsys, id3, tmp_path):
     assert err.startswith("error: ") and len(err.rstrip("\n").splitlines()) == 1
 
 
+# Every option string of every subcommand: each changes the result (learn's
+# --threads aside, kept so that manifest replays with a --threads override
+# parse), so a new flag is declared here.
+FLAGS = {
+    "babel": {"--dict", "--k", "--brute", "--out"},
+    "code": {"--dict", "--signal", "--k", "--lambda", "--exact", "--out"},
+    "kcode": {"--kernel", "--dict", "--signal", "--k", "--out"},
+    "bounds": {"--variant", "--n", "--p", "--m", "--x", "--k", "--lambda", "--delta", "--K",
+               "--alpha", "--out"},
+    "learn": {"--data", "--synth", "--p", "--k", "--lambda", "--iters", "--init", "--greedy",
+              "--seed", "--out", "--threads"},
+    "mc-babel": {"--n", "--p", "--k", "--trials", "--threshold", "--seed", "--out", "--threads"},
+    "gengap": {"--synth", "--p", "--k", "--lambda", "--iters", "--init", "--greedy", "--mgrid",
+               "--test-size", "--variants", "--x", "--seed", "--out", "--threads"},
+    "demo-nonlipschitz": {"--n", "--p", "--k", "--eps", "--target", "--samples", "--seed", "--out"},
+}
+
+
+def test_flag_census():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+             for name, sub in subs.choices.items()}
+    assert found == FLAGS
+    assert sum(len(flags) for flags in FLAGS.values()) == 67
+
+
+UNRECOGNIZED = "unrecognized arguments"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["babel", "--dict", "d.csv", "--k", "2", "--seed", "1"], UNRECOGNIZED),
+    (["babel", "--dict", "d.csv", "--k", "2", "--threads", "2"], UNRECOGNIZED),
+    (["code", "--dict", "d.csv", "--signal", "x.csv", "--k", "1", "--seed", "1"], UNRECOGNIZED),
+    (["kcode", "--kernel", "linear", "--dict", "p.csv", "--signal", "x.csv", "--k", "1",
+      "--threads", "2"], UNRECOGNIZED),
+    (["bounds", "--variant", "slow", "--family", "l1", "--n", "2", "--p", "2", "--m", "100",
+      "--x", "2", "--lambda", "1"], UNRECOGNIZED),
+    (["demo-nonlipschitz", "--n", "8", "--p", "8", "--k", "2", "--eps", "1e-3", "--threads", "2"],
+     UNRECOGNIZED),
+    # bounds takes its family from exactly one of --k and --lambda
+    (["bounds", "--variant", "slow", "--n", "2", "--p", "2", "--m", "100", "--x", "2",
+      "--k", "1", "--lambda", "1"], "not allowed with argument"),
+    (["bounds", "--variant", "slow", "--n", "2", "--p", "2", "--m", "100", "--x", "2"],
+     "one of the arguments --k --lambda is required"),
+], ids=["babel-seed", "babel-threads", "code-seed", "kcode-threads", "bounds-family",
+        "demo-threads", "bounds-k-and-lambda", "bounds-no-sparsity"])
+def test_unread_flags_are_usage_errors(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and message in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out.startswith("dlbounds ")
@@ -76,7 +128,7 @@ def test_babel_subcommand(capsys, id3, tmp_path):
     assert code == 0 and brute_out == out
     manifest = RunManifest.from_json((tmp_path / "babel_manifest.json").read_text())
     assert manifest.subcommand == "babel"
-    assert manifest.params["k"] == 2 and manifest.seed == 0
+    assert manifest.params["k"] == 2 and manifest.seed is None
     assert str(id3) in manifest.input_digests
 
 
@@ -106,6 +158,15 @@ def test_code_greedy_and_l1(capsys, pair_dict, e2_signal, tmp_path):
                        "--lambda", 0.5, "--out", tmp_path)
     assert code == 0
     assert float(out.splitlines()[1]) == l1_solve(d, x, 0.5).error
+
+
+def test_code_exact_l1_is_refused(capsys, pair_dict, e2_signal, tmp_path):
+    # the l1 coder is always the certified solver, so --exact would be ignored
+    path, _ = pair_dict
+    code, _, err = run(capsys, "code", "--dict", path, "--signal", e2_signal,
+                       "--lambda", 0.5, "--exact", "--out", tmp_path)
+    assert code == 1 and "--exact is the exhaustive k-sparse search; it needs --k" in err
+    assert not (tmp_path / "code_manifest.json").exists()
 
 
 def test_code_rejects_both_constraints(capsys, pair_dict, e2_signal):
@@ -141,7 +202,7 @@ def test_kcode_bad_kernel_spec(capsys, pair_dict, e2_signal, tmp_path):
 
 
 def test_bounds_slow_l1_value(capsys, tmp_path):
-    code, out, _ = run(capsys, "bounds", "--variant", "slow", "--family", "l1",
+    code, out, _ = run(capsys, "bounds", "--variant", "slow",
                        "--n", 2, "--p", 2, "--m", 10000, "--x", 2,
                        "--lambda", 1, "--out", tmp_path)
     assert code == 0
@@ -152,14 +213,14 @@ def test_bounds_slow_l1_value(capsys, tmp_path):
 
 
 def test_bounds_fast_grid_reports_chosen_params(capsys, tmp_path):
-    code, out, _ = run(capsys, "bounds", "--variant", "fast", "--family", "ksparse",
+    code, out, _ = run(capsys, "bounds", "--variant", "fast",
                        "--n", 4, "--p", 6, "--m", 100000, "--x", 2,
                        "--k", 2, "--delta", 0.5, "--out", tmp_path)
     assert code == 0
     body = json.loads(out)
     assert body["K"] > 1.0 and body["alpha"] > 0.0
     assert body["multiplier"] == pytest.approx(body["K"] / (body["K"] - 1.0))
-    code, out, _ = run(capsys, "bounds", "--variant", "fast", "--family", "ksparse",
+    code, out, _ = run(capsys, "bounds", "--variant", "fast",
                        "--n", 4, "--p", 6, "--m", 100000, "--x", 2,
                        "--k", 2, "--delta", 0.5, "--K", 2.0, "--alpha", 1.0,
                        "--out", tmp_path)
@@ -170,7 +231,7 @@ def test_bounds_fast_grid_reports_chosen_params(capsys, tmp_path):
 def test_bounds_fast_prints_the_given_alpha_or_alpha_star(capsys, tmp_path):
     from scipy.special import lambertw
 
-    base = ["bounds", "--variant", "fast", "--family", "ksparse", "--n", 4, "--p", 6,
+    base = ["bounds", "--variant", "fast", "--n", 4, "--p", 6,
             "--m", 100000, "--x", 2, "--k", 2, "--delta", 0.5, "--out", tmp_path]
     code, out, _ = run(capsys, *base, "--alpha", 0.25)
     assert code == 0 and json.loads(out)["alpha"] == 0.25  # the K search keeps it
@@ -185,15 +246,27 @@ def test_bounds_fast_prints_the_given_alpha_or_alpha_star(capsys, tmp_path):
 
 def test_bounds_fast_at_small_m(capsys, tmp_path):
     # a fixed alpha of 16 or more would make every m <= 16 exit 1
-    code, out, err = run(capsys, "bounds", "--variant", "fast", "--family", "l1",
+    code, out, err = run(capsys, "bounds", "--variant", "fast",
                          "--n", 8, "--p", 12, "--m", 10, "--x", 2, "--lambda", 1,
                          "--out", tmp_path)
     assert code == 0, err
     assert 0.0 < json.loads(out)["alpha"] < 10.0
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--lambda", 1, "--delta", 0.5), "--delta bounds the k-sparse class"),
+    (("--lambda", 1, "--K", 2.0), "--variant slow does not read them"),
+    (("--k", 2, "--delta", 0.5, "--alpha", 1.0), "--variant slow does not read them"),
+], ids=["l1-delta", "slow-K", "slow-alpha"])
+def test_bounds_unread_values_are_refused(capsys, tmp_path, extra, message):
+    code, _, err = run(capsys, "bounds", "--variant", "slow", "--n", 2, "--p", 2,
+                       "--m", 10000, "--x", 2, *extra, "--out", tmp_path)
+    assert code == 1 and message in err
+    assert not (tmp_path / "bounds_manifest.json").exists()
+
+
 def test_bounds_inapplicable_is_runtime_error(capsys, tmp_path):
-    code, _, err = run(capsys, "bounds", "--variant", "maurer", "--family", "l1",
+    code, _, err = run(capsys, "bounds", "--variant", "maurer",
                        "--n", 2, "--p", 2, "--m", 1, "--x", 2,
                        "--lambda", 0.1, "--out", tmp_path)
     assert code == 1 and err.startswith("error: ")
@@ -227,6 +300,14 @@ def test_learn_from_data_file(capsys, tmp_path):
     assert code == 0 and out_csv.exists()
     manifest = RunManifest.from_json((tmp_path / "learn_manifest.json").read_text())
     assert str(data) in manifest.input_digests
+
+
+def test_learn_greedy_l1_is_refused(capsys, tmp_path):
+    # there is no greedy l1 coder, so --greedy with --lambda would be ignored
+    code, _, err = run(capsys, "learn", "--synth", "sphere:n=5,m=20", "--p", 3,
+                       "--lambda", 1, "--greedy", "--out", tmp_path / "d.csv")
+    assert code == 1 and "no greedy l1 coder" in err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_learn_synth_requires_m(capsys, tmp_path):

@@ -37,7 +37,7 @@ from dlbounds.core import (
 )
 from dlbounds.coherence import babel
 from dlbounds.experiments import perturbed_pair
-from dlbounds.kernels import KernelDictionary, kernel_greedy_ksparse, linear_kernel
+from dlbounds.kernels import KernelDictionary, kernel_greedy_ksparse, kernel_repr_error, linear_kernel
 from dlbounds.learn import near_orthogonal_dictionary
 
 ROOT2 = math.sqrt(2.0)
@@ -183,6 +183,27 @@ def test_greedy_near_repeated_atom_refits_with_ridge():
     best_one = min(np.linalg.norm(x - (atoms[:, j] @ x) * atoms[:, j]) for j in range(3))
     assert res.error <= best_one + 1e-12
     check_result(d, x, res)
+
+
+@pytest.mark.parametrize("delta", [1e-7, 5e-8])
+def test_greedy_near_twin_kernel_error_stays_accurate(delta):
+    # atom 1 is atom 0 turned by delta and x = normalize(e0 + 0.1 e1) lies in
+    # their span, with a large component along the twins' difference.  A plain
+    # solve of G_SS would give coefficients ~0.1 / delta, and the kernel
+    # coder's Gram-form error rounds at about ||a||^2 eps: it would dip below
+    # the PSD floor or report noise.  The ridge holds the coefficients down,
+    # so the kernel error is its own coefficients' error and the Euclidean one.
+    e = np.eye(3)
+    atoms = np.column_stack([e[0], e[0] + delta * e[1], e[2]])
+    atoms /= np.linalg.norm(atoms, axis=0)
+    x = (e[0] + 0.1 * e[1]) / np.linalg.norm(e[0] + 0.1 * e[1])
+    res = greedy_ksparse(Dictionary(atoms), x, 2)
+    kd = KernelDictionary.build(atoms.T, linear_kernel())
+    kernel = kernel_greedy_ksparse(x, kd, linear_kernel(), 2)
+    assert res.coeffs.support == kernel.coeffs.support == (0, 1)
+    assert res.ridge_used and kernel.ridge_used
+    assert kernel.error == pytest.approx(kernel_repr_error(x, kernel.coeffs, kd, linear_kernel()), abs=1e-8)
+    assert kernel.error == pytest.approx(res.error, abs=1e-8)
 
 
 def test_greedy_stops_after_exact_fit():

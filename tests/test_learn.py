@@ -20,7 +20,6 @@ from dlbounds.core import (
 )
 from dlbounds.learn import (
     INIT_KINDS,
-    SOURCE_KINDS,
     LearnerConfig,
     LearnResult,
     SignalSource,
@@ -45,20 +44,26 @@ RECOVERY_MIN_SUCCESSES = 27  # >= 90% of the frozen seed set
 
 
 def test_source_validation():
-    assert SOURCE_KINDS == ("dictionary", "sphere")
     d = Dictionary(np.eye(3))
     with pytest.raises(ValueError):
-        SignalSource(kind="dictionary", n=3, dictionary=d, sigma=-0.1)
+        SignalSource(n=3, dictionary=d, sigma=-0.1)
     with pytest.raises(ValueError):
-        SignalSource(kind="dictionary", n=3, dictionary=d, k_true=4)
+        SignalSource(n=3, dictionary=d, k_true=4)
     with pytest.raises(ValueError):
-        SignalSource(kind="dictionary", n=2, dictionary=d)
-    with pytest.raises(ValueError):
-        SignalSource(kind="sphere", n=3, dictionary=d)
-    with pytest.raises(ValueError):
-        SignalSource(kind="nope", n=3)
+        SignalSource(n=2, dictionary=d)
     with pytest.raises(ValueError):
         synth_sample(sphere_source(3), 0)
+
+
+def test_settings_nothing_reads_are_refused():
+    # a source without a dictionary is the sphere: no k_true, no noise
+    for kwargs in ({"sigma": 0.1}, {"k_true": 2}):
+        with pytest.raises(ValueError, match="without a dictionary"):
+            SignalSource(n=3, **kwargs)
+    assert SignalSource(n=3, seed=4) == sphere_source(3, seed=4)
+    # the l1 ball has one coder, the exact l1 solver
+    with pytest.raises(ValueError, match="no greedy l1 coder"):
+        LearnerConfig(p=3, constraint=L1Ball(1.0), exact_coder=False)
 
 
 def test_sphere_source_samples():
@@ -117,7 +122,7 @@ def test_stream_determinism(monkeypatch):
 def _sampler_reference(source, m, rng):
     """The per-signal sampler synth_sample's batch replaced: one checked
     Signal per drawn column, stacked back into an n x m matrix."""
-    if source.kind == "sphere":
+    if source.dictionary is None:
         signals = [Signal(c, unit=True) for c in uniform_sphere_matrix(source.n, m, rng).T]
         return np.stack([s.values for s in signals], axis=1)
     atoms, k, sigma = source.dictionary.atoms, source.k_true, source.sigma

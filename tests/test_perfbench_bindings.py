@@ -10,6 +10,7 @@ from math import comb
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dlbounds import bounds, cli, coders, experiments, kernels, learn
 from dlbounds.bounds import BoundInputs
@@ -113,3 +114,22 @@ def test_kernel_maurer_reaches_the_wrapped_calculator(monkeypatch):
                          holder_l=1.0, holder_alpha=1.0)
     kernels.kernel_gen_bound(inputs, "maurer_k")
     assert calls == [(inputs, "maurer")]
+
+
+def test_every_cli_workload_argv_parses(tmp_path):
+    # the benchmark runs these argvs through cli.main; one the parser refuses
+    # would surface only as a failed benchmark run, with this suite green
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  SPANS.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    made = [workloads.make(name, 1) for name in workloads.NAMES]
+    cli_workloads = [w for w in made if isinstance(w, workloads.CliWorkload)]
+    assert cli_workloads
+    for work in cli_workloads:
+        argv = [*work.base_argv, "--seed", "0", "--out", str(tmp_path / work.name)]
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{work.name}: the CLI no longer parses {argv}")
+        assert args.subcommand == argv[0]
