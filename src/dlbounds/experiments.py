@@ -187,16 +187,20 @@ def perturbed_pair(d: Dictionary, scale: float, rng: np.random.Generator) -> tup
     return d, Dictionary(perturbed)
 
 
-def _batch_errors(d: Dictionary, x: np.ndarray, constraint: SparsityConstraint) -> np.ndarray:
+def _code(d: Dictionary, x: np.ndarray, constraint: SparsityConstraint,
+          guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, errors) of exact or certified l1 coding; the l1 coder
+    takes guess (see l1_solve_batch)."""
     if isinstance(constraint, L1Ball):
-        return l1_solve_batch(d, x, constraint.lam)[1]
-    return exact_ksparse_batch(d, x, constraint.k)[1]
+        return l1_solve_batch(d, x, constraint.lam, guess)[:2]
+    return exact_ksparse_batch(d, x, constraint.k)
 
 
 def lipschitz_probe(d: Dictionary, d_prime: Dictionary, signals,
                     constraint: SparsityConstraint) -> float:
     """max over signals of |h_D(x) - h_D'(x)| / me_norm(D - D'), with exact
-    or certified l1 coding on both sides.
+    or certified l1 coding on both sides; l1 coding under D' takes the codes
+    under D as its guess.
     Rejects unnormalized dictionaries and pairs closer than 1e-12 in ME norm
     (the ratio would be noise)."""
     for name, dd in (("first", d), ("second", d_prime)):
@@ -209,7 +213,8 @@ def lipschitz_probe(d: Dictionary, d_prime: Dictionary, signals,
     if denom < DEGENERATE_TOL:
         raise ValueError(f"degenerate pair: me_norm(D - D') = {denom:.3g} < {DEGENERATE_TOL:g}")
     x = signals_to_matrix(signals)
-    gaps = np.abs(_batch_errors(d, x, constraint) - _batch_errors(d_prime, x, constraint))
+    coeffs, errors = _code(d, x, constraint)
+    gaps = np.abs(errors - _code(d_prime, x, constraint, coeffs)[1])
     return float(gaps.max()) / denom
 
 
@@ -391,7 +396,9 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
     up to DELTA_GRID at x + ln|DELTA_GRID| when k >= 2 (GapPoint.delta keeps
     the measured value); a measured value above the grid (or any other unmet
     precondition) marks the record inapplicable rather than dropping it.
-    One shared test set serves all grid points.  Deterministic given
+    One shared test set serves all grid points.  l1 coding of the train
+    set takes the learner's last coefficients (LearnResult.coeffs) as its
+    guess; the test set takes none.  Deterministic given
     source.seed/config.seed, independent of threads.
     """
     m_grid = [as_count(m, "every m_grid entry") for m in m_grid]
@@ -411,9 +418,10 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
     def one(i: int) -> GapPoint:
         m = m_grid[i]
         train = signals_to_matrix(synth_sample(source, m, stream=i + 1))
-        learned = learn_dictionary(train, config).dictionary
-        train_mean, train_sq, train_se = _mean_se(_batch_errors(learned, train, constraint))
-        test_mean, test_sq, test_se = _mean_se(_batch_errors(learned, test, constraint))
+        result = learn_dictionary(train, config)
+        learned = result.dictionary
+        train_mean, train_sq, train_se = _mean_se(_code(learned, train, constraint, result.coeffs)[1])
+        test_mean, test_sq, test_se = _mean_se(_code(learned, test, constraint)[1])
         plain = (train_mean, test_mean)
         squared = (train_sq, test_sq)
         if family == "ksparse":

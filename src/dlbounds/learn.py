@@ -21,6 +21,7 @@ from .core import (
     SignalBatch,
     SparsityConstraint,
     _finite,
+    _read_only,
     as_count,
     as_matrix,
     substream,
@@ -151,15 +152,23 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class LearnResult:
+    """The learned dictionary, the mean training error at each coding step,
+    and coeffs, the last coding step's p x m coefficients: the codes of the
+    samples under the dictionary before the last update, which l1 coding
+    of the same samples under the learned one can take as its guess."""
+
     dictionary: Dictionary
-    trace: tuple[float, ...]  # mean training error at each coding step
+    trace: tuple[float, ...]
+    coeffs: np.ndarray
 
 
-def _code_batch(atoms: np.ndarray, x: np.ndarray, config: LearnerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients p x m, errors m) for the configured coder."""
+def _code_batch(atoms: np.ndarray, x: np.ndarray, config: LearnerConfig,
+                guess: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients p x m, errors m) for the configured coder; the l1 coder
+    takes guess, the previous step's coefficients (None at the first)."""
     d = Dictionary(atoms)
     if isinstance(config.constraint, L1Ball):
-        coeffs, errors, _, _ = l1_solve_batch(d, x, config.constraint.lam)
+        coeffs, errors, _, _ = l1_solve_batch(d, x, config.constraint.lam, guess)
         return coeffs, errors
     coder = exact_ksparse_batch if config.exact_coder else greedy_ksparse_batch
     return coder(d, x, config.constraint.k)
@@ -188,6 +197,11 @@ def learn_dictionary(samples, config: LearnerConfig) -> LearnResult:
     least-squares objective); the unsquared mean inherits that descent
     on typical instances but can tick up when the update concentrates
     error on a few signals (e.g. degenerate inits with duplicate atoms).
+    l1 coding from the second step on passes the previous step's
+    coefficients to l1_solve_batch as its guess: every column is still
+    certified at ERR_TOL, though the codes, and so the dictionary, may
+    differ from unguessed ones by rounding.  The result's coeffs are the
+    last coding step's.
     """
     x = signals_to_matrix(samples)
     n, m = x.shape
@@ -199,8 +213,9 @@ def learn_dictionary(samples, config: LearnerConfig) -> LearnResult:
     else:
         atoms = uniform_sphere_matrix(n, config.p, rng)
     trace: list[float] = []
+    coeffs = None
     for _ in range(config.iterations):
-        coeffs, errors = _code_batch(atoms, x, config)
+        coeffs, errors = _code_batch(atoms, x, config, coeffs)
         trace.append(float(errors.mean()))
         gram = coeffs @ coeffs.T
         gram[np.diag_indices_from(gram)] += UPDATE_RIDGE
@@ -209,7 +224,7 @@ def learn_dictionary(samples, config: LearnerConfig) -> LearnResult:
     problems = validate_dictionary(learned, normalized=True)
     if problems:  # unreachable by construction; loud beats silent
         raise AssertionError("learned dictionary failed validation: " + "; ".join(problems))
-    return LearnResult(dictionary=learned, trace=tuple(trace))
+    return LearnResult(dictionary=learned, trace=tuple(trace), coeffs=_read_only(coeffs))
 
 
 def near_orthogonal_dictionary(n: int, p: int, rng: np.random.Generator, *,

@@ -849,6 +849,177 @@ def test_l1_iteration_cap_warns(monkeypatch):
     assert iters == 5
 
 
+def _gengap_regime_bed(seed, count):
+    # gengap-l1's regime: n = 8, p = 12, lam = 1, unit-sphere atoms and signals
+    return (Dictionary(uniform_sphere_matrix(8, 12, substream(seed, 0))), 1.0,
+            uniform_sphere_matrix(8, count, substream(seed, 1)))
+
+
+def test_l1_guess_of_its_own_output_skips_the_path(monkeypatch):
+    # a guess equal to the path's output holds the optimum's support and
+    # signs, so the first KKT solve on them certifies every column: on the
+    # sphere (lam <= 1 here), inside the ball (lam = 50, exact fits and,
+    # with p < n, least squares), and on criterion 3's pair 314, whose
+    # optima at lam = 2 lie on both sides
+    d, d2, pair = _criterion3_pair(314)
+    cases = [_gengap_regime_bed(60, 40),
+             (Dictionary(uniform_sphere_matrix(6, 8, substream(30, 0))), 0.25,
+              uniform_sphere_matrix(6, 40, substream(30, 1))),
+             (Dictionary(uniform_sphere_matrix(6, 8, substream(30, 0))), 50.0,
+              uniform_sphere_matrix(6, 40, substream(30, 1))),
+             (Dictionary(uniform_sphere_matrix(8, 5, substream(32, 0))), 50.0,
+              uniform_sphere_matrix(8, 40, substream(32, 1))),
+             (Dictionary(_repeated_atom(6, 8, 31)), 1.0, uniform_sphere_matrix(6, 40, substream(31, 1))),
+             (d, 2.0, pair), (d2, 2.0, pair)]
+    for d, lam, signals in cases:
+        coeffs, errors, iters, _residual = l1_solve_batch(d, signals, lam)
+        assert iters >= 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            guessed, guessed_errors, iters, residual = l1_solve_batch(d, signals, lam, coeffs)
+        assert iters == 0
+        assert _l1_slack_reference(d.atoms, guessed, signals, lam).max() <= ERR_TOL
+        assert np.abs(guessed_errors - errors).max() <= ERR_TOL
+        assert np.abs(guessed).sum(axis=0).max() <= lam * (1 + 1e-12)
+        assert residual <= 1e-9
+    # a sphere point a few eps inside lam, as rounding leaves the path's, is
+    # solved on the sphere: one round certifies it
+    monkeypatch.setattr(coders, "GUESS_ROUNDS", 1)
+    d, lam, signals = cases[0]
+    coeffs = l1_solve_batch(d, signals, lam)[0] * (1 - 4 * np.finfo(float).eps)
+    assert l1_solve_batch(d, signals, lam, coeffs)[2] == 0
+
+
+def _guess_kinds(d, lam, signals, coeffs):
+    """One column's guess of each kind that must fall back to the path, each
+    checked on _kkt_reference's solution of its support and signs (from
+    zero, the system the solver solves from the guess): a flipped sign; an
+    atom added whose KKT solution takes the other sign; a needed atom left
+    out, whose KKT solution keeps the signs but is not certified; zero."""
+    gram, top = d.atoms.T @ d.atoms, d.atoms.T @ signals
+    on_sphere = np.abs(coeffs).sum(axis=0) >= lam * (1 - 1e-12)
+
+    def kkt(j, guess):
+        s = np.sign(guess)[:, None]
+        a = _kkt_reference(gram, s != 0, s * on_sphere[j], top[:, j:j + 1],
+                           np.array([lam * on_sphere[j]]))
+        return a[:, 0]
+
+    kinds = {}
+    for j in range(signals.shape[1]):
+        a, sup = coeffs[:, j], np.flatnonzero(coeffs[:, j])
+        if sup.size < 2:
+            continue
+        if "wrong sign" not in kinds:
+            guess = a.copy()
+            guess[sup[0]] *= -1.0
+            kinds["wrong sign"] = (j, guess)
+        for atom in np.flatnonzero(a == 0.0):
+            for sign in (1.0, -1.0):
+                guess = a.copy()
+                guess[atom] = sign * 1e-3
+                if "infeasible" not in kinds and np.sign(kkt(j, guess)[atom]) == -sign:
+                    kinds["infeasible"] = (j, guess)
+        guess = a.copy()
+        guess[sup[np.argmin(np.abs(a[sup]))]] = 0.0
+        sol = kkt(j, guess)
+        if ("uncertified" not in kinds and np.array_equal(np.sign(sol), np.sign(guess))
+                and _l1_slack_reference(d.atoms, sol[:, None], signals[:, j:j + 1], lam)[0] > ERR_TOL):
+            kinds["uncertified"] = (j, guess)
+    kinds["zero"] = (0, np.zeros(d.p))
+    return kinds
+
+
+def test_l1_guesses_that_fail_their_check_fall_back_to_the_path(monkeypatch):
+    # with one round, each of these guesses fails its one KKT solve and its
+    # column runs the path; with GUESS_ROUNDS, an atom leaves or joins per
+    # round, which repairs each guess one change from the optimum.  An
+    # all-zero column always runs the path.  Either way the column comes
+    # back certified, within ERR_TOL of the unguessed call.
+    d, lam, signals = _gengap_regime_bed(61, 30)
+    coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
+    kinds = _guess_kinds(d, lam, signals, coeffs)
+    assert sorted(kinds) == ["infeasible", "uncertified", "wrong sign", "zero"]
+    for rounds in (coders.GUESS_ROUNDS, 1):
+        monkeypatch.setattr(coders, "GUESS_ROUNDS", rounds)
+        for kind, (j, guess) in kinds.items():
+            # one column per call, so a path step shows the column fell back
+            x = signals[:, j:j + 1]
+            got, got_errors, iters, _residual = l1_solve_batch(d, x, lam, guess[:, None])
+            assert (iters >= 1) == (rounds == 1 or kind == "zero"), (kind, rounds)
+            assert abs(got_errors[0] - errors[j]) <= ERR_TOL, kind
+            assert _l1_slack_reference(d.atoms, got, x, lam)[0] <= ERR_TOL, kind
+    # inside the ball the KKT solve reads the support alone (nu = 0), so a
+    # flipped sign still solves to the optimum; in one round the sign test
+    # refuses it
+    d_in, lam_in = Dictionary(uniform_sphere_matrix(8, 5, substream(32, 0))), 50.0
+    x = uniform_sphere_matrix(8, 1, substream(32, 1))
+    a = l1_solve_batch(d_in, x, lam_in)[0]
+    a[np.flatnonzero(a[:, 0])[0], 0] *= -1.0
+    assert l1_solve_batch(d_in, x, lam_in, a)[2] >= 1
+    # all four among certified guesses in one batch, and random guesses:
+    # every column comes back certified, within ERR_TOL of the unguessed call
+    monkeypatch.undo()
+    guess = coeffs.copy()
+    for col, (j, g) in enumerate(kinds.values()):
+        signals[:, col], guess[:, col] = signals[:, j], g
+    coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
+    rng = substream(61, 2)
+    wild = rng.standard_normal(coeffs.shape) * (rng.random(coeffs.shape) < 0.4)
+    for g in (guess, wild):
+        got, got_errors, _iters, _residual = l1_solve_batch(d, signals, lam, g)
+        assert np.abs(got_errors - errors).max() <= ERR_TOL
+        assert _l1_slack_reference(d.atoms, got, signals, lam).max() <= ERR_TOL
+
+
+@pytest.mark.parametrize("guess, message", [
+    (np.zeros((11, 5)), r"guess must have dimension 12, got shape \(11, 5\)"),
+    (np.zeros((12, 4)), r"guess must be p x N = 12 x 5, got shape \(12, 4\)"),
+    (np.zeros(12), r"guess must be a nonempty 2-d array, got shape \(12,\)"),
+    (np.full((12, 5), np.nan), r"guess must be finite"),
+    (np.where(np.eye(12, 5) > 0, np.inf, 0.0), r"guess must be finite"),
+])
+def test_l1_guess_is_held_to_the_matrix_rule(guess, message):
+    d, lam, signals = _gengap_regime_bed(62, 5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        l1_solve_batch(d, signals, lam, guess)
+
+
+def _uncertified_columns(d, signals, lam, guess=None):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        coeffs = l1_solve_batch(d, signals, lam, guess)[0]
+    named = []
+    for r in record:
+        assert r.category is RuntimeWarning and "uncertified" in str(r.message)
+        named += [int(j) for j in re.search(r"\[([\d, ]+)\]", str(r.message))[1].split(",")]
+    return coeffs, named
+
+
+def test_l1_near_twin_guesses_warn_no_more_than_the_path():
+    # the bed of test_l1_near_twin_atoms_certify at delta = 1e-10, where the
+    # barred twin's cost can reach ERR_TOL: a guess holding the twin the
+    # path chose, and one holding both (G_SS + RIDGE I near singular),
+    # leave no more columns uncertified than the path alone
+    atoms = uniform_sphere_matrix(6, 8, substream(33, 0))
+    signals = uniform_sphere_matrix(6, 40, substream(33, 1))
+    d0 = atoms[:, 0]
+    for i in range(8):
+        u = uniform_sphere_matrix(6, 1, substream(33, 2) if i == 0 else substream(45, i))[:, 0]
+        v = u - (u @ d0) * d0
+        v /= np.linalg.norm(v)
+        twin = atoms.copy()
+        twin[:, 7] = (d0 + 1e-10 * v) / np.linalg.norm(d0 + 1e-10 * v)
+        d = Dictionary(twin)
+        coeffs, named = _uncertified_columns(d, signals, 2.0)
+        both = coeffs.copy()
+        one = (coeffs[0] != 0.0) != (coeffs[7] != 0.0)
+        both[0, one] = both[7, one] = (coeffs[0, one] + coeffs[7, one]) / 2
+        assert one.any()
+        for guess in (coeffs, both):
+            assert len(_uncertified_columns(d, signals, 2.0, guess)[1]) <= len(named)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
 def test_project_l1_is_euclidean_projection(seed, radius):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dlbounds import experiments
 from dlbounds.bounds import (
     BoundInputs,
     L1_VARIANTS,
@@ -11,7 +12,7 @@ from dlbounds.bounds import (
     optimize_fast_params,
 )
 from dlbounds.cli import main
-from dlbounds.coders import l1_solve_batch
+from dlbounds.coders import ERR_TOL, l1_solve_batch
 from dlbounds.coherence import babel
 from dlbounds.core import (
     Dictionary,
@@ -218,6 +219,36 @@ def test_lipschitz_probe_l1_warm_start_matches_cold():
     assert lipschitz_probe(d, d2, signals, L1Ball(lam)) == pytest.approx(cold, abs=1e-10 / denom)
 
 
+def _capture_calls(monkeypatch, module, attr):
+    # the benchmark's wrappers take (d, signals, *rest); so does this one
+    calls = []
+    original = getattr(module, attr)
+
+    def wrapped(d, signals, *rest):
+        result = original(d, signals, *rest)
+        calls.append((d, rest, result))
+        return result
+
+    monkeypatch.setattr(module, attr, wrapped)
+    return calls
+
+
+def test_lipschitz_probe_l1_guesses_with_the_codes_under_d(monkeypatch):
+    lam = 2.0
+    calls = _capture_calls(monkeypatch, experiments, "l1_solve_batch")
+    for i in (0, 1, 314, 485):
+        d, d2 = perturbed_pair(Dictionary(uniform_sphere_matrix(6, 8, substream(51, i))), 1e-3,
+                               substream(52, i))
+        signals = uniform_sphere_matrix(6, 50, substream(53, i))
+        del calls[:]
+        ratio = lipschitz_probe(d, d2, signals, L1Ball(lam))
+        assert calls[0][0] is d and calls[1][0] is d2
+        assert calls[0][1] in ((lam,), (lam, None)) and calls[1][1][1] is calls[0][2][0]
+        denom = me_norm(d.atoms - d2.atoms)
+        cold = np.abs(l1_solve_batch(d, signals, lam)[1] - l1_solve_batch(d2, signals, lam)[1]).max()
+        assert abs(ratio - cold / denom) <= 2 * ERR_TOL / denom
+
+
 def test_lipschitz_probe_ksparse_within_bound():
     k = 2
     for i in range(10):
@@ -362,6 +393,21 @@ def test_gengap_l1_uses_lambda_column():
     assert records_to_csv(records).splitlines()[1].split(",")[4] == "1.5"
     for point in points:
         assert point.delta is None
+
+
+def test_gengap_l1_codes_its_train_set_from_the_learners_last_codes(monkeypatch):
+    results = []
+    learn_dictionary = experiments.learn_dictionary
+    monkeypatch.setattr(experiments, "learn_dictionary",
+                        lambda *args: results.append(learn_dictionary(*args)) or results[-1])
+    calls = _capture_calls(monkeypatch, experiments, "l1_solve_batch")
+    _records, points = small_gengap(L1Ball(1.5), ("slow",))
+    assert len(results) == 2 and len(calls) == 4
+    for result, point, train, test in zip(results, points, calls[::2], calls[1::2]):
+        assert train[0] is result.dictionary and test[0] is result.dictionary
+        assert train[1][0] == 1.5 and train[1][1] is result.coeffs
+        assert test[1] in ((1.5,), (1.5, None))
+        assert point.train_mean == float(np.mean(train[2][1]))
 
 
 def test_gengap_deterministic_and_thread_invariant():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlbounds import learn
-from dlbounds.coders import exact_ksparse_batch, greedy_ksparse
+from dlbounds.coders import ERR_TOL, exact_ksparse_batch, greedy_ksparse
 from dlbounds.coherence import babel
 from dlbounds.core import (
     Dictionary,
@@ -290,6 +290,48 @@ def test_l1_learning_runs_and_descends():
     result = learn_dictionary(samples, config)
     assert all(b <= a + 1e-6 for a, b in zip(result.trace, result.trace[1:]))
     assert validate_dictionary(result.dictionary, normalized=True) == []
+
+
+def _l1_slack(atoms, coeffs, signals, lam):
+    """Per column, how far ||D a - x|| can be above the l1-constrained
+    optimum, by the Frank-Wolfe duality gap a.g + lam ||g||_inf, g = D^T r."""
+    resid = atoms @ coeffs - signals
+    g = atoms.T @ resid
+    gap = (coeffs * g).sum(axis=0) + lam * np.abs(g).max(axis=0)
+    h = np.linalg.norm(resid, axis=0)
+    return h - np.sqrt(np.maximum(h * h - 2.0 * gap, 0.0))
+
+
+def test_l1_learner_guesses_with_the_previous_step(monkeypatch):
+    calls = []
+    original = learn.l1_solve_batch
+
+    def wrapped(d, signals, *rest):
+        result = original(d, signals, *rest)
+        calls.append((d, signals, rest, result))
+        return result
+
+    monkeypatch.setattr(learn, "l1_solve_batch", wrapped)
+    d_true = Dictionary(uniform_sphere_matrix(8, 12, substream(63, 0)))
+    samples = synth_sample(dictionary_source(d_true, 2, 0.0, seed=63), 128)
+    result = learn_dictionary(samples, LearnerConfig(p=12, constraint=L1Ball(1.0), iterations=6, seed=63))
+    assert len(calls) == 6
+    assert calls[0][2] in ((1.0,), (1.0, None))
+    for before, (d, signals, rest, (coeffs, _errors, _iters, _residual)) in zip(calls, calls[1:]):
+        assert rest[0] == 1.0 and rest[1] is before[3][0]
+        assert _l1_slack(d.atoms, coeffs, signals, 1.0).max() <= ERR_TOL
+    # the guesses save path steps once the dictionary settles
+    assert calls[-1][3][2] < calls[0][3][2]
+    assert np.array_equal(result.coeffs, calls[-1][3][0]) and not result.coeffs.flags.writeable
+
+
+def test_learn_result_carries_the_last_codes():
+    d = Dictionary(uniform_sphere_matrix(6, 8, substream(64, 0)))
+    samples = synth_sample(dictionary_source(d, 2, 0.0, seed=64), 60)
+    config = LearnerConfig(p=8, constraint=HardK(2), iterations=3, seed=64)
+    result = learn_dictionary(samples, config)
+    before = learn_dictionary(samples, replace(config, iterations=2)).dictionary
+    assert np.array_equal(result.coeffs, exact_ksparse_batch(before, samples.values, 2)[0])
 
 
 def test_greedy_coder_path():

@@ -79,6 +79,23 @@ def test_gengap_codes_through_the_wrapped_bindings(monkeypatch):
 
 
 
+def test_l1_hook_reads_guessed_calls(monkeypatch):
+    # the learner passes its previous coefficients as a fourth positional
+    # argument; _l1_hook still reads the 4-tuple, and the guessed calls
+    # still reach learn.l1_solve_batch, the name the traced learn site wraps
+    d = Dictionary(uniform_sphere_matrix(8, 12, substream(7, 0)))
+    signals = uniform_sphere_matrix(8, 20, substream(7, 1))
+    coeffs = coders.l1_solve_batch(d, signals, 1.0)[0]
+    result = learn.l1_solve_batch(d, signals, 1.0, coeffs)
+    assert len(result) == 4 and result[2] == 0
+    assert _spans()._l1_hook(learn.l1_solve_batch, (d, signals, 1.0, coeffs), {}, result) == {
+        "iterations": 0, "fp_residual": float(result[3])}
+    calls = _count_calls(monkeypatch, learn, "l1_solve_batch")
+    learn.learn_dictionary(signals, LearnerConfig(p=12, constraint=L1Ball(1.0), iterations=3, seed=7))
+    assert len(calls) == 3
+    assert all(len(args) == 4 and args[3] is not None for args in calls[1:])
+
+
 def _count_calls(monkeypatch, module, attr):
     calls = []
     original = getattr(module, attr)
