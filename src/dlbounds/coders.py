@@ -15,21 +15,19 @@ scored it, and ties go to the smallest support in lexicographic order (for
 k >= rank(D), the first basis).  The greedy engine is the fast heuristic, a
 batch OMP on D^T D and D^T X that the kernel coder runs on a Gram matrix,
 with a 1e-12 ridge on rank-deficient supports.  The l1 engine,
-`l1_solve_batch`, is exact and certified: the LARS-lasso homotopy follows
-each signal's piecewise-linear solution path from a = 0 until ||a||_1
-reaches lam (or the path ends at least squares), keeping one updated inverse
-of the active Gram per path; an atom joins only if the residual vector of
-its projection on the active atoms is longer than RANK_RTOL ||d_j||.  The
-Frank-Wolfe duality gap then proves the error within ERR_TOL = 1e-10 of the
-optimum.  A signal the gap does not certify takes at most NEWTON_STEPS
-Newton steps on its KKT system, from an exactly rounded residual after the
-first; one still uncertified, or one cut off at MAX_ITERS path steps, raises
-a RuntimeWarning.  One inverse per column, applied with one refinement step
-(_solve), serves the path; the Newton finish solves by LU.  A likely
-solution (the learner's previous codes, or the codes under a nearby
-dictionary) can be passed as a guess: active-set rounds of batched KKT
-solves from its supports and signs replace the path wherever the same
-certificate proves the result.
+`l1_solve_batch`, is exact and certified: active-set rounds (Osborne,
+Presnell & Turlach, 2000) solve each column's KKT system on its support and
+signs, all columns in lockstep and by one batched LU per round, starting
+from a guess's supports and signs (the learner's previous codes, or the
+codes under a nearby dictionary) or from each signal's most correlated
+atom.  Between rounds a column drops the first atom whose sign flips, moves
+onto or off the sphere ||a||_1 = lam, or adds the atom most correlated with
+its residual.  The Frank-Wolfe duality gap proves each column's error within
+ERR_TOL = 1e-10 of the optimum, and a proved column retires.  A column that
+reaches the rounding floor of the gap uncertified takes at most
+NEWTON_STEPS Newton steps on its KKT system, from an exactly rounded
+residual after the first; one still uncertified, or one cut off at
+MAX_ITERS rounds, raises a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -68,15 +66,12 @@ RIDGE = 1e-12
 # of Q and Q^T X, which bounds its memory.
 SCORE_BLOCK = 2**18
 
-# l1 solver: the homotopy takes at most MAX_ITERS lockstep steps; a column
-# whose duality gap does not certify its error to within ERR_TOL of the
-# optimum then takes at most NEWTON_STEPS Newton steps on its KKT system.
+# l1 solver: the active-set rounds run at most MAX_ITERS in lockstep; a
+# column whose duality gap does not certify its error to within ERR_TOL of
+# the optimum then takes at most NEWTON_STEPS Newton steps on its KKT system.
 ERR_TOL = 1e-10
 MAX_ITERS = 10_000
 NEWTON_STEPS = 3
-# A guessed column takes at most GUESS_ROUNDS active-set rounds before it
-# runs the path; in gengap-l1's learner all but 0.03% of them certify by then.
-GUESS_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -302,8 +297,8 @@ def _exact_residual(atoms: np.ndarray, a: np.ndarray, signals: np.ndarray) -> np
 
 
 def _l1_slack(atoms: np.ndarray, a: np.ndarray, lam: float, resid: np.ndarray, margin=0.0):
-    """(gap, slack) per column for feasible coefficients a (||a||_1 <= lam)
-    and their residual resid = D a - x.
+    """(gap, slack, g) per column for feasible coefficients a (||a||_1 <=
+    lam) and their residual resid = D a - x.
 
     gap = a.g + lam ||g||_inf with g = D^T r is the Frank-Wolfe duality gap
     (Jaggi, 2013); it bounds h^2/2 - h*^2/2, so slack = h - sqrt(h^2 - 2 gap)
@@ -316,7 +311,7 @@ def _l1_slack(atoms: np.ndarray, a: np.ndarray, lam: float, resid: np.ndarray, m
     g = atoms.T @ resid
     gap = np.einsum("ij,ij->j", a, g) + lam * np.abs(g).max(axis=0)
     h2 = np.einsum("ij,ij->j", resid, resid)
-    return gap, np.sqrt(h2) - np.sqrt(np.maximum(h2 - 2.0 * (gap + margin), 0.0))
+    return gap, np.sqrt(h2) - np.sqrt(np.maximum(h2 - 2.0 * (gap + margin), 0.0)), g
 
 
 def _into_l1_ball(a: np.ndarray, lam: float) -> np.ndarray:
@@ -324,133 +319,35 @@ def _into_l1_ball(a: np.ndarray, lam: float) -> np.ndarray:
     return a * np.where(norm1 > lam, lam / np.maximum(norm1, lam), 1.0)
 
 
-def _solve(inv: np.ndarray, on: np.ndarray, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(G_AA + RIDGE I)^-1 rhs_A for each column, A = on[:, i] and inv[i]
-    its inverse (zero off A), as p x N zero off A: one batched product, then
-    one refinement step.  With a near-twin pair in A, inv's entries are
-    ~1/(delta^2 + RIDGE), and its product alone leaves (G_AA + RIDGE I) x
-    off rhs_A by eps times that."""
-    x = np.einsum("nij,jn->in", inv, rhs)
-    x += np.einsum("nij,jn->in", inv, np.where(on, rhs - gram @ x - RIDGE * x, 0.0))
-    return x
-
-
-def _join(inv: np.ndarray, cols: np.ndarray, j: np.ndarray, atoms: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Add atom j[i] to the active set A of inv[cols[i]] = (G_AA + RIDGE I)^-1
-    (zero off A) if its distance delta from span(D_A) passes _full_rank's
-    test, delta > RANK_RTOL ||d_j||.  delta is the norm of the residual
-    vector r = d_j - D_A b, b = inv G_Aj; the Gram form G_jj - g.b cannot
-    resolve delta below ~1e-5 ||d_j||.  The bordered inverse is inv + v v^T
-    / s with v = b - e_j and s = G_jj + RIDGE - g.b = delta^2 + RIDGE
-    ||v||^2.  b is inv's own product, not refined by _solve: the update
-    borders inv itself, and with a refined b a near-twin pair at delta =
-    1e-9 lost the certificate in 1 of 40 directions where this b keeps it.
-    Blocks of 256 columns bound the memory.  Returns which joined."""
-    ok = np.empty(cols.size, dtype=bool)
-    for lo in range(0, cols.size, 256):
-        block, jj = cols[lo:lo + 256], j[lo:lo + 256]
-        v = np.einsum("nij,jn->in", inv[block], gram[:, jj])
-        r = atoms[:, jj] - atoms @ v
-        dist2 = np.einsum("ij,ij->j", r, r)
-        good = ok[lo:lo + 256] = dist2 > RANK_RTOL**2 * gram[jj, jj]
-        v, block = v[:, good], block[good]
-        v[jj[good], np.arange(block.size)] = -1.0
-        s = dist2[good] + RIDGE * np.einsum("ij,ij->j", v, v)
-        inv[block] += np.einsum("in,jn->nij", v, v) / s[:, None, None]
-    return ok
-
-
-def _support_matrices(on: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's G + RIDGE I on A x A (A = on[:, i]) and I elsewhere, whose
-    LU never mixes the two blocks, as an N x p x p stack, with its A x A masks."""
-    both = on.T[:, :, None] & on.T[:, None, :]
-    eye = np.eye(on.shape[0])
-    return both, np.where(both, gram + RIDGE * eye, eye)
-
-
-def _inverse(on: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """(G_AA + RIDGE I)^-1 for each column, A = on[:, i], zero off A, as an
-    N x p x p stack, inverted in blocks of 256 columns.  A drop takes this
-    rather than the Schur downdate B - B_:j B_j: / B_jj: if A also holds a
-    near-twin of d_j, at distance delta, B_jj is ~1/(delta^2 + RIDGE), and
-    the downdate leaves ~eps B_jj of rounding in entries of order one."""
-    inv = np.empty((on.shape[1], on.shape[0], on.shape[0]))
-    for lo in range(0, on.shape[1], 256):
-        both, mat = _support_matrices(on[:, lo:lo + 256], gram)
-        inv[lo:lo + 256] = np.linalg.inv(mat) * both
-    return inv
-
-
 def _newton_step(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.ndarray,
                  last: np.ndarray) -> np.ndarray:
     """Solve each column's bordered system [[M, b], [b^T, 0]] [x; nu] =
     [top_S; last], M = G_SS + RIDGE I on its support S = on[:, i] and b its
-    border: the Newton finish's step.  By the Schur complement of M, x =
-    M^-1 top - nu M^-1 b with nu = (b.M^-1 top - last) / b.M^-1 b, and nu =
-    0 where b = 0 (inside the ball).  M^-1 [top_S b] is one batched LU
-    solve, since an inverse's product leaves ~eps cond(M) |top| of residual.
+    border: the KKT solve of the rounds and of the Newton finish.  By the
+    Schur complement of M, x = M^-1 top - nu M^-1 b with nu = (b.M^-1 top -
+    last) / b.M^-1 b, and nu = 0 where b = 0 (inside the ball).  M^-1 [top_S
+    b] is one batched LU solve, since an inverse's product leaves ~eps
+    cond(M) |top| of residual.  Each support is packed into the first k
+    slots, k the largest support, and the rest is padded with I; the padding
+    slots point at atom 0, so only the support slots are written back.
     Returns x as p x N, zero off S."""
-    rhs = np.stack([np.where(on, top, 0.0), border]).T
-    x, y = np.linalg.solve(_support_matrices(on, gram)[1], rhs).T
-    curve = (border * y).sum(axis=0)
-    nu = np.divide((border * x).sum(axis=0) - last, curve, out=np.zeros_like(curve), where=curve > 0.0)
-    return x - nu * y
-
-
-def _certify_guess(atoms: np.ndarray, gram: np.ndarray, corr: np.ndarray, signals: np.ndarray,
-                   lam: float, guess: np.ndarray, margin: np.ndarray, out: np.ndarray,
-                   slack: np.ndarray) -> np.ndarray:
-    """Up to GUESS_ROUNDS active-set rounds (Osborne, Presnell & Turlach,
-    2000) from each nonzero column of guess, its support S and signs s.  A
-    round solves the KKT system G_SS a_S + nu s = D_S^T x, with s.a_S = lam
-    on the sphere and nu = 0 inside, by one _newton_step from the current
-    point, and keeps a column whose solution has the signs s and, put
-    through _into_l1_ball, an error slack within ERR_TOL at the path's
-    margin.  A guess is on the sphere if ||guess||_1 >= lam (1 - 2 p eps),
-    the rounding of a p-term sum, which puts the path's own sphere points
-    within a few eps lam of lam either way.  Otherwise the column moves:
-    toward the solution until its first coefficient reaches zero, which
-    leaves S, if a sign flips; to the solution, on the sphere with the same
-    S, if it was inside and the solution lies beyond the ball; else to the
-    solution, adding the atom whose correlation with the residual is
-    largest, with that correlation's sign.  The certificate alone decides
-    what is kept, so the moves only need to make progress.  Writes each kept
-    column's coefficients and slack into out and slack, and returns which
-    columns it kept."""
-    eps = np.finfo(float).eps
-    cols = np.flatnonzero(guess.any(axis=0))
-    a = guess[:, cols]
-    s = np.sign(a)
-    rim = np.abs(a).sum(axis=0) >= lam * (1.0 - 2.0 * a.shape[0] * eps)
-    kept = np.zeros(signals.shape[1], dtype=bool)
-    for _ in range(GUESS_ROUNDS):
-        if not cols.size:
-            break
-        on = s != 0.0
-        b = a + _newton_step(gram, on, s * rim, corr[:, cols] - gram @ a, rim * (lam - (s * a).sum(axis=0)))
-        fits = (np.sign(b) == s).all(axis=0)
-        fit = _into_l1_ball(b, lam)
-        resid = atoms @ fit - signals[:, cols]
-        tight = _l1_slack(atoms, fit, lam, resid, margin[cols])[1]
-        ok = fits & (tight <= ERR_TOL)
-        out[:, cols[ok]], slack[cols[ok]], kept[cols[ok]] = fit[:, ok], tight[ok], True
-        # where a sign flips, the fraction of the way to b at which it reaches 0
-        cross = np.where(on & (np.sign(b) != s), np.divide(a, a - b, out=np.zeros_like(a), where=a != b), np.inf)
-        a = np.where(fits, b, a + np.minimum(cross.min(axis=0), 1.0) * (b - a))
-        flips = np.flatnonzero(~fits)
-        a[np.argmin(cross[:, flips], axis=0), flips] = 0.0
-        s = np.sign(a)
-        # an inside solution beyond the ball: the same support on the sphere
-        over = ~rim & (np.abs(b).sum(axis=0) > lam)
-        rim |= over
-        g = atoms.T @ resid
-        pull = np.where(on, 0.0, np.abs(g))
-        best = np.argmax(pull, axis=0)
-        grow = np.flatnonzero(fits & ~ok & ~over & (pull[best, np.arange(cols.size)] > 0.0))
-        s[best[grow], grow] = -np.sign(g[best[grow], grow])
-        live = ~ok
-        cols, a, s, rim = cols[live], a[:, live], s[:, live], rim[live]
-    return kept
+    size = on.sum(axis=0)
+    k = max(int(size.max(initial=0)), 1)
+    slot = np.arange(k)[:, None] < size
+    idx = np.where(slot, np.argsort(~on, axis=0, kind="stable")[:k], 0)
+    cols = np.arange(on.shape[1])
+    eye = np.eye(k)
+    both = slot.T[:, :, None] & slot.T[:, None, :]
+    mat = np.where(both, gram[idx.T[:, :, None], idx.T[:, None, :]] + RIDGE * eye, eye)
+    # a padding slot's border is 0, so its x never reaches nu
+    b = np.where(slot, border[idx, cols], 0.0)
+    x, y = np.linalg.solve(mat, np.stack([top[idx, cols], b]).T).T
+    curve = (b * y).sum(axis=0)
+    nu = np.divide((b * x).sum(axis=0) - last, curve, out=np.zeros_like(curve), where=curve > 0.0)
+    out = np.zeros(on.shape)
+    r, c = np.nonzero(slot)
+    out[idx[r, c], c] = (x - nu * y)[r, c]
+    return out
 
 
 def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
@@ -458,55 +355,50 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     """l1-constrained least squares over a batch of column signals, exact and
     certified.
 
-    The minimizers of ||D a - x||^2 / 2 + t ||a||_1 form a piecewise-linear
-    path from a = 0 (t = ||D^T x||_inf) along which ||a||_1 grows; the
-    solution is its point with ||a||_1 = lam, or its end (t = 0) if the
-    ball holds that.  Each column follows the path by the LARS-lasso
-    homotopy (Osborne, Presnell & Turlach, 2000; Efron et al., 2004), all
-    columns in lockstep.  It starts at a = 0 with the most correlated atom
-    active.  Each step moves along w, the solution of G_AA w_A = s_A (A the
-    active atoms, s their signs), which lowers every active |correlation|
-    by the same amount, to the first event: an atom joins (either sign), a
-    coefficient hits zero, ||a||_1 reaches lam, or the correlation reaches
-    0.  A just-dropped atom may not rejoin with its old sign on the next
-    step.  Joins stop once |A| = rank(D), and an atom within RANK_RTOL
-    ||d_j|| of the active span (_full_rank's test) is barred from joining
-    until an atom drops; ties go to the lowest index.
+    Each column runs active-set rounds (Osborne, Presnell & Turlach, 2000),
+    all columns in lockstep.  A column holds a support S, its signs s and
+    whether the ball binds.  A round solves the KKT system of S and s by one
+    _newton_step from the current point a: G_SS b_S + nu s = D_S^T x, with
+    s.b_S = lam on the sphere and nu = 0 inside the ball.  The solution b,
+    put through _into_l1_ball, is certified by its duality-gap error slack
+    (see _l1_slack) at the margin 2 eps lam ||x||.  A column whose b has the
+    signs s and a slack within ERR_TOL retires.  Any other column makes the
+    first of these moves that applies:
 
-    Each column keeps one inverse (G_AA + RIDGE I)^-1 along its path and
-    updates it per event, not per step, as LARS keeps one factorization
-    (Efron et al., 2004).  A join borders it (_join), testing the distance
-    from the span on the residual vector d_j - D_A b that bordering computes
-    anyway; a drop inverts the smaller system afresh (_inverse).  The
-    inverses of finished columns are dropped with their other arrays.  w is
-    _solve's product of the inverse with s_A, refined once.
+    - a sign of b differs from s: the column moves toward b until its first
+      coefficient reaches zero, and that atom leaves S;
+    - it is inside the ball and b lies beyond it: the same S on the sphere;
+    - it is on the sphere and nu < 0, so the ball does not bind: the same S
+      inside;
+    - else the atom off S with the largest |g_j|, g = D^T (D b - x), joins S
+      with the sign of -g_j, unless its violation |g_j| - max(nu, 0) is
+      within 2 eps ||x||, the rounding the margin allows in g.  Such a
+      column has reached the precision floor and leaves the rounds.
 
-    Each column is then certified by its duality-gap error slack (see
-    _l1_slack).  One that misses ERR_TOL takes up to NEWTON_STEPS Newton
-    steps on the KKT system of its support and signs, G_SS a_S + nu s =
-    D_S^T x with s.a_S = lam on the sphere (nu = 0 inside), solved by the
-    Schur complement of one batched LU solve (_newton_step); the steps go
-    on from each new point, and the column keeps the point of lowest slack.
-    The first step works from the computed residual D a - x; the others,
-    and every certificate after a step, from the exactly rounded residual
-    (_exact_residual), whose margin is eps h rather than eps ||x||: the gap
-    of an optimum on the sphere with error h* <~ 4e-6 lam ||x|| is otherwise
-    lost in the rounding of D a - x.  A RuntimeWarning names the columns
-    still uncertified, and counts those cut off at MAX_ITERS steps.
+    A column starts from its guess's support and signs, on the sphere if
+    ||guess||_1 >= lam (1 - 2 p eps), the rounding of a p-term sum.  With no
+    guess, or an all-zero guess column, it starts inside the ball from its
+    most correlated atom (ties go to the lowest index), with that
+    correlation's sign; a signal uncorrelated with every atom is coded by
+    zero.  guess, a p x N array held to the matrix rule like the signals, is
+    a likely solution: warm starts in dictionary learning reuse the last
+    codes (Mairal, Bach, Ponce & Sapiro, 2010), and strong rules keep a
+    screened set only after a KKT check (Tibshirani et al., 2012).
 
-    guess, a p x N array held to the matrix rule like the signals, proposes
-    each column's support and signs, as warm LARS in dictionary learning
-    reuses the last codes (Mairal, Bach, Ponce & Sapiro, 2010) and strong
-    rules keep a screened set only after a KKT check (Tibshirani et al.,
-    2012).  Each nonzero guess column first takes up to GUESS_ROUNDS
-    active-set rounds (_certify_guess); one the certificate proves skips the
-    path and the Newton finish.  An all-zero guess column, and one still
-    uncertified after the rounds, runs the path unchanged.
+    A column that leaves the rounds uncertified takes up to NEWTON_STEPS
+    Newton steps on the KKT system of its support and signs, from the point
+    it left with; the steps go on from each new point, and the column keeps
+    the point of lowest slack.  The first step works from the computed
+    residual D a - x; the others, and every certificate after a step, from
+    the exactly rounded residual (_exact_residual), whose margin is eps h
+    rather than eps ||x||: the gap of an optimum on the sphere with error h*
+    <~ 4e-6 lam ||x|| is otherwise lost in the rounding of D a - x.  A
+    RuntimeWarning names the columns still uncertified, and counts those cut
+    off at MAX_ITERS rounds.
 
-    Returns (coeffs p x N, errors N, lockstep path steps of the columns that
-    ran the path (0 if every column kept its guess), max fixed-point residual
-    ||a - P(a - grad/L)|| of all returned coefficients, L the squared
-    spectral norm of D).
+    Returns (coeffs p x N, errors N, the number of lockstep rounds (0 if no
+    column needed one), max fixed-point residual ||a - P(a - grad/L)|| of all
+    returned coefficients, L the squared spectral norm of D).
     """
     signals = as_matrix(signals, "signals", d.n)
     p, n_sig = d.p, signals.shape[1]
@@ -516,83 +408,57 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
         if guess.shape[1] != n_sig:
             raise ValueError(f"guess must be p x N = {p} x {n_sig}, got shape {guess.shape}")
     atoms = d.atoms
-    sing = np.linalg.svd(atoms, compute_uv=False)
-    lip = float(sing[0]) ** 2
+    lip = float(np.linalg.svd(atoms, compute_uv=False)[0]) ** 2
     if lam == 0.0 or lip == 0.0:
         return np.zeros((p, n_sig)), np.linalg.norm(signals, axis=0), 0, 0.0
     gram = atoms.T @ atoms
-    rank = int((sing > RANK_RTOL * sing[0]).sum())
-    out = np.zeros((p, n_sig))
-    sphere = np.zeros(n_sig, dtype=bool)  # the column's path stopped at ||a||_1 = lam
     corr = atoms.T @ signals
     eps = np.finfo(float).eps
-    margin = 2.0 * eps * lam * np.linalg.norm(signals, axis=0)
+    norms = np.linalg.norm(signals, axis=0)
+    margin = 2.0 * eps * lam * norms
+    out = np.zeros((p, n_sig))
     slack = np.zeros(n_sig)
-    # the columns the path codes: every column a guess does not settle
-    todo = np.ones(n_sig, dtype=bool) if guess is None else ~_certify_guess(
-        atoms, gram, corr, signals, lam, guess, margin, out, slack)
-    # t is the penalty: every active atom's correlation with x - D a is t s
-    t = np.abs(corr).max(axis=0)
-    live = np.flatnonzero(todo & (t > 0.0))
-    t, corr = t[live], corr[:, live]
-    first, cols = np.argmax(np.abs(corr), axis=0), np.arange(live.size)
-    a = np.zeros((p, live.size))
-    signs = np.zeros((p, live.size))
-    signs[first, cols] = np.sign(corr[first, cols])
-    # live column i's (G_AA + RIDGE I)^-1, zero off its active set A
-    inv = np.zeros((live.size, p, p))
-    inv[cols, first, first] = 1.0 / (gram[first, first] + RIDGE)
-    barred = np.zeros((p, live.size), dtype=bool)
-    rejoin = np.zeros((p, live.size))  # the sign a just-dropped atom may not rejoin with
-    sigma = np.array([1.0, -1.0])[:, None, None]  # the signs an atom can join with
+    sphere = np.zeros(n_sig, dtype=bool)  # the column's last round was on the sphere
+    a = np.zeros((p, n_sig)) if guess is None else guess
+    s = np.sign(a)
+    rim = np.abs(a).sum(axis=0) >= lam * (1.0 - 2.0 * p * eps)
+    cold = np.flatnonzero(~s.any(axis=0))
+    first = np.argmax(np.abs(corr[:, cold]), axis=0)
+    s[first, cold] = np.sign(corr[first, cold])
+    cols = np.flatnonzero(s.any(axis=0))
+    a, s, rim = a[:, cols], s[:, cols], rim[cols]
     iterations = 0
-    while live.size and iterations < MAX_ITERS:
+    while cols.size and iterations < MAX_ITERS:
         iterations += 1
-        on = signs != 0.0
-        w = _solve(inv, on, gram, signs)
-        u = gram @ w
-        c = corr - gram @ a
-        slope = (signs * w).sum(axis=0)  # d||a||_1 / d gamma
-        steps = np.empty((2 * p + 2, live.size))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps[0] = np.where(slope > 0.0, np.maximum(lam - np.abs(a).sum(axis=0), 0.0) / slope, np.inf)
-            steps[1] = t
-            # atom j joins with sign sigma where sigma (c_j - gamma u_j) reaches
-            # t - gamma; rounding may leave |c_j| a hair above t
-            denom = 1.0 - sigma * u
-            roots = np.where(~on & ~barred & (on.sum(axis=0) < rank) & (rejoin != sigma) & (denom > 0.0),
-                             np.maximum(t - sigma * c, 0.0) / denom, np.inf)
-            join_sign = np.where(roots[1] < roots[0], -1.0, 1.0)
-            steps[2:2 + p] = roots.min(axis=0)
-            steps[2 + p:] = np.where(on & (a * w < 0.0), -a / w, np.inf)
-        event, gamma = np.argmin(steps, axis=0), steps.min(axis=0)
-        a += gamma * w
-        t = t - gamma
-        rejoin[:] = 0.0
-        drops = np.flatnonzero(event >= 2 + p)
-        if drops.size:
-            j = event[drops] - 2 - p
-            rejoin[j, drops] = signs[j, drops]
-            a[j, drops] = signs[j, drops] = 0.0
-            barred[:, drops] = False
-            inv[drops] = _inverse(signs[:, drops] != 0.0, gram)
-        joins = np.flatnonzero((event >= 2) & (event < 2 + p))
-        if joins.size:
-            j = event[joins] - 2
-            ok = _join(inv, joins, j, atoms, gram)
-            signs[j[ok], joins[ok]] = join_sign[j[ok], joins[ok]]
-            barred[j[~ok], joins[~ok]] = True
-        done = event <= 1
-        if done.any():
-            out[:, live[done]] = a[:, done]
-            sphere[live[done]] = event[done] == 0
-            keep = ~done
-            live, t, corr, a, inv = live[keep], t[keep], corr[:, keep], a[:, keep], inv[keep]
-            signs, barred, rejoin = signs[:, keep], barred[:, keep], rejoin[:, keep]
-    capped = live
-    out[:, capped] = a
-    path = np.flatnonzero(todo)
-    slack[path] = _l1_slack(atoms, out[:, path], lam, atoms @ out[:, path] - signals[:, path], margin[path])[1]
+        on = s != 0.0
+        b = a + _newton_step(gram, on, s * rim, corr[:, cols] - gram @ a, rim * (lam - (s * a).sum(axis=0)))
+        flip = on & (np.sign(b) != s)
+        fits = ~flip.any(axis=0)
+        fit = _into_l1_ball(b, lam)
+        resid = atoms @ fit - signals[:, cols]
+        out[:, cols], sphere[cols] = fit, rim
+        _gap, slack[cols], g = _l1_slack(atoms, fit, lam, resid, margin[cols])
+        done = fits & (slack[cols] <= ERR_TOL)
+        # the ball's multiplier: -g_S = nu s on the sphere, nu = 0 inside
+        nu = np.where(rim, -(s * g).sum(axis=0) / np.maximum(on.sum(axis=0), 1), 0.0)
+        over = fits & ~rim & (np.abs(b).sum(axis=0) > lam)
+        loose = fits & rim & (nu < 0.0)
+        pull = np.where(on, -np.inf, np.abs(g))
+        best = np.argmax(pull, axis=0)
+        stay = fits & ~done & ~over & ~loose
+        floor = stay & (pull[best, np.arange(cols.size)] - np.maximum(nu, 0.0) <= 2.0 * eps * norms[cols])
+        grow = np.flatnonzero(stay & ~floor)
+        # where a sign flips, the fraction of the way to b at which it reaches 0
+        cross = np.where(flip, np.divide(a, a - b, out=np.zeros_like(a), where=a != b), np.inf)
+        a = np.where(fits, b, a + np.minimum(cross.min(axis=0), 1.0) * (b - a))
+        flips = np.flatnonzero(~fits)
+        a[np.argmin(cross[:, flips], axis=0), flips] = 0.0
+        s = np.sign(a)
+        s[best[grow], grow] = -np.sign(g[best[grow], grow])
+        rim ^= over | loose
+        live = ~(done | floor)
+        cols, a, s, rim = cols[live], a[:, live], s[:, live], rim[live]
+    capped = cols
     unsure = ~(slack <= ERR_TOL)
     unsure[capped] = False
     fix = np.flatnonzero(unsure)
@@ -628,8 +494,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
 
 def l1_solve(d: Dictionary, x, lam: float) -> CodingResult:
     """Representation under the l1-ball constraint ||a||_1 <= lam: the N=1
-    case of l1_solve_batch's homotopy and Newton finish, with the duality
-    gap that certifies it.
+    case of l1_solve_batch's active-set rounds and Newton finish, with the
+    duality gap that certifies it.
 
     lam = 0 returns the zero vector as a valid result.
     """

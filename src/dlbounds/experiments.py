@@ -138,7 +138,7 @@ def _ordered_map(fn, count: int, threads: int) -> list:
 
 class McBabelResult(NamedTuple):
     empirical: float
-    bound: float
+    bound: float | None
     records: list[TrialRecord]
 
 
@@ -147,8 +147,10 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
     """Sample `trials` dictionaries of p uniform sphere atoms and measure
     how often babel(D, k) exceeds threshold.
 
-    The reported bound is the threshold-1/2 tail formula regardless of the
-    threshold argument.  Trial i's dictionary depends only on (seed, i) —
+    The bound is babel_tail_bound's tail formula, a bound on P(mu_k > 1/2),
+    so it is reported only at threshold 1/2; at any other threshold the
+    result's bound is None and every record is inapplicable with an empty
+    bound.  Trial i's dictionary depends only on (seed, i) —
     not on k or the thread count — so runs at different orders k share
     dictionaries trial-by-trial and parallel runs match serial ones.  A
     trial reads Babel off its atoms' Gram, as babel(Dictionary(atoms), k)
@@ -157,14 +159,16 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
     n, p, k, trials = as_count(n, "n"), as_count(p, "p"), as_count(k, "k"), as_count(trials, "trials")
     threads = as_count(threads, "threads")
     threshold = _finite(threshold, "threshold", strict=False)
-    bound = babel_tail_bound(n, p, k)
+    bound = babel_tail_bound(n, p, k)  # which also holds k to p - 1 at any threshold
+    if threshold != 0.5:
+        bound = None
 
     def one(i: int) -> float:
         atoms = uniform_sphere_matrix(n, p, substream(seed, i))
         return babel_from_gram(atoms.T @ atoms, k).value
 
     values = _ordered_map(one, trials, threads)
-    records = [TrialRecord(trial=i, seed=seed, n=n, p=p, k=k, stat=v, bound=bound)
+    records = [TrialRecord(trial=i, seed=seed, n=n, p=p, k=k, stat=v, bound=bound, applicable=bound is not None)
                for i, v in enumerate(values)]
     empirical = sum(v > threshold for v in values) / trials
     return McBabelResult(empirical=empirical, bound=bound, records=records)

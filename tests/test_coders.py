@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -449,6 +450,23 @@ def test_exact_block_boundaries_are_invisible(monkeypatch):
         monkeypatch.undo()
     # the tie goes to the smallest support in every split
     assert [tuple(s) for s in one_block[2].T] == [(0, 1), (0, 2)]
+    # a seeded fuzz over small shapes with k >= 2, 30% of them with a
+    # repeated atom: the same three budgets, the same bits
+    rng = substream(46, 0)
+    for i in range(100):
+        n, p, k, n_sig = (int(v) for v in (rng.integers(2, 13), rng.integers(3, 13), rng.integers(2, 5),
+                                           rng.integers(1, 18)))
+        k = min(k, p)
+        atoms = uniform_sphere_matrix(n, p, substream(46, 2 * i + 1))
+        if rng.random() < 0.3:
+            atoms[:, p - 1] = atoms[:, rng.integers(p - 1)]
+        d, signals = Dictionary(atoms), uniform_sphere_matrix(n, n_sig, substream(46, 2 * i + 2))
+        one_block = coders._exact_columns(d, signals, k)
+        for budget in (1, 3 * k * (n + n_sig), 3 * k * (n + 1)):
+            monkeypatch.setattr(coders, "SCORE_BLOCK", budget)
+            for got, want in zip(coders._exact_columns(d, signals, k), one_block):
+                assert np.array_equal(got, want), (i, n, p, k, n_sig, budget)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("batch_coder", [
@@ -642,13 +660,9 @@ def test_l1_certificate_holds():
 
 def test_l1_near_twin_atoms_certify():
     # atom 7 = normalize(d_0 + delta v), v a unit vector orthogonal to d_0.
-    # Down to delta > RANK_RTOL the twins may be active together, and the
-    # path's (G_AA + RIDGE I)^-1 then holds entries up to 1/RIDGE.  The join
-    # test must resolve such delta (a Gram-form distance G_jj - g.b cannot
-    # below ~1e-5), the direction must stay accurate while both are active,
-    # and so must the inverse after one leaves.  Every column certifies, and
-    # atom 7 codes as many columns as a per-step solve of G_AA w = s_A gives.
-    # Seven more directions check certification alone.
+    # The twins may be in a support together, and G_SS + RIDGE I is then
+    # near singular; the KKT solves must stay accurate while both are in it
+    # and after one leaves.  Every column certifies, in eight directions.
     atoms = uniform_sphere_matrix(6, 8, substream(33, 0))
     signals = uniform_sphere_matrix(6, 40, substream(33, 1))
     d0 = atoms[:, 0]
@@ -656,7 +670,7 @@ def test_l1_near_twin_atoms_certify():
         u = uniform_sphere_matrix(6, 1, substream(33, 2) if i == 0 else substream(45, i))[:, 0]
         v = u - (u @ d0) * d0
         v /= np.linalg.norm(v)
-        for delta, uses in ((1e-3, 4), (1e-6, 4), (1e-7, 4), (1e-8, 4), (1e-9, 4), (1e-12, 7)):
+        for delta in (1e-3, 1e-6, 1e-7, 1e-8, 1e-9, 1e-12):
             twin = atoms.copy()
             twin[:, 7] = (d0 + delta * v) / np.linalg.norm(d0 + delta * v)
             d = Dictionary(twin)
@@ -664,8 +678,55 @@ def test_l1_near_twin_atoms_certify():
                 warnings.simplefilter("error")
                 coeffs, _errors, _iters, _residual = l1_solve_batch(d, signals, 2.0)
             assert _l1_slack_reference(d.atoms, coeffs, signals, 2.0).max() <= ERR_TOL
-            if i == 0:
-                assert np.count_nonzero(coeffs[7]) == uses
+
+
+def test_l1_near_twin_at_the_rank_tolerance_certifies():
+    # the bed above at delta = 1e-10 = RANK_RTOL: no join test bars the twin
+    # from a support, so no column is left short of the certificate by an
+    # atom it could not use
+    atoms = uniform_sphere_matrix(6, 8, substream(33, 0))
+    signals = uniform_sphere_matrix(6, 40, substream(33, 1))
+    d0 = atoms[:, 0]
+    for i in range(8):
+        u = uniform_sphere_matrix(6, 1, substream(33, 2) if i == 0 else substream(45, i))[:, 0]
+        v = u - (u @ d0) * d0
+        v /= np.linalg.norm(v)
+        twin = atoms.copy()
+        twin[:, 7] = (d0 + 1e-10 * v) / np.linalg.norm(d0 + 1e-10 * v)
+        d = Dictionary(twin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, _errors, _iters, _residual = l1_solve_batch(d, signals, 2.0)
+        assert _l1_slack_reference(d.atoms, coeffs, signals, 2.0).max() <= ERR_TOL
+
+
+def test_l1_atom_signals_certify_in_one_round():
+    # x = d_j in gengap-l1's regime (n = 8, p = 12, lam = 1): the start, atom
+    # j alone inside the ball, is the optimum, and the first round proves it
+    for i in range(20):
+        d = Dictionary(uniform_sphere_matrix(8, 12, substream(37, i)))
+        for signals in (d.atoms, d.atoms[:, [5]]):
+            coeffs, errors, iters, _residual = l1_solve_batch(d, signals, 1.0)
+            assert iters == 1
+            assert _l1_slack_reference(d.atoms, coeffs, signals, 1.0).max() <= ERR_TOL
+            assert errors.max() <= 1e-11
+
+
+def test_l1_memory_at_large_p():
+    # n = 32, p = 64, N = 2,000 at lam = 1: the KKT solves pack each support
+    # into its first k slots, and no column keeps a p x p matrix between
+    # rounds, so one call peaks well under the 142 MiB of per-column p x p
+    # inverses
+    d = Dictionary(uniform_sphere_matrix(32, 64, substream(47, 0)))
+    signals = uniform_sphere_matrix(32, 2000, substream(47, 1))
+    tracemalloc.start()
+    try:
+        coeffs, _errors, _iters, _residual = l1_solve_batch(d, signals, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20
+    assert _l1_slack_reference(d.atoms, coeffs, signals, 1.0).max() <= ERR_TOL
 
 
 def test_l1_path_alone_certifies_in_gengap_regime(monkeypatch):
@@ -855,9 +916,9 @@ def _gengap_regime_bed(seed, count):
             uniform_sphere_matrix(8, count, substream(seed, 1)))
 
 
-def test_l1_guess_of_its_own_output_skips_the_path(monkeypatch):
-    # a guess equal to the path's output holds the optimum's support and
-    # signs, so the first KKT solve on them certifies every column: on the
+def test_l1_guess_of_its_own_output_skips_the_path():
+    # a guess equal to the solver's output holds the optimum's support and
+    # signs, so the first round's KKT solve certifies every column: on the
     # sphere (lam <= 1 here), inside the ball (lam = 50, exact fits and,
     # with p < n, least squares), and on criterion 3's pair 314, whose
     # optima at lam = 2 lie on both sides
@@ -877,21 +938,20 @@ def test_l1_guess_of_its_own_output_skips_the_path(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             guessed, guessed_errors, iters, residual = l1_solve_batch(d, signals, lam, coeffs)
-        assert iters == 0
+        assert iters == 1
         assert _l1_slack_reference(d.atoms, guessed, signals, lam).max() <= ERR_TOL
         assert np.abs(guessed_errors - errors).max() <= ERR_TOL
         assert np.abs(guessed).sum(axis=0).max() <= lam * (1 + 1e-12)
         assert residual <= 1e-9
-    # a sphere point a few eps inside lam, as rounding leaves the path's, is
+    # a sphere point a few eps inside lam, as rounding leaves the solver's, is
     # solved on the sphere: one round certifies it
-    monkeypatch.setattr(coders, "GUESS_ROUNDS", 1)
     d, lam, signals = cases[0]
     coeffs = l1_solve_batch(d, signals, lam)[0] * (1 - 4 * np.finfo(float).eps)
-    assert l1_solve_batch(d, signals, lam, coeffs)[2] == 0
+    assert l1_solve_batch(d, signals, lam, coeffs)[2] == 1
 
 
 def _guess_kinds(d, lam, signals, coeffs):
-    """One column's guess of each kind that must fall back to the path, each
+    """One column's guess of each kind that one round cannot certify, each
     checked on _kkt_reference's solution of its support and signs (from
     zero, the system the solver solves from the guess): a flipped sign; an
     atom added whose KKT solution takes the other sign; a needed atom left
@@ -930,36 +990,33 @@ def _guess_kinds(d, lam, signals, coeffs):
     return kinds
 
 
-def test_l1_guesses_that_fail_their_check_fall_back_to_the_path(monkeypatch):
-    # with one round, each of these guesses fails its one KKT solve and its
-    # column runs the path; with GUESS_ROUNDS, an atom leaves or joins per
-    # round, which repairs each guess one change from the optimum.  An
-    # all-zero column always runs the path.  Either way the column comes
-    # back certified, within ERR_TOL of the unguessed call.
+def test_l1_guesses_that_fail_their_check_fall_back_to_the_path():
+    # each of these guesses fails its first round's check; an atom leaves or
+    # joins per round, which repairs each guess one change from the optimum,
+    # and an all-zero column starts from its most correlated atom.  Each
+    # column comes back certified, within ERR_TOL of the unguessed call, in
+    # more than one round.
     d, lam, signals = _gengap_regime_bed(61, 30)
     coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
     kinds = _guess_kinds(d, lam, signals, coeffs)
     assert sorted(kinds) == ["infeasible", "uncertified", "wrong sign", "zero"]
-    for rounds in (coders.GUESS_ROUNDS, 1):
-        monkeypatch.setattr(coders, "GUESS_ROUNDS", rounds)
-        for kind, (j, guess) in kinds.items():
-            # one column per call, so a path step shows the column fell back
-            x = signals[:, j:j + 1]
-            got, got_errors, iters, _residual = l1_solve_batch(d, x, lam, guess[:, None])
-            assert (iters >= 1) == (rounds == 1 or kind == "zero"), (kind, rounds)
-            assert abs(got_errors[0] - errors[j]) <= ERR_TOL, kind
-            assert _l1_slack_reference(d.atoms, got, x, lam)[0] <= ERR_TOL, kind
+    for kind, (j, guess) in kinds.items():
+        # one column per call, so the round count is the column's own
+        x = signals[:, j:j + 1]
+        got, got_errors, iters, _residual = l1_solve_batch(d, x, lam, guess[:, None])
+        assert iters >= 2, kind
+        assert abs(got_errors[0] - errors[j]) <= ERR_TOL, kind
+        assert _l1_slack_reference(d.atoms, got, x, lam)[0] <= ERR_TOL, kind
     # inside the ball the KKT solve reads the support alone (nu = 0), so a
-    # flipped sign still solves to the optimum; in one round the sign test
+    # flipped sign still solves to the optimum; the first round's sign test
     # refuses it
     d_in, lam_in = Dictionary(uniform_sphere_matrix(8, 5, substream(32, 0))), 50.0
     x = uniform_sphere_matrix(8, 1, substream(32, 1))
     a = l1_solve_batch(d_in, x, lam_in)[0]
     a[np.flatnonzero(a[:, 0])[0], 0] *= -1.0
-    assert l1_solve_batch(d_in, x, lam_in, a)[2] >= 1
+    assert l1_solve_batch(d_in, x, lam_in, a)[2] >= 2
     # all four among certified guesses in one batch, and random guesses:
     # every column comes back certified, within ERR_TOL of the unguessed call
-    monkeypatch.undo()
     guess = coeffs.copy()
     for col, (j, g) in enumerate(kinds.values()):
         signals[:, col], guess[:, col] = signals[:, j], g
@@ -970,6 +1027,24 @@ def test_l1_guesses_that_fail_their_check_fall_back_to_the_path(monkeypatch):
         got, got_errors, _iters, _residual = l1_solve_batch(d, signals, lam, g)
         assert np.abs(got_errors - errors).max() <= ERR_TOL
         assert _l1_slack_reference(d.atoms, got, signals, lam).max() <= ERR_TOL
+
+
+def test_l1_sphere_guess_of_an_inside_optimum_moves_inside():
+    # p < n at lam = 50: every optimum is least squares, well inside the
+    # ball.  Guesses scaled onto the sphere start there; their KKT solutions
+    # on the sphere have nu < 0, so the ball does not bind and each column
+    # goes back inside, where its least-squares solution certifies
+    d = Dictionary(uniform_sphere_matrix(8, 5, substream(32, 0)))
+    signals = uniform_sphere_matrix(8, 40, substream(32, 1))
+    lam = 50.0
+    coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
+    assert np.abs(coeffs).sum(axis=0).max() < lam / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_errors, _iters, _residual = l1_solve_batch(d, signals, lam,
+                                                            coeffs * (lam / np.abs(coeffs).sum(axis=0)))
+    assert np.abs(got_errors - errors).max() <= ERR_TOL
+    assert _l1_slack_reference(d.atoms, got, signals, lam).max() <= ERR_TOL
 
 
 @pytest.mark.parametrize("guess, message", [

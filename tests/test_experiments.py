@@ -119,6 +119,22 @@ def test_mc_babel_threshold_k_never_exceeded():
     assert result.empirical == 0.0
 
 
+def test_mc_babel_bound_applies_only_at_threshold_one_half():
+    # the tail bound is on P(mu_k > 1/2); beside P(mu_k > 0.3) it would be
+    # mislabeled, so that run reports none and marks its records inapplicable
+    default, half = mc_babel(20, 6, 2, trials=10, seed=7), mc_babel(20, 6, 2, trials=10, threshold=0.5, seed=7)
+    assert default.bound == babel_tail_bound(20, 6, 2)
+    assert all(r.bound == default.bound and r.applicable for r in default.records)
+    assert records_to_csv(default.records) == records_to_csv(half.records)
+    low = mc_babel(20, 6, 2, trials=10, threshold=0.3, seed=7)
+    assert low.bound is None and low.empirical >= default.empirical
+    assert all(r.bound is None and not r.applicable for r in low.records)
+    assert [r.stat for r in low.records] == [r.stat for r in default.records]
+    assert records_to_csv(low.records).splitlines()[1].endswith(f",{low.records[0].stat!r},,false")
+    with pytest.raises(ValueError):  # k is checked at every threshold
+        mc_babel(10, 5, 5, trials=5, threshold=0.3)
+
+
 def test_mc_babel_deterministic_and_thread_invariant():
     a = mc_babel(30, 6, 2, trials=16, seed=5)
     b = mc_babel(30, 6, 2, trials=16, seed=5)

@@ -87,9 +87,9 @@ def test_l1_hook_reads_guessed_calls(monkeypatch):
     signals = uniform_sphere_matrix(8, 20, substream(7, 1))
     coeffs = coders.l1_solve_batch(d, signals, 1.0)[0]
     result = learn.l1_solve_batch(d, signals, 1.0, coeffs)
-    assert len(result) == 4 and result[2] == 0
+    assert len(result) == 4 and result[2] == 1
     assert _spans()._l1_hook(learn.l1_solve_batch, (d, signals, 1.0, coeffs), {}, result) == {
-        "iterations": 0, "fp_residual": float(result[3])}
+        "iterations": 1, "fp_residual": float(result[3])}
     calls = _count_calls(monkeypatch, learn, "l1_solve_batch")
     learn.learn_dictionary(signals, LearnerConfig(p=12, constraint=L1Ball(1.0), iterations=3, seed=7))
     assert len(calls) == 3
