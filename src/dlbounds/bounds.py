@@ -267,18 +267,16 @@ def log_integral_check(gamma: float, x_grid) -> float:
 
         int_0^x sqrt(log(gamma / eps)) d(eps) <= 2 x sqrt(log(gamma / x))
 
-    over the given x values in (0, 1], for gamma >= sqrt(e).  With
+    over the given x values in (0, 1], for a finite gamma >= sqrt(e) (one in
+    (0, sqrt(e)) raises InapplicableError).  With
     L = log(gamma / x) the left side is x sqrt(L) + gamma (sqrt(pi)/2)
     erfc(sqrt(L)) in closed form, so the violation is
     gamma (sqrt(pi)/2) erfc(sqrt(L)) - x sqrt(L), exact up to rounding; a
     correct inequality keeps the returned maximum <= 0.
     """
-    gamma = float(gamma)
-    # a finite gamma below sqrt(e) is outside the inequality's range; NaN
-    # and infinities are malformed
-    if math.isfinite(gamma) and gamma < math.sqrt(math.e):
+    gamma = _finite(gamma, "gamma")
+    if gamma < math.sqrt(math.e):
         raise InapplicableError(f"gamma must be >= sqrt(e) = {math.sqrt(math.e):.6f}, got {gamma}")
-    gamma = _finite(gamma, "gamma", math.sqrt(math.e), strict=False)
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     _require(xs.size > 0, "x_grid must be nonempty")
     _require(bool(np.all((xs > 0.0) & (xs <= 1.0))), "x values must lie in (0, 1]")

@@ -23,11 +23,11 @@ codes under a nearby dictionary) or from each signal's most correlated
 atom.  Between rounds a column drops the first atom whose sign flips, moves
 onto or off the sphere ||a||_1 = lam, or adds the atom most correlated with
 its residual.  The Frank-Wolfe duality gap proves each column's error within
-ERR_TOL = 1e-10 of the optimum, and a proved column retires.  A column that
-reaches the rounding floor of the gap uncertified takes at most
-NEWTON_STEPS Newton steps on its KKT system, from an exactly rounded
-residual after the first; one still uncertified, or one cut off at
-MAX_ITERS rounds, raises a RuntimeWarning.
+ERR_TOL = 1e-10 of the optimum, and a proved column retires.  Every column
+still uncertified when the rounds end, at the rounding floor of the gap or
+cut off at MAX_ITERS rounds, takes at most NEWTON_STEPS Newton steps on its
+KKT system, from an exactly rounded residual after the first; one
+RuntimeWarning names the columns still uncertified after them.
 """
 
 from __future__ import annotations
@@ -385,16 +385,16 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     codes (Mairal, Bach, Ponce & Sapiro, 2010), and strong rules keep a
     screened set only after a KKT check (Tibshirani et al., 2012).
 
-    A column that leaves the rounds uncertified takes up to NEWTON_STEPS
-    Newton steps on the KKT system of its support and signs, from the point
-    it left with; the steps go on from each new point, and the column keeps
-    the point of lowest slack.  The first step works from the computed
-    residual D a - x; the others, and every certificate after a step, from
-    the exactly rounded residual (_exact_residual), whose margin is eps h
-    rather than eps ||x||: the gap of an optimum on the sphere with error h*
-    <~ 4e-6 lam ||x|| is otherwise lost in the rounding of D a - x.  A
-    RuntimeWarning names the columns still uncertified, and counts those cut
-    off at MAX_ITERS rounds.
+    A column that leaves the rounds uncertified, at its precision floor or
+    cut off at MAX_ITERS rounds, takes up to NEWTON_STEPS Newton steps on
+    the KKT system of its support and signs, from the point it left with;
+    the steps go on from each new point, and the column keeps the point of
+    lowest slack.  The first step works from the computed residual D a - x;
+    the others, and every certificate after a step, from the exactly
+    rounded residual (_exact_residual), whose margin is eps h rather than
+    eps ||x||: the gap of an optimum on the sphere with error h* <~ 4e-6 lam
+    ||x|| is otherwise lost in the rounding of D a - x.  One RuntimeWarning
+    names the columns still uncertified, and counts those cut off.
 
     Returns (coeffs p x N, errors N, the number of lockstep rounds (0 if no
     column needed one), max fixed-point residual ||a - P(a - grad/L)|| of all
@@ -458,10 +458,7 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
         rim ^= over | loose
         live = ~(done | floor)
         cols, a, s, rim = cols[live], a[:, live], s[:, live], rim[live]
-    capped = cols
-    unsure = ~(slack <= ERR_TOL)
-    unsure[capped] = False
-    fix = np.flatnonzero(unsure)
+    fix = np.flatnonzero(~(slack <= ERR_TOL))
     a, resid = out[:, fix], atoms @ out[:, fix] - signals[:, fix]
     for _ in range(NEWTON_STEPS):
         if not fix.size:
@@ -477,14 +474,10 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
         slack[fix[better]] = new[better]
         keep = ~(slack[fix] <= ERR_TOL)
         fix, a, resid = fix[keep], a[:, keep], resid[:, keep]
-    cut = capped[~(slack[capped] <= ERR_TOL)]
-    if cut.size:
-        warnings.warn(f"l1_solve_batch stopped after MAX_ITERS = {MAX_ITERS} steps with "
-                      f"{cut.size} of {n_sig} columns uncertified (worst error slack "
-                      f"{slack[cut].max():.3g} > ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
     if fix.size:
         warnings.warn(f"l1_solve_batch left {fix.size} of {n_sig} columns {fix.tolist()} uncertified "
-                      f"after {NEWTON_STEPS} Newton steps (worst error slack {slack[fix].max():.3g} "
+                      f"after {NEWTON_STEPS} Newton steps, {np.isin(fix, cols).sum()} of them cut off "
+                      f"at MAX_ITERS = {MAX_ITERS} rounds (worst error slack {slack[fix].max():.3g} "
                       f"> ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
     resid = atoms @ out - signals
     fp = out - _project_l1_columns(out - (atoms.T @ resid) / lip, lam)

@@ -250,17 +250,19 @@ def nonlipschitz_demo(n: int, p: int, k: int, eps: float, *, seed: int = 0,
     exactly unit-norm and the two-atom representation well-conditioned
     (condition number ~2/eps), so h_D'(q) = 0 holds to ~1e-12 even at
     eps = 1e-4.  Search failure raises SearchFailureError carrying the
-    best h found.
+    best h found.  eps and target must be finite and in (0, 1], target as
+    h(q) <= ||q|| = 1; both are checked before any draw.
     """
     n, p, k = as_count(n, "n"), as_count(p, "p"), as_count(k, "k")
     search_samples = as_count(search_samples, "search_samples")
-    eps = float(eps)
+    eps, target = _finite(eps, "eps"), _finite(target, "target")
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= n = {n} (two atoms must cancel), got {k}")
     if not k <= p:
         raise ValueError(f"p must be >= k = {k}, got {p}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    for name, value in (("eps", eps), ("target", target)):
+        if value > 1.0:
+            raise ValueError(f"{name} must lie in (0, 1], got {value}")
     rng = substream(seed)
     atoms = np.zeros((n, p))
     for j in range(k - 1):

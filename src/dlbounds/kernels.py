@@ -30,8 +30,7 @@ from .coders import CodingResult, _greedy_columns
 from .coherence import BabelValue, babel_from_gram
 from .bounds import BoundInputs, BoundReport, _ksparse_lam, _log_cover, slow_rate_generic
 
-# Tolerances for kernel sanity checks; SYMMETRY_TOL comes from core's Gram rule.
-EIG_FLOOR = -1e-8
+# The PSD floor of every Gram quadratic form; SYMMETRY_TOL is core's Gram rule.
 PSD_QUAD_FLOOR = -1e-8
 
 
@@ -133,7 +132,8 @@ def gram_matrix(kf: KernelFn, points: np.ndarray) -> np.ndarray:
 
 def validate_kernel(kf: KernelFn, points: np.ndarray) -> list[str]:
     """Report kernel sanity violations on sample points: asymmetry beyond
-    SYMMETRY_TOL, or Gram minimum eigenvalue below EIG_FLOOR."""
+    SYMMETRY_TOL, or a Gram minimum eigenvalue (its least unit quadratic
+    form) below PSD_QUAD_FLOOR, the floor of every squared feature error."""
     pts = as_matrix(points, "points")
     report: list[str] = []
     g = _kernel_block(kf, pts, pts)
@@ -141,8 +141,8 @@ def validate_kernel(kf: KernelFn, points: np.ndarray) -> list[str]:
     if worst_asym > SYMMETRY_TOL:
         report.append(f"asymmetry {worst_asym:.3g} exceeds {SYMMETRY_TOL:g}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
-    if min_eig < EIG_FLOOR:
-        report.append(f"Gram min eigenvalue {min_eig:.3g} below {EIG_FLOOR:g}")
+    if min_eig < PSD_QUAD_FLOOR:
+        report.append(f"Gram min eigenvalue {min_eig:.3g} below {PSD_QUAD_FLOOR:g}")
     return report
 
 
@@ -244,7 +244,9 @@ def holder_feature_check(kf: KernelFn, pairs) -> float:
         ||phi(x) - phi(y)|| <= sqrt(2 L) ||x - y||^(alpha/2)
 
     which follows from the kernel being L-Holder of order alpha in each
-    argument.  <= 0 means the metadata is consistent on these pairs.
+    argument.  <= 0 means the metadata is consistent on these pairs.  A
+    pair's distance is the feature error of phi(y) for phi(x), read off
+    one 2 x 2 kernel block.
     """
     if kf.smoothness is None:
         raise ValueError(f"kernel {kf.name!r} carries no smoothness metadata")
@@ -255,10 +257,8 @@ def holder_feature_check(kf: KernelFn, pairs) -> float:
         # finite vectors of one dimension: max() drops a NaN violation
         xv = as_vector(x, "x")
         yv = as_vector(y, "y", xv.size)
-        sq = kf(xv, xv) - 2.0 * kf(xv, yv) + kf(yv, yv)
-        if sq < PSD_QUAD_FLOOR:
-            raise ValueError(f"feature distance squared {sq:.3g} below PSD floor")
-        feat_dist = math.sqrt(max(sq, 0.0))
+        block = _kernel_block(kf, np.stack((xv, yv)), np.stack((xv, yv)))
+        feat_dist = _feature_error(block[0, 0], np.ones(1), block[1:, 1:], block[0, 1:])
         bound = math.sqrt(2.0 * hol_l) * float(np.linalg.norm(xv - yv)) ** (hol_a / 2.0)
         worst = max(worst, feat_dist - bound)
         count += 1

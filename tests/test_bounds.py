@@ -336,6 +336,11 @@ def test_optimize_single_point_grid():
     assert report.parts == direct.parts
 
 
+def test_optimize_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match=r"^family must be 'l1' or 'ksparse', got 'kernel'$"):
+        optimize_fast_params(l1_inputs(), [2.0], "kernel")
+
+
 def test_optimize_zero_proxy_minimizes_additive():
     ks = [1.25, 1.5, 2.0, 3.0]
     k, report = optimize_fast_params(l1_inputs(), ks, "l1")

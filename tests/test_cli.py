@@ -316,6 +316,23 @@ def test_learn_synth_requires_m(capsys, tmp_path):
     assert code == 1 and "m=" in err
 
 
+@pytest.mark.parametrize("spec, p, message", [
+    ("sphere:n", 3, "bad synth spec item 'n'"),
+    ("sphere:n=5,n=6", 3, "bad synth spec item 'n=6'"),
+    ("sphere:m=20", 3, "synth spec needs n=<dimension>"),
+    ("sphere:n=5,ptrue=3", 3, "sphere spec does not take ['ptrue']"),
+    ("dict:n=5,ptrue=0", 3, "dict spec needs ptrue=<atoms> (or a --p to default to)"),
+    ("dict:n=5", 0, "dict spec needs ptrue=<atoms> (or a --p to default to)"),
+    ("dict:n=5,ptrue=3,tau=1", 3, "dict spec does not take ['tau']"),
+    ("cube:n=5", 3, "unknown synth kind 'cube'; use sphere or dict"),
+], ids=["item", "repeat", "no-n", "sphere-extra", "ptrue-0", "p-0", "dict-extra", "kind"])
+def test_bad_synth_spec_fails_the_cli(capsys, tmp_path, spec, p, message):
+    code, _, err = run(capsys, "gengap", "--synth", spec, "--p", p, "--k", 1,
+                       "--mgrid", 12, "--test-size", 20, "--out", tmp_path / "g")
+    assert code == 1 and err == f"error: {message}\n"
+    assert not (tmp_path / "g").exists()
+
+
 # ---------------------------------------------------------------- mc-babel
 
 

@@ -729,10 +729,10 @@ def test_l1_memory_at_large_p():
     assert _l1_slack_reference(d.atoms, coeffs, signals, 1.0).max() <= ERR_TOL
 
 
-def test_l1_path_alone_certifies_in_gengap_regime(monkeypatch):
+def test_l1_rounds_alone_certify_in_gengap_regime(monkeypatch):
     # gengap-l1's regime: n = 8, p = 12, lam = 1, unit-sphere dictionaries
-    # and signals.  The homotopy's path certifies every column by itself, so
-    # the Newton finish, which calls _exact_residual once per step, never
+    # and signals.  The active-set rounds certify every column by themselves,
+    # so the Newton finish, which calls _exact_residual once per step, never
     # runs.
     calls = []
     exact_residual = coders._exact_residual
@@ -904,10 +904,53 @@ def test_l1_iteration_cap_warns(monkeypatch):
     monkeypatch.setattr(coders, "MAX_ITERS", 5)
     d = Dictionary(uniform_sphere_matrix(6, 8, substream(35, 0)))
     signals = uniform_sphere_matrix(6, 10, substream(35, 1))
-    with pytest.warns(RuntimeWarning, match=r"MAX_ITERS = 5 steps with \d+ of 10 columns "
-                                            r"uncertified \(worst error slack"):
+    with pytest.warns(RuntimeWarning, match=r"left \d+ of 10 columns \[[\d, ]+\] uncertified after 3 "
+                                            r"Newton steps, \d+ of them cut off at MAX_ITERS = 5 rounds "
+                                            r"\(worst error slack"):
         _coeffs, _errors, iters, _residual = l1_solve_batch(d, signals, 2.0)
     assert iters == 5
+
+
+def test_l1_cut_off_columns_take_the_finish_and_share_one_warning(monkeypatch):
+    # the bed of test_l1_precision_floor_recentres_and_warns at ERR_TOL / 2,
+    # where some optima stay above the tolerance at the precision floor, with
+    # the rounds cut off at 12 of the 19 they need.  The columns still in the
+    # rounds take the same Newton finish as the floor columns, and one
+    # warning names every column left uncertified, floor and cut-off alike,
+    # and counts the cut-off ones: those whose own call takes over 12 rounds
+    d = Dictionary(uniform_sphere_matrix(8, 12, substream(1, 0)))
+    rng = np.random.default_rng(1)
+    coeffs = np.zeros((12, 40))
+    for j in range(40):
+        coeffs[rng.choice(12, 3, replace=False), j] = rng.uniform(-1, 1, 3)
+    signals = np.hstack([d.atoms @ (coeffs / np.abs(coeffs).sum(axis=0)),
+                         uniform_sphere_matrix(8, 10, substream(1, 1))])
+    lam, tol = 1 - 1e-6, ERR_TOL / 2
+    monkeypatch.setattr(coders, "ERR_TOL", tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rounds = np.array([l1_solve_batch(d, signals[:, j:j + 1], lam)[2] for j in range(50)])
+    cut = np.flatnonzero(rounds > 12)
+    assert cut.size
+    finished = []
+    exact_residual = coders._exact_residual
+    monkeypatch.setattr(coders, "_exact_residual",
+                        lambda *args: finished.append(args[2]) or exact_residual(*args))
+    monkeypatch.setattr(coders, "MAX_ITERS", 12)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        coeffs, _errors, iters, _residual = l1_solve_batch(d, signals, lam)
+    assert iters == 12
+    for j in cut:
+        assert any(np.array_equal(col, signals[:, j]) for col in finished[0].T)
+    assert len(record) == 1 and record[0].category is RuntimeWarning
+    message = str(record[0].message)
+    assert re.match(rf"l1_solve_batch left \d+ of 50 columns \[[\d, ]+\] uncertified after 3 Newton "
+                    rf"steps, {cut.size} of them cut off at MAX_ITERS = 12 rounds \(worst", message)
+    named = [int(j) for j in re.search(r"\[([\d, ]+)\]", message)[1].split(",")]
+    slack = _l1_slack_reference(d.atoms, coeffs, signals, lam, exact=True)
+    assert named == np.flatnonzero(slack > tol).tolist()
+    assert set(cut) < set(named)
 
 
 def _gengap_regime_bed(seed, count):
@@ -916,7 +959,7 @@ def _gengap_regime_bed(seed, count):
             uniform_sphere_matrix(8, count, substream(seed, 1)))
 
 
-def test_l1_guess_of_its_own_output_skips_the_path():
+def test_l1_guess_of_its_own_output_certifies_in_one_round():
     # a guess equal to the solver's output holds the optimum's support and
     # signs, so the first round's KKT solve certifies every column: on the
     # sphere (lam <= 1 here), inside the ball (lam = 50, exact fits and,
@@ -990,7 +1033,7 @@ def _guess_kinds(d, lam, signals, coeffs):
     return kinds
 
 
-def test_l1_guesses_that_fail_their_check_fall_back_to_the_path():
+def test_l1_guesses_that_fail_their_check_take_more_rounds():
     # each of these guesses fails its first round's check; an atom leaves or
     # joins per round, which repairs each guess one change from the optimum,
     # and an all-zero column starts from its most correlated atom.  Each
@@ -1140,6 +1183,11 @@ def test_repr_error_dispatch():
     assert repr_error(single, np.array([0.0, 1.0]), HardK(1)).error == pytest.approx(1.0)
 
 
+def test_repr_error_refuses_an_unknown_constraint():
+    with pytest.raises(ValueError, match=r"^unknown constraint 'k=1'$"):
+        repr_error(Dictionary(np.eye(2)), np.array([1.0, 0.0]), "k=1")
+
+
 def test_repr_error_x_equal_atom():
     d = Dictionary(uniform_sphere_matrix(6, 8, substream(10, 0)))
     res = repr_error(d, d.atoms[:, 2], HardK(1))
@@ -1179,6 +1227,12 @@ def test_coeff_l1_bound_examples():
 def test_coeff_l1_bound_inapplicable():
     atoms = np.tile(np.array([[1.0], [0.0]]), (1, 3))
     with pytest.raises(InapplicableError):
+        coeff_l1_bound(Dictionary(atoms), 2)
+
+
+def test_coeff_l1_bound_refuses_an_invalid_dictionary():
+    atoms = np.diag([1.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match=r"^dictionary invalid: column 1: norm 0\.5 below 1$"):
         coeff_l1_bound(Dictionary(atoms), 2)
 
 

@@ -46,6 +46,11 @@ def test_coherence_sixty_degrees():
     assert coherence(Dictionary(atoms)) == pytest.approx(0.5)
 
 
+def test_coherence_needs_two_atoms():
+    with pytest.raises(ValueError, match="^coherence needs at least two atoms$"):
+        coherence(Dictionary(np.eye(3)[:, :1]))
+
+
 def test_babel_order_bounds():
     d = Dictionary(np.eye(3))
     with pytest.raises(ValueError):

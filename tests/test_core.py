@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +128,16 @@ def test_coeff_vector_support_consistency():
     assert c.l1 == pytest.approx(3.0)
     with pytest.raises(ValueError):
         CoeffVector(np.array([1.0, 0.5, 0.0]), (0,))  # nonzero off support
+
+
+@pytest.mark.parametrize("support, message", [
+    ((0, 0), "support indices must be distinct"),
+    ((0, 3), "support index out of range"),
+    ((-1, 0), "support index out of range"),
+])
+def test_coeff_vector_refuses_bad_supports(support, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CoeffVector(np.array([1.0, 0.0, 0.0]), support)
 
 
 def test_coeff_vector_from_dense():
@@ -347,6 +359,13 @@ def test_matrix_rejects_ragged_and_empty(tmp_path):
         load_matrix(path)
 
 
+def test_matrix_refuses_a_line_that_is_not_floats(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1.0,2.0\n\n3.0,x\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3 is not comma-separated floats$"):
+        load_matrix(path)
+
+
 def test_dictionary_roundtrip_with_sidecar(tmp_path):
     d = Dictionary(uniform_sphere_matrix(4, 6, np.random.default_rng(1)))
     path = tmp_path / "d.csv"
@@ -355,6 +374,19 @@ def test_dictionary_roundtrip_with_sidecar(tmp_path):
     assert np.array_equal(loaded.atoms, d.atoms)
     assert loaded.gamma == d.gamma
     assert (tmp_path / "d.csv.json").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 5, "sidecar n=5 but file has 4 rows"),
+    ("p", 7, "sidecar p=7 but file has 6 columns"),
+])
+def test_dictionary_refuses_a_sidecar_that_does_not_match(tmp_path, field, value, message):
+    path = tmp_path / "d.csv"
+    save_dictionary(path, Dictionary(uniform_sphere_matrix(4, 6, np.random.default_rng(1))))
+    sidecar = tmp_path / "d.csv.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), field: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_dictionary(path)
 
 
 def test_dictionary_load_without_sidecar(tmp_path):

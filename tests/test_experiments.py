@@ -205,6 +205,13 @@ def test_lipschitz_probe_requires_normalized():
         lipschitz_probe(d, bad, uniform_sphere_matrix(5, 4, substream(1, 1)), L1Ball(1.0))
 
 
+def test_lipschitz_probe_refuses_a_shape_mismatch():
+    d = Dictionary(uniform_sphere_matrix(5, 7, substream(1, 0)))
+    fewer = Dictionary(d.atoms[:, :6])
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(5, 7\) vs \(5, 6\)$"):
+        lipschitz_probe(d, fewer, uniform_sphere_matrix(5, 4, substream(1, 1)), L1Ball(1.0))
+
+
 @pytest.mark.parametrize("constraint", [HardK(2), L1Ball(1.0)], ids=["ksparse", "l1"])
 def test_lipschitz_probe_rejects_wrong_dimension(constraint):
     # the coders' signal check makes it, on the first dictionary

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from dlbounds import experiments
 from dlbounds.bounds import (
     BoundInputs,
     fast_rate_generic,
@@ -216,6 +217,9 @@ def real_calls(v):
     yield "gaussian_kernel sigma", lambda: gaussian_kernel(v)
     yield "kernel_from_name gaussian", lambda: kernel_from_name(f"gaussian:{v}")
     yield "log_integral_check gamma", lambda: log_integral_check(v, [0.5])
+    yield "nonlipschitz_demo eps", lambda: nonlipschitz_demo(8, 8, 2, v, seed=2)
+    yield "nonlipschitz_demo target", lambda: nonlipschitz_demo(
+        8, 8, 2, 1e-3, seed=2, search_samples=64, target=v)
     yield "optimize_fast_params empirical", lambda: optimize_fast_params(
         BoundInputs(n=3, p=5, m=10**4, x=2.0, lam=1.5), [2.0], "l1", empirical=v)
 
@@ -228,6 +232,49 @@ def test_non_finite_real_raises(name, value):
         call()
     # a malformed input, not a formula's unmet precondition
     assert not isinstance(excinfo.value, InapplicableError)
+
+
+def test_missing_real_is_a_value_error():
+    # None is a malformed real like NaN, not a TypeError from float()
+    for call in (lambda: log_integral_check(None, [0.5]), lambda: nonlipschitz_demo(8, 8, 2, None)):
+        with pytest.raises(ValueError, match=r"must be > 0 and finite, got None$") as excinfo:
+            call()
+        assert not isinstance(excinfo.value, InapplicableError)
+
+
+def test_log_integral_gamma_at_most_zero_is_malformed():
+    # not outside the inequality's range, as a finite gamma in (0, sqrt(e)) is
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ValueError, match=r"^gamma must be > 0 and finite, got -?[01]\.0$") as excinfo:
+            log_integral_check(gamma, [0.5])
+        assert not isinstance(excinfo.value, InapplicableError)
+
+
+def _no_draws(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("nonlipschitz_demo drew before refusing its input")
+
+    monkeypatch.setattr(experiments, "substream", draw)
+    monkeypatch.setattr(experiments, "uniform_sphere_matrix", draw)
+
+
+@pytest.mark.parametrize("field", ["eps", "target"])
+@pytest.mark.parametrize("value", [0.0, -1.0, 1.5])
+def test_nonlipschitz_demo_refuses_out_of_range_before_any_draw(monkeypatch, field, value):
+    # h(q) <= ||q|| = 1, so no search can reach a target above 1
+    _no_draws(monkeypatch)
+    message = f"must lie in \\(0, 1\\], got {value}$" if value > 0 else "must be > 0 and finite, got"
+    with pytest.raises(ValueError, match=f"^{field} {message}"):
+        nonlipschitz_demo(8, 8, 2, **{"eps": 1e-3, field: value})
+
+
+def test_demo_nonlipschitz_nan_target_fails_the_cli_without_searching(monkeypatch, tmp_path, capsys):
+    _no_draws(monkeypatch)
+    rc = main(["demo-nonlipschitz", "--n", "8", "--p", "8", "--k", "2", "--eps", "1e-3",
+               "--target", "nan", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: target must be > 0 and finite, got nan\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("sigma", ["inf", "nan"])

@@ -20,6 +20,7 @@ from dlbounds.kernels import (
     KERNEL_VARIANTS,
     KernelDictionary,
     KernelFn,
+    PSD_QUAD_FLOOR,
     _sq_distances,
     feature_babel,
     gaussian_kernel,
@@ -164,6 +165,16 @@ def test_validate_kernel_flags_indefinite():
                   name="bad")
     report = validate_kernel(kf, sphere_points(3, 2, seed=3))
     assert any("eigenvalue" in line for line in report)
+
+
+def test_validate_kernel_floor_is_the_psd_floor():
+    # the Gram's least eigenvalue is its least unit quadratic form, held to
+    # the floor of every squared feature error
+    pts = sphere_points(2, 3, seed=4)
+    for least, report in ((PSD_QUAD_FLOOR / 2, []),
+                          (2 * PSD_QUAD_FLOOR, ["Gram min eigenvalue -2e-08 below -1e-08"])):
+        kf = KernelFn(fn=lambda xs, ys, least=least: np.diag([1.0, least]), name="fixed")
+        assert validate_kernel(kf, pts) == report
 
 
 # --------------------------------------------------------------- dictionary
@@ -406,6 +417,31 @@ def test_holder_requires_metadata():
         holder_feature_check(bare, [(np.zeros(2), np.ones(2))])
     with pytest.raises(ValueError):
         holder_feature_check(linear_kernel(), [])
+
+
+def test_holder_check_takes_one_kernel_block_per_pair():
+    # a pair's feature distance comes from one 2 x 2 block, and agrees with
+    # the one read off three scalar kernel calls
+    gauss = gaussian_kernel(0.8)
+    shapes = []
+    kf = KernelFn(fn=lambda xs, ys: shapes.append((xs.shape, ys.shape)) or gauss.fn(xs, ys),
+                  name="counted", smoothness=gauss.smoothness)
+    rng = substream(18, 1)
+    pairs = [(rng.standard_normal(4) / 3, rng.standard_normal(4) / 3) for _ in range(7)]
+    worst = holder_feature_check(kf, pairs)
+    assert shapes == [((2, 4), (2, 4))] * 7
+    hol_l, hol_a = gauss.smoothness
+    scalar = max(math.sqrt(gauss(x, x) - 2 * gauss(x, y) + gauss(y, y))
+                 - math.sqrt(2 * hol_l) * np.linalg.norm(x - y) ** (hol_a / 2) for x, y in pairs)
+    assert worst == pytest.approx(scalar, abs=1e-12)
+
+
+def test_holder_check_holds_pairs_to_the_psd_floor():
+    # the floor and message of kernel_repr_error's squared error
+    kf = KernelFn(fn=lambda xs, ys: -(xs @ ys.T), name="neg", smoothness=(1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^squared error -1 below PSD floor -1e-08; kernel is not "
+                                         r"positive semidefinite on these points$"):
+        holder_feature_check(kf, [(np.array([1.0, 0.0]), np.zeros(2))])
 
 
 # -------------------------------------------------------------- cover sizes

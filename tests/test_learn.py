@@ -320,7 +320,7 @@ def test_l1_learner_guesses_with_the_previous_step(monkeypatch):
     for before, (d, signals, rest, (coeffs, _errors, _iters, _residual)) in zip(calls, calls[1:]):
         assert rest[0] == 1.0 and rest[1] is before[3][0]
         assert _l1_slack(d.atoms, coeffs, signals, 1.0).max() <= ERR_TOL
-    # the guesses save path steps once the dictionary settles
+    # the guesses save rounds once the dictionary settles
     assert calls[-1][3][2] < calls[0][3][2]
     assert np.array_equal(result.coeffs, calls[-1][3][0]) and not result.coeffs.flags.writeable
 
