@@ -9,10 +9,11 @@ with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 (L1Ball).  One engine per minimization codes the columns of an n x N matrix
 held to core's array rule; `repr_error` codes one signal as its N=1 case, and
 `exact_ksparse`, `greedy_ksparse` and `l1_solve` are its views.  The
-exhaustive engine is the ground truth: stacked QRs score the full-rank
-supports by the energy they capture, each winner is solved from the QR that
-scored it, and ties go to the smallest support in lexicographic order (for
-k >= rank(D), the first basis).  The greedy engine is the fast heuristic, a
+exhaustive engine is the ground truth: one stacked QR and one matrix product
+per block of supports score the full-rank supports by the energy they
+capture, each winner is solved from the QR that scored it, and ties go to
+the smallest support in lexicographic order (for k >= rank(D), the first
+basis).  The greedy engine is the fast heuristic, a
 batch OMP on D^T D and D^T X that the kernel coder runs on a Gram matrix,
 with a 1e-12 ridge on rank-deficient supports.  The l1 engine,
 `l1_solve_batch`, is exact and certified: active-set rounds (Osborne,
@@ -63,7 +64,8 @@ EXACT_GUARD = 10**6
 RANK_RTOL = 1e-10
 RIDGE = 1e-12
 # Exhaustive scoring takes supports in blocks holding about this many entries
-# of Q and Q^T X, which bounds its memory.
+# of Q and Q^T X, which bounds its memory; Q^T X is formed from one copy of
+# Q^T, and both are padded with at most 7 zero rows.
 SCORE_BLOCK = 2**18
 
 # l1 solver: the active-set rounds run at most MAX_ITERS in lockstep; a
@@ -175,15 +177,18 @@ def _first_basis(atoms: np.ndarray, k: int) -> list[int] | None:
 def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     """Exhaustive k-sparse coding of the columns of an n x N matrix.
 
-    One stacked QR per block of supports; a support scores a column by the
-    energy it captures, ||Q^T x||^2, or -inf if it fails the rank test (a
-    full-rank support spans at least as much).  Only a strictly higher score
-    wins, so ties go to the lexicographically smallest support.  Each column
-    keeps its winner's R and Q^T x, and one stacked solve of R a = Q^T x
-    gives every column's coefficients, so each support is factored once.
-    For k >= rank(D) every column takes the projection onto span(D) on the
-    first basis, padded with the lowest other atoms.  Returns (coeffs p x N,
-    errors N, supports k x N).
+    One stacked QR per block of supports, and one product of X with the
+    block's Q^T rows, stacked in C order and zero-padded to a multiple of 8
+    rows: BLAS runs other kernels on F-ordered operands and on row tails, so
+    this keeps every bit independent of the blocking.  A support scores a
+    column by the energy it captures, ||Q^T x||^2, or -inf if it fails the
+    rank test (a full-rank support spans at least as much).  Only a strictly
+    higher score wins, so ties go to the lexicographically smallest support.
+    Each column keeps its winner's R and Q^T x, and one stacked solve of
+    R a = Q^T x gives every column's coefficients, so each support is
+    factored once.  For k >= rank(D) every column takes the projection onto
+    span(D) on the first basis, padded with the lowest other atoms.  Returns
+    (coeffs p x N, errors N, supports k x N).
     """
     k = as_count(k, "k", d.p)
     if comb(d.p, k) > EXACT_GUARD:
@@ -209,7 +214,9 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
         block = max(1, SCORE_BLOCK // (k * (d.n + n_sig)))
         for lo in range(0, len(subsets), block):
             q, r = np.linalg.qr(atoms[:, subsets[lo:lo + block]].transpose(1, 0, 2))
-            proj = q.transpose(0, 2, 1) @ signals
+            qt = np.zeros((len(q) * k + -len(q) * k % 8, d.n))
+            qt[:len(q) * k].reshape(len(q), k, d.n)[:] = q.transpose(0, 2, 1)
+            proj = (qt @ signals)[:len(q) * k].reshape(len(q), k, n_sig)
             score = np.einsum("sij,sij->sj", proj, proj)
             score[~_full_rank(r)] = -np.inf
             top = np.argmax(score, axis=0)

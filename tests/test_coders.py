@@ -469,6 +469,42 @@ def test_exact_block_boundaries_are_invisible(monkeypatch):
         monkeypatch.undo()
 
 
+def test_exact_narrow_batches_are_invisible_to_blocking(monkeypatch):
+    # N = 1, 2 and 3 signals at k = 3, so that a block's 3s rows of Q^T are
+    # rarely a multiple of 8, at every budget from one support per block to
+    # all of them in one: the same bits, the single-signal coder's included.
+    # Atoms 4 and 5 of the identity case repeat e_1 and e_2, so supports tie
+    # exactly
+    k = 3
+    cases = [  # (atoms, three signals)
+        (uniform_sphere_matrix(16, 7, substream(48, 0)), uniform_sphere_matrix(16, 3, substream(48, 1))),
+        (_repeated_atom(16, 8, 48), uniform_sphere_matrix(16, 3, substream(48, 2))),
+        (_repeated_atom(12, 8, 49), uniform_sphere_matrix(12, 3, substream(49, 1))),
+        (np.eye(4)[:, [0, 1, 2, 3, 0, 1]], np.array([[8, 4, 2, 1], [4, 8, 1, 2], [1, 2, 8, 4]]).T / 8.0),
+    ]
+    for atoms, signals in cases:
+        d = Dictionary(atoms)
+        n_sub = math.comb(d.p, k)
+        for n_sig in (1, 2, 3):
+            x = np.ascontiguousarray(signals[:, :n_sig])
+            monkeypatch.setattr(coders, "SCORE_BLOCK", n_sub * k * (d.n + n_sig))
+            one_block = coders._exact_columns(d, x, k)
+            single = exact_ksparse(d, x[:, 0], k)
+            for s in range(1, n_sub):
+                monkeypatch.setattr(coders, "SCORE_BLOCK", s * k * (d.n + n_sig))
+                for got, want in zip(coders._exact_columns(d, x, k), one_block):
+                    assert np.array_equal(got, want), (d.n, d.p, n_sig, s)
+                monkeypatch.setattr(coders, "SCORE_BLOCK", s * k * (d.n + 1))
+                got = exact_ksparse(d, x[:, 0], k)
+                assert got.coeffs.support == single.coeffs.support, (d.n, d.p, s)
+                assert np.array_equal(got.coeffs.values, single.coeffs.values), (d.n, d.p, s)
+                assert got.error == single.error, (d.n, d.p, s)
+    # the first signal ties on (0, 1, 2), (0, 2, 5), (1, 2, 4) and (2, 4, 5),
+    # the others on two to four supports each: the smallest wins in every split
+    assert [tuple(s) for s in one_block[2].T] == [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
+    assert list(one_block[1]) == [1 / 8] * 3
+
+
 @pytest.mark.parametrize("batch_coder", [
     lambda d, signals: exact_ksparse_batch(d, signals, 2),
     lambda d, signals: l1_solve_batch(d, signals, 1.0),
@@ -630,12 +666,13 @@ def test_l1_certificate_holds():
     for j in range(40):
         coeffs[rng.choice(12, size=3, replace=False), j] = rng.standard_normal(3)
     cases.append((d, 1.0 - 1e-4, d.atoms @ (coeffs / np.abs(coeffs).sum(axis=0))))
-    # criterion 3's pair 1: on D, column 42's atom 4 leaves the path and
-    # rejoins with the other sign (> 0 at lam = 1.1, < 0 at lam = 2)
+    # criterion 3's pair 1: on D, column 42's coefficient on atom 4 changes
+    # sign as lam grows (> 0 at lam = 1.1, < 0 at lam = 2)
     d1, _d2, pair1 = _criterion3_pair(1)
     cases += [(d1, 1.1, pair1), (d1, 2.0, pair1)]
-    # atom 7 repeats atom 0 and atom 6 negates it: both tie atom 0 on every
-    # path, lie in its span, and must not join (G_AA would be singular)
+    # atom 7 repeats atom 0 and atom 6 negates it: both tie atom 0's
+    # correlation with every residual, lie in its span, and must not join
+    # the support (G_AA would be singular)
     atoms = uniform_sphere_matrix(6, 8, substream(33, 0))
     atoms[:, 7], atoms[:, 6] = atoms[:, 0], -atoms[:, 0]
     twins, twin_signals = Dictionary(atoms), uniform_sphere_matrix(6, 40, substream(33, 1))
@@ -1114,11 +1151,11 @@ def _uncertified_columns(d, signals, lam, guess=None):
     return coeffs, named
 
 
-def test_l1_near_twin_guesses_warn_no_more_than_the_path():
+def test_l1_near_twin_guesses_warn_no_more_than_a_cold_start():
     # the bed of test_l1_near_twin_atoms_certify at delta = 1e-10, where the
-    # barred twin's cost can reach ERR_TOL: a guess holding the twin the
-    # path chose, and one holding both (G_SS + RIDGE I near singular),
-    # leave no more columns uncertified than the path alone
+    # barred twin's cost can reach ERR_TOL: a guess holding the twin that the
+    # unguessed call chose, and one holding both (G_SS + RIDGE I near
+    # singular), leave no more columns uncertified than the unguessed call
     atoms = uniform_sphere_matrix(6, 8, substream(33, 0))
     signals = uniform_sphere_matrix(6, 40, substream(33, 1))
     d0 = atoms[:, 0]
