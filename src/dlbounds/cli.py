@@ -2,9 +2,10 @@
 per run.
 
 Exit codes: 0 success, 2 bad arguments (argparse), 1 computation or I/O
-errors (single-line diagnostic on stderr).  Every successful run writes
-`<dir>/<subcommand>_manifest.json` (dashes as underscores) recording the
-full parameter set, seed, version, and input-file digests; feeding that
+errors (single-line diagnostic on stderr).  Once a subcommand has
+succeeded, `main` writes `<dir>/<subcommand>_manifest.json` (dashes as
+underscores) recording the full parameter set, seed, version, and
+input-file digests; a run that fails writes none.  Feeding that
 manifest back through `argv_from_manifest` reproduces the run — and its
 CSV outputs — byte for byte.  A manifest's seed is null for a subcommand
 without `--seed`; one that records a flag the parser has since dropped
@@ -112,9 +113,13 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(args, out_dir: Path, inputs: list = ()) -> None:
+def _write_manifest(args, out_dir: Path) -> None:
+    """Write `<out_dir>/<subcommand>_manifest.json`.  The input files are
+    the ones the parsed arguments name under `dict`, `signal` and `data`,
+    each recorded by its path as given and its sha256."""
     params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
-    digests = {str(p): _digest(p) for p in inputs}
+    digests = {params[k]: _digest(params[k]) for k in ("dict", "signal", "data")
+               if params.get(k) is not None}
     manifest = RunManifest(subcommand=args.subcommand, params=params, seed=params.get("seed"),
                            input_digests=digests)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,40 +178,38 @@ def _learner_config(args) -> LearnerConfig:
 
 
 # --------------------------------------------------------------------------
-# Subcommand bodies.  Each returns the process exit code.
+# Subcommand bodies.  Each returns the directory its outputs went to; main
+# writes the run manifest there once the body has succeeded.
 # --------------------------------------------------------------------------
 
 
-def _cmd_babel(args) -> int:
+def _cmd_babel(args) -> Path:
     d = load_dictionary(args.dict)
     fn = babel_bruteforce if args.brute else babel
     print(f"{fn(d, args.k).value:.15g}")
-    _write_manifest(args, Path(args.out), [args.dict])
-    return 0
+    return Path(args.out)
 
 
-def _cmd_code(args) -> int:
+def _cmd_code(args) -> Path:
     if args.exact and args.lam is not None:
         raise ValueError("--exact is the exhaustive k-sparse search; it needs --k")
     d = load_dictionary(args.dict)
     x = load_signal(args.signal)
     _print_coding(repr_error(d, x, _constraint(args), exact=args.exact))
-    _write_manifest(args, Path(args.out), [args.dict, args.signal])
-    return 0
+    return Path(args.out)
 
 
-def _cmd_kcode(args) -> int:
+def _cmd_kcode(args) -> Path:
     kf = kernel_from_name(args.kernel)
     points = load_matrix(args.dict)  # one atom pre-image per row
     x = load_signal(args.signal)
     kd = KernelDictionary.build(points, kf)
     result = kernel_greedy_ksparse(x, kd, kf, args.k)
     _print_coding(result)
-    _write_manifest(args, Path(args.out), [args.dict, args.signal])
-    return 0
+    return Path(args.out)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> Path:
     if args.k is None and args.delta is not None:
         raise ValueError("--delta bounds the k-sparse class's Babel function and needs --k")
     if args.variant != "fast" and (args.K is not None or args.alpha is not None):
@@ -221,16 +224,12 @@ def _cmd_bounds(args) -> int:
     else:
         body = calc(inputs, args.variant).to_dict()
     print(json.dumps(body, sort_keys=True, indent=2))
-    _write_manifest(args, Path(args.out))
-    return 0
+    return Path(args.out)
 
 
-def _cmd_learn(args) -> int:
-    inputs = []
+def _cmd_learn(args) -> Path:
     if args.data is not None:
-        rows = load_matrix(args.data)  # one signal per row
-        samples = rows.T
-        inputs = [args.data]
+        samples = load_matrix(args.data).T  # one signal per row
     else:
         source, m = _parse_synth(args.synth, args.seed, args.p)
         if m is None:
@@ -241,22 +240,20 @@ def _cmd_learn(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dictionary(out, result.dictionary)
     print(",".join(repr(v) for v in result.trace))
-    _write_manifest(args, out.parent, inputs)
-    return 0
+    return out.parent
 
 
-def _cmd_mc_babel(args) -> int:
+def _cmd_mc_babel(args) -> Path:
     result = mc_babel(args.n, args.p, args.k, args.trials, threshold=args.threshold,
                       seed=args.seed, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "mc_babel.csv").write_text(records_to_csv(result.records), encoding="ascii")
     print(f"empirical={result.empirical!r} bound={result.bound!r}")
-    _write_manifest(args, out)
-    return 0
+    return out
 
 
-def _cmd_gengap(args) -> int:
+def _cmd_gengap(args) -> Path:
     source, m = _parse_synth(args.synth, args.seed, args.p)
     if m is not None:
         raise ValueError("gengap takes its sample sizes from --mgrid, not the synth spec")
@@ -271,11 +268,10 @@ def _cmd_gengap(args) -> int:
         print(f"note: test size {args.test_size} is below the recommended 10000", file=sys.stderr)
     for pt in points:
         print(f"m={pt.m} train={pt.train_mean!r} test={pt.test_mean!r} gap={pt.gap!r}")
-    _write_manifest(args, out)
-    return 0
+    return out
 
 
-def _cmd_demo_nonlipschitz(args) -> int:
+def _cmd_demo_nonlipschitz(args) -> Path:
     demo = nonlipschitz_demo(args.n, args.p, args.k, args.eps, seed=args.seed,
                              search_samples=args.samples, target=args.target)
     out = Path(args.out)
@@ -285,8 +281,7 @@ def _cmd_demo_nonlipschitz(args) -> int:
     save_signal(out / "q.csv", demo.q)
     print(f"ratio={demo.ratio:.15g} h={demo.h_value:.15g} "
           f"h_perturbed={demo.h_perturbed:.15g} distance={demo.distance:.15g}")
-    _write_manifest(args, out)
-    return 0
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -414,10 +409,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/diagnostics
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _write_manifest(args, args.func(args))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

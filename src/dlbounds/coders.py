@@ -82,9 +82,8 @@ class CodingResult:
 
     coeffs: CoeffVector
     error: float
-    method: str  # "greedy" | "exact" | "l1-projection"
+    method: str  # "greedy" | "exact" | "l1"
     iterations: int | None = None
-    fp_residual: float | None = None
     ridge_used: bool = False  # greedy only: a RIDGE refit on a rank-deficient support
     gap: float | None = None  # l1 only: the duality gap certifying the error
 
@@ -520,10 +519,10 @@ def repr_error(d: Dictionary, x, constraint: SparsityConstraint, exact: bool = F
         method, support = "greedy", supports[0][supports[0] >= 0]
         extra["ridge_used"] = bool(ridge_used[0])
     elif isinstance(constraint, L1Ball):
-        dense, _errors, iterations, residual = l1_solve_batch(d, signal, constraint.lam)
-        method, support = "l1-projection", np.flatnonzero(dense[:, 0])
+        dense, _errors, iterations, _residual = l1_solve_batch(d, signal, constraint.lam)
+        method, support = "l1", np.flatnonzero(dense[:, 0])
         gap = float(_l1_slack(d.atoms, dense, constraint.lam, d.atoms @ dense - signal)[0][0])
-        extra.update(iterations=iterations, fp_residual=residual, gap=gap)
+        extra.update(iterations=iterations, gap=gap)
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
     error = float(np.linalg.norm(d.atoms @ dense[:, 0] - signal[:, 0]))

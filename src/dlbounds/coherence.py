@@ -27,7 +27,6 @@ BRUTEFORCE_GUARD = 10**7
 @dataclass(frozen=True)
 class BabelValue:
     value: float
-    k: int
 
 
 def babel_from_gram(gram: np.ndarray, k: int) -> BabelValue:
@@ -47,7 +46,7 @@ def babel_from_gram(gram: np.ndarray, k: int) -> BabelValue:
     # so -1 can never be picked while k <= p-1.
     np.fill_diagonal(a, -1.0)
     top = np.partition(a, p - k, axis=0)[p - k:, :]
-    return BabelValue(float(top.sum(axis=0).max()), k)
+    return BabelValue(float(top.sum(axis=0).max()))
 
 
 def babel(d: Dictionary, k: int) -> BabelValue:
@@ -77,7 +76,7 @@ def babel_bruteforce(d: Dictionary, k: int) -> BabelValue:
             total = cols[i]
             if total > best:
                 best = total
-    return BabelValue(float(best), k)
+    return BabelValue(float(best))
 
 
 def coherence(d: Dictionary) -> float:

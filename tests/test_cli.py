@@ -1,9 +1,14 @@
 import argparse
+import dataclasses
+import hashlib
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dlbounds
 from dlbounds.cli import RunManifest, argv_from_manifest, build_parser, main
 from dlbounds.coders import exact_ksparse, greedy_ksparse, l1_solve
 from dlbounds.core import (
@@ -85,6 +90,69 @@ def test_flag_census():
              for name, sub in subs.choices.items()}
     assert found == FLAGS
     assert sum(len(flags) for flags in FLAGS.values()) == 67
+
+
+# The library's knobs and fields: every defaulted parameter of every function
+# dlbounds exports, and every field of every record type (dataclass or named
+# tuple) it exports.  A new knob or field is declared here.
+DEFAULTED = {
+    "dictionary_source": ("seed",),
+    "gap_trend_nonincreasing": ("num_se",),
+    "gengap_run": ("variants", "x", "threads"),
+    "kernel_cover_log": ("gamma", "lam", "k", "delta"),
+    "l1_solve_batch": ("guess",),
+    "mc_babel": ("threshold", "seed", "threads"),
+    "near_orthogonal_dictionary": ("babel_order", "babel_cap"),
+    "nonlipschitz_demo": ("seed", "q", "search_samples", "target"),
+    "optimize_fast_params": ("empirical",),
+    "repr_error": ("exact",),
+    "sphere_source": ("seed",),
+    "synth_sample": ("stream",),
+    "validate_dictionary": ("normalized",),
+}
+FIELDS = {
+    "BabelValue": ("value",),
+    "BoundInputs": ("n", "p", "m", "x", "lam", "k", "delta", "K", "alpha", "gamma", "cover_c",
+                    "holder_l", "holder_alpha"),
+    "BoundReport": ("multiplier", "parts", "loss_scale", "branch", "alpha"),
+    "CodingResult": ("coeffs", "error", "method", "iterations", "ridge_used", "gap"),
+    "CoeffVector": ("values", "support"),
+    "Dictionary": ("atoms", "gamma"),
+    "GapPoint": ("m", "train_mean", "test_mean", "train_sq_mean", "test_sq_mean", "train_se",
+                 "test_se", "delta", "evals"),
+    "HardK": ("k",),
+    "KernelDictionary": ("points", "gram", "gamma"),
+    "KernelFn": ("fn", "name", "smoothness"),
+    "L1Ball": ("lam",),
+    "LearnResult": ("dictionary", "trace", "coeffs"),
+    "LearnerConfig": ("p", "constraint", "iterations", "seed", "init", "exact_coder"),
+    "McBabelResult": ("empirical", "bound", "records"),
+    "NonLipschitzDemo": ("dictionary", "perturbed", "q", "ratio", "h_value", "h_perturbed",
+                         "distance"),
+    "Signal": ("values", "unit"),
+    "SignalBatch": ("values",),
+    "SignalSource": ("n", "seed", "dictionary", "k_true", "sigma"),
+    "TrialRecord": ("trial", "seed", "n", "p", "k", "stat", "m", "bound", "applicable"),
+}
+
+
+def test_library_census():
+    exported = {name: getattr(dlbounds, name) for name in dir(dlbounds)
+                if not name.startswith("_") and not inspect.ismodule(getattr(dlbounds, name))}
+    functions = {name: obj for name, obj in exported.items() if inspect.isfunction(obj)}
+    defaulted = {name: tuple(param.name for param in inspect.signature(fn).parameters.values()
+                             if param.default is not param.empty)
+                 for name, fn in functions.items()}
+    assert {name: names for name, names in defaulted.items() if names} == DEFAULTED
+    assert len(functions) == 55 and sum(map(len, DEFAULTED.values())) == 24
+    records = {name: tuple(f.name for f in dataclasses.fields(obj)) if dataclasses.is_dataclass(obj)
+               else obj._fields
+               for name, obj in exported.items()
+               if dataclasses.is_dataclass(obj) or (inspect.isclass(obj) and issubclass(obj, tuple))}
+    assert records == FIELDS
+    # 79 fields in 18 dataclasses, and McBabelResult's 3
+    assert sum(dataclasses.is_dataclass(exported[name]) for name in records) == 18
+    assert sum(map(len, FIELDS.values())) == 82
 
 
 UNRECOGNIZED = "unrecognized arguments"
@@ -415,6 +483,76 @@ def test_manifest_roundtrip_and_argv():
     # a True flag is the bare flag
     brute = RunManifest(subcommand="babel", params={"dict": "d.csv", "k": 2, "brute": True}, seed=0)
     assert argv_from_manifest(brute) == ["babel", "--brute", "--dict", "d.csv", "--k", "2"]
+
+
+# One case per subcommand (learn twice, once per data source): a succeeding
+# argv, the input files it names, and an argv that fails after parsing.
+# "{D}", "{X}", "{P}" and "{S}" stand for a dictionary, a signal, atom
+# pre-images and a signals file; learn's --out names the dictionary it writes.
+PROTOCOL = {
+    "babel": (["--dict", "{D}", "--k", 1], ["{D}"], ["--dict", "{D}", "--k", 2]),
+    "code": (["--dict", "{D}", "--signal", "{X}", "--k", 1], ["{D}", "{X}"],
+             ["--dict", "{D}", "--signal", "{X}", "--lambda", 1, "--exact"]),
+    "kcode": (["--kernel", "linear", "--dict", "{P}", "--signal", "{X}", "--k", 1], ["{P}", "{X}"],
+              ["--kernel", "gaussian:-1", "--dict", "{P}", "--signal", "{X}", "--k", 1]),
+    "bounds": (["--variant", "slow", "--n", 2, "--p", 2, "--m", 10000, "--x", 2, "--lambda", 1], [],
+               ["--variant", "slow", "--n", 2, "--p", 2, "--m", 10000, "--x", 2, "--lambda", 1,
+                "--delta", 0.5]),
+    "learn-data": (["--data", "{S}", "--p", 2, "--lambda", 1, "--iters", 2], ["{S}"],
+                   ["--data", "{S}", "--p", 2, "--lambda", 1, "--greedy"]),
+    "learn-synth": (["--synth", "sphere:n=2,m=12", "--p", 2, "--k", 1, "--iters", 2], [],
+                    ["--synth", "sphere:n=2", "--p", 2, "--k", 1]),
+    "mc-babel": (["--n", 6, "--p", 4, "--k", 1, "--trials", 3], [],
+                 ["--n", 6, "--p", 4, "--k", 1, "--trials", 0]),
+    "gengap": (["--synth", "sphere:n=2", "--p", 2, "--k", 1, "--mgrid", 16, "--test-size", 20,
+                "--iters", 2, "--variants", "slow"], [],
+               ["--synth", "sphere:n=2,m=16", "--p", 2, "--k", 1, "--mgrid", 16]),
+    "demo-nonlipschitz": (["--n", 8, "--p", 8, "--k", 2, "--eps", 1e-3], [],
+                          ["--n", 8, "--p", 8, "--k", 2, "--eps", 2]),
+}
+
+
+@pytest.fixture
+def protocol_files(tmp_path, pair_dict, e2_signal):
+    path, d = pair_dict
+    points, signals = tmp_path / "points.csv", tmp_path / "signals.csv"
+    save_matrix(points, d.atoms.T)  # one atom pre-image per row
+    save_matrix(signals, np.tile(np.eye(2), (6, 1)))  # one signal per row
+    return {"{D}": str(path), "{X}": str(e2_signal), "{P}": str(points), "{S}": str(signals)}
+
+
+@pytest.mark.parametrize("case", list(PROTOCOL))
+def test_run_protocol_writes_one_manifest_on_success_only(capsys, tmp_path, protocol_files, case):
+    good, inputs, bad = PROTOCOL[case]
+    subcommand = "learn" if case.startswith("learn") else case
+    out = tmp_path / "out"
+    target = out / "learned.csv" if subcommand == "learn" else out
+
+    def argv(args):
+        return [subcommand, *(protocol_files.get(str(a), a) for a in args), "--out", target]
+
+    code, _, err = run(capsys, *argv(bad))
+    assert code == 1 and err.startswith("error: ")
+    assert list(tmp_path.rglob("*_manifest.json")) == []
+
+    code, _, err = run(capsys, *argv(good))
+    assert code == 0, err
+    name = subcommand.replace("-", "_") + "_manifest.json"
+    assert list(tmp_path.rglob("*_manifest.json")) == [out / name]
+    manifest = RunManifest.from_json((out / name).read_text())
+    named = [protocol_files[token] for token in inputs]
+    assert manifest.input_digests == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in named}
+
+
+def test_manifest_write_error_exits_1(capsys, tmp_path):
+    # --out names a file, so the manifest's directory cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(capsys, "bounds", "--variant", "slow", "--n", 2, "--p", 2, "--m", 10000,
+                       "--x", 2, "--lambda", 1, "--out", blocker)
+    assert code == 1 and err.startswith("error: ")
+    assert list(tmp_path.rglob("*_manifest.json")) == []
 
 
 def test_manifest_rerun_reproduces_bytes(capsys, tmp_path):

@@ -1215,7 +1215,7 @@ def test_repr_error_dispatch():
     x = np.array([1 / ROOT2, 1 / ROOT2])
     assert repr_error(d, x, HardK(1)).error == pytest.approx(1 / ROOT2)
     assert repr_error(d, x, HardK(1), exact=True).method == "exact"
-    assert repr_error(d, x, L1Ball(2.0)).method == "l1-projection"
+    assert repr_error(d, x, L1Ball(2.0)).method == "l1"
     single = Dictionary(np.array([[1.0], [0.0]]))
     assert repr_error(single, np.array([0.0, 1.0]), HardK(1)).error == pytest.approx(1.0)
 

@@ -303,7 +303,7 @@ def _fields(result):
     if isinstance(result, float):
         return result
     return (result.coeffs.values.tobytes(), result.coeffs.support, result.error, result.method,
-            result.iterations, result.fp_residual, result.ridge_used, result.gap)
+            result.iterations, result.ridge_used, result.gap)
 
 
 @pytest.mark.parametrize("name", list(SINGLE))
