@@ -21,9 +21,11 @@ Presnell & Turlach, 2000) solve each column's KKT system on its support and
 signs, all columns in lockstep and by one batched LU per round, starting
 from a guess's supports and signs (the learner's previous codes, or the
 codes under a nearby dictionary) or from each signal's most correlated
-atom.  Between rounds a column drops the first atom whose sign flips, moves
-onto or off the sphere ||a||_1 = lam, or adds the atom most correlated with
-its residual.  The Frank-Wolfe duality gap proves each column's error within
+atom.  A round pads every column's system to the largest support and
+gathers them all by one fancy index from the table [[G + RIDGE I, 0],
+[0, I]], built once per call.  Between rounds a column drops the first atom
+whose sign flips, moves onto or off the sphere ||a||_1 = lam, or adds the
+atom most correlated with its residual.  The Frank-Wolfe duality gap proves each column's error within
 ERR_TOL = 1e-10 of the optimum, and a proved column retires.  Every column
 still uncertified when the rounds end, at the rounding floor of the gap or
 cut off at MAX_ITERS rounds, takes at most NEWTON_STEPS Newton steps on its
@@ -259,31 +261,30 @@ def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.
 def project_l1(v, radius: float) -> np.ndarray:
     """Euclidean projection of a vector onto the l1 ball of the given radius."""
     v = as_vector(v, "vector")
+    radius = _finite(radius, "lam", strict=False)
+    if radius == 0.0:
+        return np.zeros_like(v)
     return _project_l1_columns(v[:, None], radius)[:, 0]
 
 
 def _project_l1_columns(mat: np.ndarray, radius: float) -> np.ndarray:
-    """Column-wise l1-ball projection by the sort-and-threshold rule."""
-    radius = _finite(radius, "lam", strict=False)
-    if radius == 0.0:
-        return np.zeros_like(mat)
+    """Column-wise projection onto the l1 ball of radius > 0 by the
+    sort-and-threshold rule."""
     absm = np.abs(mat)
     over = absm.sum(axis=0) > radius
-    if not over.any():
-        return mat.copy()
     out = mat.copy()
-    w = absm[:, over]
-    s = -np.sort(-w, axis=0)
-    css = np.cumsum(s, axis=0)
-    ks = np.arange(1, mat.shape[0] + 1)[:, None]
-    # the threshold level is the largest j with s_j > (css_j - radius)/j,
-    # rearranged to css_j - j*s_j < radius so a tiny radius cannot be lost
-    # to rounding against css
-    keep = css - ks * s < radius
-    # keep[0] compares 0 < radius, so rho is well defined for radius > 0
-    rho = keep.shape[0] - 1 - np.argmax(keep[::-1, :], axis=0)
-    theta = (css[rho, np.arange(w.shape[1])] - radius) / (rho + 1)
-    out[:, over] = np.sign(mat[:, over]) * np.maximum(absm[:, over] - theta, 0.0)
+    if over.any():
+        w = absm[:, over]
+        s = np.sort(w, axis=0)[::-1]
+        css = np.cumsum(s, axis=0)
+        # the threshold level is the largest j with s_j > (css_j - radius)/j,
+        # rearranged to css_j - j*s_j < radius so a tiny radius cannot be lost
+        # to rounding against css
+        keep = css - np.arange(1, mat.shape[0] + 1)[:, None] * s < radius
+        # keep[0] compares 0 < radius, so rho is well defined
+        rho = keep.shape[0] - 1 - np.argmax(keep[::-1], axis=0)
+        theta = (css[rho, np.arange(w.shape[1])] - radius) / (rho + 1)
+        out[:, over] = np.sign(mat[:, over]) * np.maximum(w - theta, 0.0)
     return out
 
 
@@ -320,12 +321,16 @@ def _l1_slack(atoms: np.ndarray, a: np.ndarray, lam: float, resid: np.ndarray, m
     return gap, np.sqrt(h2) - np.sqrt(np.maximum(h2 - 2.0 * (gap + margin), 0.0)), g
 
 
-def _into_l1_ball(a: np.ndarray, lam: float) -> np.ndarray:
-    norm1 = np.abs(a).sum(axis=0)
-    return a * np.where(norm1 > lam, lam / np.maximum(norm1, lam), 1.0)
+def _kkt_table(gram: np.ndarray) -> np.ndarray:
+    """The 2p x 2p table [[G + RIDGE I, 0], [0, I]] that _newton_step
+    gathers every column's padded system from, built once per call."""
+    p = gram.shape[0]
+    table = np.eye(2 * p)
+    table[:p, :p] = gram + RIDGE * table[:p, :p]
+    return table
 
 
-def _newton_step(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.ndarray,
+def _newton_step(table: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.ndarray,
                  last: np.ndarray) -> np.ndarray:
     """Solve each column's bordered system [[M, b], [b^T, 0]] [x; nu] =
     [top_S; last], M = G_SS + RIDGE I on its support S = on[:, i] and b its
@@ -333,26 +338,30 @@ def _newton_step(gram: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.n
     Schur complement of M, x = M^-1 top - nu M^-1 b with nu = (b.M^-1 top -
     last) / b.M^-1 b, and nu = 0 where b = 0 (inside the ball).  M^-1 [top_S
     b] is one batched LU solve, since an inverse's product leaves ~eps
-    cond(M) |top| of residual.  Each support is packed into the first k
-    slots, k the largest support, and the rest is padded with I; the padding
-    slots point at atom 0, so only the support slots are written back.
-    Returns x as p x N, zero off S."""
-    size = on.sum(axis=0)
-    k = max(int(size.max(initial=0)), 1)
-    slot = np.arange(k)[:, None] < size
-    idx = np.where(slot, np.argsort(~on, axis=0, kind="stable")[:k], 0)
-    cols = np.arange(on.shape[1])
-    eye = np.eye(k)
-    both = slot.T[:, :, None] & slot.T[:, None, :]
-    mat = np.where(both, gram[idx.T[:, :, None], idx.T[:, None, :]] + RIDGE * eye, eye)
-    # a padding slot's border is 0, so its x never reaches nu
-    b = np.where(slot, border[idx, cols], 0.0)
-    x, y = np.linalg.solve(mat, np.stack([top[idx, cols], b]).T).T
+    cond(M) |top| of residual.  Every system is padded to k x k, k the
+    largest support: a running count of on down each column packs its
+    support into the first slots in atom order, and padding slot j points
+    at row p + j of table = _kkt_table(G) = [[G + RIDGE I, 0], [0, I]], so
+    one fancy index into the table gathers each column's M beside an
+    identity block.  (Padding slots sharing one row would repeat it and
+    make the block singular.)  Returns x as p x N, zero off S."""
+    p, n_sig = on.shape
+    pos = np.cumsum(on, axis=0)
+    k = max(int(pos[-1].max()), 1)
+    rows, cols = np.nonzero(on)
+    slots = pos[rows, cols] - 1
+    idx = np.repeat(np.arange(p, p + k)[None], n_sig, axis=0)
+    idx[cols, slots] = rows
+    mat = table[idx[:, :, None], idx[:, None, :]]
+    # a padding slot's top and border are 0, so its x never reaches nu
+    rhs = np.zeros((2, k, n_sig))
+    rhs[:, slots, cols] = top[rows, cols], border[rows, cols]
+    b = rhs[1]
+    x, y = np.linalg.solve(mat, rhs.T).T
     curve = (b * y).sum(axis=0)
     nu = np.divide((b * x).sum(axis=0) - last, curve, out=np.zeros_like(curve), where=curve > 0.0)
     out = np.zeros(on.shape)
-    r, c = np.nonzero(slot)
-    out[idx[r, c], c] = (x - nu * y)[r, c]
+    out[rows, cols] = (x - nu * y)[slots, cols]
     return out
 
 
@@ -366,8 +375,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     whether the ball binds.  A round solves the KKT system of S and s by one
     _newton_step from the current point a: G_SS b_S + nu s = D_S^T x, with
     s.b_S = lam on the sphere and nu = 0 inside the ball.  The solution b,
-    put through _into_l1_ball, is certified by its duality-gap error slack
-    (see _l1_slack) at the margin 2 eps lam ||x||.  A column whose b has the
+    scaled into the ball, is certified by its duality-gap error slack (see
+    _l1_slack) at the margin 2 eps lam ||x||.  A column whose b has the
     signs s and a slack within ERR_TOL retires.  Any other column makes the
     first of these moves that applies:
 
@@ -380,6 +389,10 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
       with the sign of -g_j, unless its violation |g_j| - max(nu, 0) is
       within 2 eps ||x||, the rounding the margin allows in g.  Such a
       column has reached the precision floor and leaves the rounds.
+
+    The live columns' state (point, signs, side of the sphere, D^T x, x and
+    their thresholds) is compacted once a round, and a column's scaled b,
+    slack and side are written out when it leaves the rounds.
 
     A column starts from its guess's support and signs, on the sphere if
     ||guess||_1 >= lam (1 - 2 p eps), the rounding of a p-term sum.  With no
@@ -407,7 +420,7 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     returned coefficients, L the squared spectral norm of D).
     """
     signals = as_matrix(signals, "signals", d.n)
-    p, n_sig = d.p, signals.shape[1]
+    n, p, n_sig = d.n, d.p, signals.shape[1]
     lam = L1Ball(lam).lam
     if guess is not None:
         guess = as_matrix(guess, "guess", p)
@@ -418,10 +431,10 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     if lam == 0.0 or lip == 0.0:
         return np.zeros((p, n_sig)), np.linalg.norm(signals, axis=0), 0, 0.0
     gram = atoms.T @ atoms
+    table = _kkt_table(gram)
     corr = atoms.T @ signals
     eps = np.finfo(float).eps
-    norms = np.linalg.norm(signals, axis=0)
-    margin = 2.0 * eps * lam * norms
+    norms = np.sqrt((signals * signals).sum(axis=0))
     out = np.zeros((p, n_sig))
     slack = np.zeros(n_sig)
     sphere = np.zeros(n_sig, dtype=bool)  # the column's last round was on the sphere
@@ -432,46 +445,64 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     first = np.argmax(np.abs(corr[:, cold]), axis=0)
     s[first, cold] = np.sign(corr[first, cold])
     cols = np.flatnonzero(s.any(axis=0))
-    a, s, rim = a[:, cols], s[:, cols], rim[cols]
+    # per live column: D^T x, x, the certificate's margin and the floor's
+    # threshold, compacted together
+    state = np.vstack([corr, signals, 2.0 * eps * lam * norms, 2.0 * eps * norms])[:, cols]
+    # a stays in the F order that gathering columns gives, the order its
+    # products and sums round in (BLAS and numpy's pairwise sums round each
+    # order differently); s is taken C-ordered, like b and g, so that its
+    # elementwise work runs along contiguous rows
+    a, s, rim = a[:, cols], s.take(cols, axis=1), rim[cols]
     iterations = 0
     while cols.size and iterations < MAX_ITERS:
         iterations += 1
         on = s != 0.0
-        b = a + _newton_step(gram, on, s * rim, corr[:, cols] - gram @ a, rim * (lam - (s * a).sum(axis=0)))
+        b = a + _newton_step(table, on, s * rim, state[:p] - gram @ a, rim * (lam - np.abs(a).sum(axis=0)))
         flip = on & (np.sign(b) != s)
         fits = ~flip.any(axis=0)
-        fit = _into_l1_ball(b, lam)
-        resid = atoms @ fit - signals[:, cols]
-        out[:, cols], sphere[cols] = fit, rim
-        _gap, slack[cols], g = _l1_slack(atoms, fit, lam, resid, margin[cols])
-        done = fits & (slack[cols] <= ERR_TOL)
+        norm1 = np.abs(b).sum(axis=0)
+        fit = b * (lam / np.maximum(norm1, lam))
+        _gap, sl, g = _l1_slack(atoms, fit, lam, atoms @ fit - state[p:p + n], state[p + n])
+        done = fits & (sl <= ERR_TOL)
         # the ball's multiplier: -g_S = nu s on the sphere, nu = 0 inside
         nu = np.where(rim, -(s * g).sum(axis=0) / np.maximum(on.sum(axis=0), 1), 0.0)
-        over = fits & ~rim & (np.abs(b).sum(axis=0) > lam)
-        loose = fits & rim & (nu < 0.0)
+        over = fits & ~rim & (norm1 > lam)
+        loose = fits & (nu < 0.0)
         pull = np.where(on, -np.inf, np.abs(g))
-        best = np.argmax(pull, axis=0)
-        stay = fits & ~done & ~over & ~loose
-        floor = stay & (pull[best, np.arange(cols.size)] - np.maximum(nu, 0.0) <= 2.0 * eps * norms[cols])
+        stay = fits & ~(done | over | loose)
+        floor = stay & (pull.max(axis=0) - np.maximum(nu, 0.0) <= state[p + n + 1])
         grow = np.flatnonzero(stay & ~floor)
-        # where a sign flips, the fraction of the way to b at which it reaches 0
-        cross = np.where(flip, np.divide(a, a - b, out=np.zeros_like(a), where=a != b), np.inf)
-        a = np.where(fits, b, a + np.minimum(cross.min(axis=0), 1.0) * (b - a))
-        flips = np.flatnonzero(~fits)
-        a[np.argmin(cross[:, flips], axis=0), flips] = 0.0
-        s = np.sign(a)
-        s[best[grow], grow] = -np.sign(g[best[grow], grow])
-        rim ^= over | loose
+        # a column gathered from C-ordered pull is contiguous, as argmax wants
+        best = np.argmax(pull[:, grow], axis=0)
         live = ~(done | floor)
-        cols, a, s, rim = cols[live], a[:, live], s[:, live], rim[live]
+        # a column's round is written out as it leaves, and at MAX_ITERS every
+        # live column's is, for the finish and the warning's count
+        gone = np.flatnonzero(~live) if iterations < MAX_ITERS else np.arange(cols.size)
+        left = cols[gone]
+        out[:, left], slack[left], sphere[left] = fit[:, gone], sl[gone], rim[gone]
+        # b becomes the next point, except where a sign flips: there the
+        # column moves toward b by the fraction of the way at which the
+        # first flipping coefficient reaches 0, and that one is set to 0
+        flips = np.flatnonzero(~fits)
+        if flips.size:
+            af, bf = a[:, flips], b[:, flips]
+            cross = np.where(flip[:, flips], np.divide(af, af - bf, out=np.zeros_like(af), where=af != bf),
+                             np.inf)
+            b[:, flips] = af + np.minimum(cross.min(axis=0), 1.0) * (bf - af)
+            b[np.argmin(cross, axis=0), flips] = 0.0
+        s = np.sign(b)
+        s[best, grow] = -np.sign(g[best, grow])
+        rim ^= over | loose
+        keep = np.flatnonzero(live)
+        cols, a, s, rim, state = cols[keep], b[:, keep], s.take(keep, axis=1), rim[keep], state[:, keep]
     fix = np.flatnonzero(~(slack <= ERR_TOL))
     a, resid = out[:, fix], atoms @ out[:, fix] - signals[:, fix]
     for _ in range(NEWTON_STEPS):
         if not fix.size:
             break
-        step = _newton_step(gram, a != 0.0, np.sign(a) * sphere[fix], -(atoms.T @ resid),
-                            sphere[fix] * (lam - np.abs(a).sum(axis=0)))
-        a = _into_l1_ball(a + step, lam)
+        a = a + _newton_step(table, a != 0.0, np.sign(a) * sphere[fix], -(atoms.T @ resid),
+                             sphere[fix] * (lam - np.abs(a).sum(axis=0)))
+        a *= lam / np.maximum(np.abs(a).sum(axis=0), lam)
         resid = _exact_residual(atoms, a, signals[:, fix])
         new = _l1_slack(atoms, a, lam, resid, 2.0 * eps * lam * np.linalg.norm(resid, axis=0))[1]
         # the steps go on from each new point, but a column keeps its best

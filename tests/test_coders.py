@@ -841,7 +841,7 @@ def test_newton_step_matches_bordered_lu():
         top = atoms.T @ rng.standard_normal((8, n_sig))
         last = sphere * rng.uniform(-0.1, 0.1, n_sig)
         gram = atoms.T @ atoms
-        step = coders._newton_step(gram, on, border, top, last)
+        step = coders._newton_step(coders._kkt_table(gram), on, border, top, last)
         ref = _kkt_reference(gram, on, border, top, last)
         assert not step[~on].any()
         cond = np.array([np.linalg.cond(gram[np.ix_(s, s)] + coders.RIDGE * np.eye(s.size))
@@ -852,6 +852,75 @@ def test_newton_step_matches_bordered_lu():
         assert np.all(np.abs(step - ref).max(axis=0) <= tol)
         if not pair:
             assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_newton_step_mixes_empty_partial_and_full_supports():
+    # one batch in R^8 with p = 6: empty supports, full ones (k = p, so no
+    # padding slot) and partial ones of 1-5 atoms, half of them on the
+    # sphere.  The padded gather solves each column's own system, and a batch
+    # of empty supports steps nowhere
+    atoms = uniform_sphere_matrix(8, 6, substream(68, 0))
+    gram, table = atoms.T @ atoms, coders._kkt_table(atoms.T @ atoms)
+    rng = substream(68, 1)
+    n_sig = 30
+    on = np.zeros((6, n_sig), dtype=bool)
+    for i in range(n_sig):
+        on[rng.choice(6, (0, 6, 1 + i % 5)[i % 3], replace=False), i] = True
+    sphere = np.arange(n_sig) % 2 == 0
+    border = np.where(on, np.sign(rng.standard_normal((6, n_sig))), 0.0) * sphere
+    top = atoms.T @ rng.standard_normal((8, n_sig))
+    last = sphere * rng.uniform(-0.1, 0.1, n_sig)
+    step = coders._newton_step(table, on, border, top, last)
+    ref = _kkt_reference(gram, on, border, top, last)
+    assert sorted(set(on.sum(axis=0))) == [0, 1, 2, 3, 4, 5, 6]
+    assert not step[~on].any()
+    assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
+    empty = np.zeros((6, 4), dtype=bool)
+    assert not coders._newton_step(table, empty, np.zeros((6, 4)), top[:, :4], np.zeros(4)).any()
+
+
+def test_l1_coefficients_are_c_ordered_for_any_input_layout():
+    # memory layout is part of the output: C- and F-ordered signals and
+    # guesses all give C-ordered coefficients, certified alike
+    d, lam, signals = _gengap_regime_bed(69, 40)
+    coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
+    assert coeffs.flags.c_contiguous
+    for x in (signals, np.asfortranarray(signals)):
+        for guess in (None, coeffs, np.asfortranarray(coeffs)):
+            got, got_errors, _iters, _residual = l1_solve_batch(d, x, lam, guess)
+            assert got.flags.c_contiguous
+            assert np.abs(got_errors - errors).max() <= ERR_TOL
+
+
+def test_l1_recovers_under_tropp_condition():
+    # Tropp (2004): where babel(D, k - 1) + babel(D, k) < 1, a k-sparse a* is
+    # the unique minimizer of ||a||_1 subject to D a = D a*, so at lam =
+    # ||a*||_1 the l1 coder returns a*, and greedy and exact pursuit its
+    # support.  The problem is homogeneous, so the codes are scaled to
+    # ||a*||_1 = 1 and coded at lam = 1 in one batch.  On sphere dictionaries
+    # at n = 64, p = 8, k = 3, 8 of 30 meet the condition.  A certified
+    # error h <= ERR_TOL on the true support puts the coefficients within
+    # h / sigma_min(D_S) of a*, and sigma_min^2 >= 1 - babel(D, k - 1)
+    n, p, k, kept = 64, 8, 3, 0
+    for i in range(30):
+        d = Dictionary(uniform_sphere_matrix(n, p, substream(67, i)))
+        near = babel(d, k - 1).value
+        if near + babel(d, k).value >= 1.0:
+            continue
+        kept += 1
+        rng = substream(68, i)
+        truth = np.zeros((p, 40))
+        for j in range(40):
+            truth[rng.choice(p, k, replace=False), j] = rng.standard_normal(k)
+        truth /= np.abs(truth).sum(axis=0)
+        signals = d.atoms @ truth
+        coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, 1.0)
+        assert errors.max() <= ERR_TOL
+        assert np.array_equal(coeffs != 0.0, truth != 0.0)
+        assert np.abs(coeffs - truth).max() <= 2 * ERR_TOL / math.sqrt(1.0 - near)
+        assert np.array_equal(greedy_ksparse_batch(d, signals, k)[0] != 0.0, truth != 0.0)
+        assert np.array_equal(exact_ksparse_batch(d, signals, k)[0] != 0.0, truth != 0.0)
+    assert kept == 8
 
 
 def test_l1_batch_matches_single():
@@ -865,6 +934,29 @@ def test_l1_batch_matches_single():
         _coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
         for j in range(signals.shape[1]):
             assert abs(l1_solve(d, signals[:, j], lam).error - errors[j]) <= 1e-10
+
+
+def test_l1_round_counts_are_pinned():
+    # the lockstep round counts of three batches: a cold one of gengap-l1's
+    # shape (n = 8, p = 12, lam = 1, N = 2,000), a cold one of criterion 3's
+    # (pair 0's D, N = 50, lam = 2), and the first again from its optimum
+    # with every coefficient perturbed by 1%.  A cheaper round must make the
+    # same moves, so these stay as they are.  Every 20th column of the large
+    # batches, and every column of the small one, matches its own l1_solve
+    d, lam, signals = _gengap_regime_bed(65, 2000)
+    coeffs, errors, iters, _residual = l1_solve_batch(d, signals, lam)
+    assert iters == 14
+    guess = coeffs * (1.0 + 0.01 * substream(66, 0).standard_normal(coeffs.shape))
+    _coeffs, warm_errors, warm_iters, _residual = l1_solve_batch(d, signals, lam, guess)
+    assert warm_iters == 8
+    single = np.array([l1_solve(d, signals[:, j], lam).error for j in range(0, 2000, 20)])
+    assert np.abs(single - errors[::20]).max() <= 1e-12
+    assert np.abs(single - warm_errors[::20]).max() <= 1e-12
+    d, _d2, signals = _criterion3_pair(0)
+    _coeffs, errors, iters, _residual = l1_solve_batch(d, signals, 2.0)
+    assert iters == 14
+    single = np.array([l1_solve(d, x, 2.0).error for x in signals.T])
+    assert np.abs(single - errors).max() <= 1e-12
 
 
 def test_exact_residual_is_correctly_rounded():
