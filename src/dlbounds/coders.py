@@ -18,19 +18,20 @@ batch OMP on D^T D and D^T X that the kernel coder runs on a Gram matrix,
 with a 1e-12 ridge on rank-deficient supports.  The l1 engine,
 `l1_solve_batch`, is exact and certified: active-set rounds (Osborne,
 Presnell & Turlach, 2000) solve each column's KKT system on its support and
-signs, all columns in lockstep and by one batched LU per round, starting
-from a guess's supports and signs (the learner's previous codes, or the
-codes under a nearby dictionary) or from each signal's most correlated
-atom.  A round pads every column's system to the largest support and
-gathers them all by one fancy index from the table [[G + RIDGE I, 0],
-[0, I]], built once per call.  Between rounds a column drops the first atom
-whose sign flips, moves onto or off the sphere ||a||_1 = lam, or adds the
-atom most correlated with its residual.  The Frank-Wolfe duality gap proves each column's error within
-ERR_TOL = 1e-10 of the optimum, and a proved column retires.  Every column
-still uncertified when the rounds end, at the rounding floor of the gap or
-cut off at MAX_ITERS rounds, takes at most NEWTON_STEPS Newton steps on its
-KKT system, from an exactly rounded residual after the first; one
-RuntimeWarning names the columns still uncertified after them.
+signs, whose solution lies inside the ball or on the sphere ||a||_1 = lam,
+all columns in lockstep and by one batched LU per round, starting from a
+guess's supports and signs (the learner's previous codes, or the codes
+under a nearby dictionary) or from each signal's most correlated atom.  A
+round pads every column's system to the largest support and gathers them
+all by one fancy index from the table [[G + RIDGE I, 0], [0, I]], built
+once per call.  Between rounds a column drops the first atom whose sign
+flips or adds the atom most correlated with its residual.  The Frank-Wolfe
+duality gap proves each column's error within ERR_TOL = 1e-10 of the
+optimum, and a proved column retires.  Every column still uncertified when
+the rounds end, at the rounding floor of the gap or cut off at MAX_ITERS
+rounds, takes at most NEWTON_STEPS Newton steps on its KKT system, from an
+exactly rounded residual after the first; one RuntimeWarning names the
+columns still uncertified after them.
 """
 
 from __future__ import annotations
@@ -330,21 +331,26 @@ def _kkt_table(gram: np.ndarray) -> np.ndarray:
     return table
 
 
-def _newton_step(table: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.ndarray,
-                 last: np.ndarray) -> np.ndarray:
-    """Solve each column's bordered system [[M, b], [b^T, 0]] [x; nu] =
-    [top_S; last], M = G_SS + RIDGE I on its support S = on[:, i] and b its
-    border: the KKT solve of the rounds and of the Newton finish.  By the
-    Schur complement of M, x = M^-1 top - nu M^-1 b with nu = (b.M^-1 top -
-    last) / b.M^-1 b, and nu = 0 where b = 0 (inside the ball).  M^-1 [top_S
-    b] is one batched LU solve, since an inverse's product leaves ~eps
-    cond(M) |top| of residual.  Every system is padded to k x k, k the
-    largest support: a running count of on down each column packs its
+def _newton_step(table: np.ndarray, s: np.ndarray, top: np.ndarray,
+                 last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each column's KKT system for min 1/2 x^T M x - top_S.x subject
+    to s.x <= last, M = G_SS + RIDGE I on its support S = {j : s_j != 0}
+    and s its signs: the KKT solve of the rounds and of the Newton finish,
+    where x is a step from a point a with signs s and last = lam - ||a||_1.
+    It has one solution (Osborne, Presnell & Turlach, 2000): the inside one,
+    x = M^-1 top with nu = 0, where that x has s.x <= last; else the
+    bordered one, x = M^-1 top - nu M^-1 s with s.x = last, whose multiplier
+    nu = (s.M^-1 top - last) / s.M^-1 s (by the Schur complement of M) is
+    then > 0.  So one formula with nu clamped at 0 picks the side.
+    M^-1 [top_S s] is one batched LU solve, since an inverse's product
+    leaves ~eps cond(M) |top| of residual.  Every system is padded to k x k,
+    k the largest support: a running count of S down each column packs its
     support into the first slots in atom order, and padding slot j points
     at row p + j of table = _kkt_table(G) = [[G + RIDGE I, 0], [0, I]], so
     one fancy index into the table gathers each column's M beside an
     identity block.  (Padding slots sharing one row would repeat it and
-    make the block singular.)  Returns x as p x N, zero off S."""
+    make the block singular.)  Returns (x as p x N, zero off S, and nu)."""
+    on = s != 0.0
     p, n_sig = on.shape
     pos = np.cumsum(on, axis=0)
     k = max(int(pos[-1].max()), 1)
@@ -353,16 +359,17 @@ def _newton_step(table: np.ndarray, on: np.ndarray, border: np.ndarray, top: np.
     idx = np.repeat(np.arange(p, p + k)[None], n_sig, axis=0)
     idx[cols, slots] = rows
     mat = table[idx[:, :, None], idx[:, None, :]]
-    # a padding slot's top and border are 0, so its x never reaches nu
+    # a padding slot's top and sign are 0, so its x never reaches nu
     rhs = np.zeros((2, k, n_sig))
-    rhs[:, slots, cols] = top[rows, cols], border[rows, cols]
+    rhs[:, slots, cols] = top[rows, cols], s[rows, cols]
     b = rhs[1]
     x, y = np.linalg.solve(mat, rhs.T).T
     curve = (b * y).sum(axis=0)
     nu = np.divide((b * x).sum(axis=0) - last, curve, out=np.zeros_like(curve), where=curve > 0.0)
+    np.maximum(nu, 0.0, out=nu)
     out = np.zeros(on.shape)
     out[rows, cols] = (x - nu * y)[slots, cols]
-    return out
+    return out, nu
 
 
 def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
@@ -371,42 +378,40 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     certified.
 
     Each column runs active-set rounds (Osborne, Presnell & Turlach, 2000),
-    all columns in lockstep.  A column holds a support S, its signs s and
-    whether the ball binds.  A round solves the KKT system of S and s by one
-    _newton_step from the current point a: G_SS b_S + nu s = D_S^T x, with
-    s.b_S = lam on the sphere and nu = 0 inside the ball.  The solution b,
-    scaled into the ball, is certified by its duality-gap error slack (see
-    _l1_slack) at the margin 2 eps lam ||x||.  A column whose b has the
-    signs s and a slack within ERR_TOL retires.  Any other column makes the
-    first of these moves that applies:
+    all columns in lockstep.  A column holds a support S and its signs s.
+    A round solves the KKT system of S and s, min ||D_S b_S - x|| subject
+    to s.b_S <= lam, by one _newton_step from the current point a:
+    G_SS b_S + nu s = D_S^T x with nu = 0 where that b lies in the ball,
+    else s.b_S = lam and nu > 0.  The solution b, scaled into the ball, is
+    certified by its duality-gap error slack (see _l1_slack) at the margin
+    2 eps lam ||x||.  A column whose b has the signs s and a slack within
+    ERR_TOL retires.  Any other column makes the first of these moves that
+    applies:
 
     - a sign of b differs from s: the column moves toward b until its first
       coefficient reaches zero, and that atom leaves S;
-    - it is inside the ball and b lies beyond it: the same S on the sphere;
-    - it is on the sphere and nu < 0, so the ball does not bind: the same S
-      inside;
     - else the atom off S with the largest |g_j|, g = D^T (D b - x), joins S
-      with the sign of -g_j, unless its violation |g_j| - max(nu, 0) is
-      within 2 eps ||x||, the rounding the margin allows in g.  Such a
-      column has reached the precision floor and leaves the rounds.
+      with the sign of -g_j, unless its violation |g_j| - nu is within
+      2 eps ||x||, the rounding the margin allows in g.  Such a column has
+      reached the precision floor and leaves the rounds.
 
-    The live columns' state (point, signs, side of the sphere, D^T x, x and
-    their thresholds) is compacted once a round, and a column's scaled b,
-    slack and side are written out when it leaves the rounds.
+    The live columns' state (point, signs, D^T x, x and their thresholds)
+    is compacted once a round, and a column's scaled b and slack are
+    written out when it leaves the rounds.
 
-    A column starts from its guess's support and signs, on the sphere if
-    ||guess||_1 >= lam (1 - 2 p eps), the rounding of a p-term sum.  With no
-    guess, or an all-zero guess column, it starts inside the ball from its
-    most correlated atom (ties go to the lowest index), with that
-    correlation's sign; a signal uncorrelated with every atom is coded by
-    zero.  guess, a p x N array held to the matrix rule like the signals, is
-    a likely solution: warm starts in dictionary learning reuse the last
-    codes (Mairal, Bach, Ponce & Sapiro, 2010), and strong rules keep a
-    screened set only after a KKT check (Tibshirani et al., 2012).
+    A column starts from its guess's support and signs.  With no guess, or
+    an all-zero guess column, it starts from its most correlated atom (ties
+    go to the lowest index), with that correlation's sign; a signal
+    uncorrelated with every atom is coded by zero.  guess, a p x N array
+    held to the matrix rule like the signals, is a likely solution: warm
+    starts in dictionary learning reuse the last codes (Mairal, Bach, Ponce
+    & Sapiro, 2010), and strong rules keep a screened set only after a KKT
+    check (Tibshirani et al., 2012).
 
     A column that leaves the rounds uncertified, at its precision floor or
     cut off at MAX_ITERS rounds, takes up to NEWTON_STEPS Newton steps on
-    the KKT system of its support and signs, from the point it left with;
+    the KKT system of its support and signs, the same _newton_step with
+    its side picked the same way, from the point it left with;
     the steps go on from each new point, and the column keeps the point of
     lowest slack.  The first step works from the computed residual D a - x;
     the others, and every certificate after a step, from the exactly
@@ -437,10 +442,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     norms = np.sqrt((signals * signals).sum(axis=0))
     out = np.zeros((p, n_sig))
     slack = np.zeros(n_sig)
-    sphere = np.zeros(n_sig, dtype=bool)  # the column's last round was on the sphere
     a = np.zeros((p, n_sig)) if guess is None else guess
     s = np.sign(a)
-    rim = np.abs(a).sum(axis=0) >= lam * (1.0 - 2.0 * p * eps)
     cold = np.flatnonzero(~s.any(axis=0))
     first = np.argmax(np.abs(corr[:, cold]), axis=0)
     s[first, cold] = np.sign(corr[first, cold])
@@ -452,25 +455,22 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     # products and sums round in (BLAS and numpy's pairwise sums round each
     # order differently); s is taken C-ordered, like b and g, so that its
     # elementwise work runs along contiguous rows
-    a, s, rim = a[:, cols], s.take(cols, axis=1), rim[cols]
+    a, s = a[:, cols], s.take(cols, axis=1)
     iterations = 0
     while cols.size and iterations < MAX_ITERS:
         iterations += 1
         on = s != 0.0
-        b = a + _newton_step(table, on, s * rim, state[:p] - gram @ a, rim * (lam - np.abs(a).sum(axis=0)))
+        step, nu = _newton_step(table, s, state[:p] - gram @ a, lam - np.abs(a).sum(axis=0))
+        b = a + step
         flip = on & (np.sign(b) != s)
         fits = ~flip.any(axis=0)
-        norm1 = np.abs(b).sum(axis=0)
-        fit = b * (lam / np.maximum(norm1, lam))
+        fit = b * (lam / np.maximum(np.abs(b).sum(axis=0), lam))
         _gap, sl, g = _l1_slack(atoms, fit, lam, atoms @ fit - state[p:p + n], state[p + n])
         done = fits & (sl <= ERR_TOL)
-        # the ball's multiplier: -g_S = nu s on the sphere, nu = 0 inside
-        nu = np.where(rim, -(s * g).sum(axis=0) / np.maximum(on.sum(axis=0), 1), 0.0)
-        over = fits & ~rim & (norm1 > lam)
-        loose = fits & (nu < 0.0)
         pull = np.where(on, -np.inf, np.abs(g))
-        stay = fits & ~(done | over | loose)
-        floor = stay & (pull.max(axis=0) - np.maximum(nu, 0.0) <= state[p + n + 1])
+        stay = fits & ~done
+        # nu is the ball's multiplier, -g_S = nu s
+        floor = stay & (pull.max(axis=0) - nu <= state[p + n + 1])
         grow = np.flatnonzero(stay & ~floor)
         # a column gathered from C-ordered pull is contiguous, as argmax wants
         best = np.argmax(pull[:, grow], axis=0)
@@ -479,7 +479,7 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
         # live column's is, for the finish and the warning's count
         gone = np.flatnonzero(~live) if iterations < MAX_ITERS else np.arange(cols.size)
         left = cols[gone]
-        out[:, left], slack[left], sphere[left] = fit[:, gone], sl[gone], rim[gone]
+        out[:, left], slack[left] = fit[:, gone], sl[gone]
         # b becomes the next point, except where a sign flips: there the
         # column moves toward b by the fraction of the way at which the
         # first flipping coefficient reaches 0, and that one is set to 0
@@ -492,16 +492,14 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
             b[np.argmin(cross, axis=0), flips] = 0.0
         s = np.sign(b)
         s[best, grow] = -np.sign(g[best, grow])
-        rim ^= over | loose
         keep = np.flatnonzero(live)
-        cols, a, s, rim, state = cols[keep], b[:, keep], s.take(keep, axis=1), rim[keep], state[:, keep]
+        cols, a, s, state = cols[keep], b[:, keep], s.take(keep, axis=1), state[:, keep]
     fix = np.flatnonzero(~(slack <= ERR_TOL))
     a, resid = out[:, fix], atoms @ out[:, fix] - signals[:, fix]
     for _ in range(NEWTON_STEPS):
         if not fix.size:
             break
-        a = a + _newton_step(table, a != 0.0, np.sign(a) * sphere[fix], -(atoms.T @ resid),
-                             sphere[fix] * (lam - np.abs(a).sum(axis=0)))
+        a = a + _newton_step(table, np.sign(a), -(atoms.T @ resid), lam - np.abs(a).sum(axis=0))[0]
         a *= lam / np.maximum(np.abs(a).sum(axis=0), lam)
         resid = _exact_residual(atoms, a, signals[:, fix])
         new = _l1_slack(atoms, a, lam, resid, 2.0 * eps * lam * np.linalg.norm(resid, axis=0))[1]

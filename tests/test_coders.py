@@ -782,45 +782,54 @@ def test_l1_rounds_alone_certify_in_gengap_regime(monkeypatch):
     assert not calls
 
 
-def _kkt_reference(gram, on, border, top, last):
-    """Each column's bordered system [[G_SS + RIDGE I, b_S], [b_S^T, 0]]
-    (a zero border means nu = 0) solved by LU for (top_S, last)."""
-    out = np.zeros(on.shape)
-    for i in range(on.shape[1]):
-        sup = np.flatnonzero(on[:, i])
-        k, b = sup.size, border[sup, i]
-        mat = np.empty((k + 1, k + 1))
+def _kkt_reference(gram, s, top, last):
+    """Each column's KKT solution on its support S = {j : s_j != 0} and
+    signs s, by LU: M = G_SS + RIDGE I solved for top_S where that x has
+    s.x <= last, else the bordered system [[M, s_S], [s_S^T, 0]] for
+    (top_S, last).  Returns (x as p x N, which columns took the border)."""
+    out, bordered = np.zeros(s.shape), np.zeros(s.shape[1], dtype=bool)
+    for i in range(s.shape[1]):
+        sup = np.flatnonzero(s[:, i])
+        if not sup.size:
+            continue
+        k, b = sup.size, s[sup, i]
+        mat = np.zeros((k + 1, k + 1))
         mat[:k, :k] = gram[np.ix_(sup, sup)] + coders.RIDGE * np.eye(k)
-        mat[:k, k] = mat[k, :k] = b
-        mat[k, k] = not b.any()
-        out[sup, i] = np.linalg.solve(mat, np.append(top[sup, i], last[i]))[:k]
-    return out
+        x = np.linalg.solve(mat[:k, :k], top[sup, i])
+        if b @ x > last[i]:
+            mat[:k, k] = mat[k, :k] = b
+            x = np.linalg.solve(mat, np.append(top[sup, i], last[i]))[:k]
+            bordered[i] = True
+        out[sup, i] = x
+    return out, bordered
 
 
-def _bordered_residual(gram, on, border, top, last, step):
-    """Each column's residual in its bordered system at x = step, with nu
-    fitted by least squares, relative to max |top_S|."""
-    out = np.empty(on.shape[1])
-    for i in range(on.shape[1]):
-        sup = np.flatnonzero(on[:, i])
-        b, x = border[sup, i], step[sup, i]
+def _bordered_residual(gram, s, top, last, step, bordered):
+    """Each column's residual in its KKT system at x = step, with nu fitted
+    by least squares where the system is bordered, relative to max |top_S|."""
+    out = np.empty(s.shape[1])
+    for i in range(s.shape[1]):
+        sup = np.flatnonzero(s[:, i])
+        b, x = s[sup, i], step[sup, i]
         r = top[sup, i] - (gram[np.ix_(sup, sup)] + coders.RIDGE * np.eye(sup.size)) @ x
-        if b.any():
+        if bordered[i]:
             r = np.append(r - (b @ r) / (b @ b) * b, b @ x - last[i])
         out[i] = np.abs(r).max() / np.abs(top[sup, i]).max()
     return out
 
 
 def test_newton_step_matches_bordered_lu():
-    # supports of 1-6 atoms in R^8, half of the columns on the sphere (border
-    # s) and half inside the ball (no border); top is D^T of a signal, as
-    # -D^T r in the finish.  With atom 7 a near-twin of atom 0 at delta =
-    # 1e-8 in every support of two or more, cond(G_SS + RIDGE I) reaches
-    # ~1e12.  The step agrees with the LU to within eps cond(G_SS + RIDGE I)
-    # of the larger of step and top (on the sphere, M^-1 top and nu M^-1 b
-    # cancel down to the step), and solves its bordered system to the LU's
-    # backward error, about 2e-12 of |top| on the pair, where an explicit
-    # inverse's product left 3e-8.
+    # supports of 1-6 atoms in R^8 with random signs s, and last drawn in
+    # [-0.1, 0.1], so that the clamp puts some columns on the sphere (the
+    # border s) and leaves others inside the ball (nu = 0); top is D^T of a
+    # signal, as -D^T r in the finish.  With atom 7 a near-twin of atom 0 at
+    # delta = 1e-8 in every support of two or more, cond(G_SS + RIDGE I)
+    # reaches ~1e12.  The step agrees with the LU to within eps
+    # cond(G_SS + RIDGE I) of the larger of step and top (on the sphere,
+    # M^-1 top and nu M^-1 s cancel down to the step), and solves its system
+    # to the LU's backward error, about 2e-12 of |top| on the pair, where an
+    # explicit inverse's product left 3e-8.  nu is 0 exactly where the LU
+    # stays inside
     base = uniform_sphere_matrix(8, 12, substream(41, 0))
     d0 = base[:, 0]
     u = uniform_sphere_matrix(8, 1, substream(41, 2))[:, 0]
@@ -829,7 +838,6 @@ def test_newton_step_matches_bordered_lu():
     twin = base.copy()
     twin[:, 7] = (d0 + 1e-8 * v) / np.linalg.norm(d0 + 1e-8 * v)
     n_sig = 60
-    sphere = np.arange(n_sig) % 2 == 0
     for atoms, pair in ((base, False), (twin, True)):
         rng = substream(41, 1)
         on = np.zeros((12, n_sig), dtype=bool)
@@ -837,17 +845,19 @@ def test_newton_step_matches_bordered_lu():
             on[rng.choice(12, 1 + i % 6, replace=False), i] = True
             if pair and i % 6:
                 on[[0, 7], i] = True
-        border = np.where(on, np.sign(rng.standard_normal((12, n_sig))), 0.0) * sphere
+        s = np.where(on, np.sign(rng.standard_normal((12, n_sig))), 0.0)
         top = atoms.T @ rng.standard_normal((8, n_sig))
-        last = sphere * rng.uniform(-0.1, 0.1, n_sig)
+        last = rng.uniform(-0.1, 0.1, n_sig)
         gram = atoms.T @ atoms
-        step = coders._newton_step(coders._kkt_table(gram), on, border, top, last)
-        ref = _kkt_reference(gram, on, border, top, last)
+        step, nu = coders._newton_step(coders._kkt_table(gram), s, top, last)
+        ref, bordered = _kkt_reference(gram, s, top, last)
+        assert 10 <= bordered.sum() <= n_sig - 10
+        assert np.array_equal(nu > 0.0, bordered) and not (nu < 0.0).any()
         assert not step[~on].any()
-        cond = np.array([np.linalg.cond(gram[np.ix_(s, s)] + coders.RIDGE * np.eye(s.size))
-                         for s in (np.flatnonzero(col) for col in on.T)])
+        cond = np.array([np.linalg.cond(gram[np.ix_(sup, sup)] + coders.RIDGE * np.eye(sup.size))
+                         for sup in (np.flatnonzero(col) for col in on.T)])
         assert not pair or cond.max() > 1e11
-        assert _bordered_residual(gram, on, border, top, last, step).max() <= 1e-10
+        assert _bordered_residual(gram, s, top, last, step, bordered).max() <= 1e-10
         tol = 4 * np.finfo(float).eps * cond * np.maximum(np.abs(ref), np.abs(top) * on).max(axis=0)
         assert np.all(np.abs(step - ref).max(axis=0) <= tol)
         if not pair:
@@ -856,9 +866,9 @@ def test_newton_step_matches_bordered_lu():
 
 def test_newton_step_mixes_empty_partial_and_full_supports():
     # one batch in R^8 with p = 6: empty supports, full ones (k = p, so no
-    # padding slot) and partial ones of 1-5 atoms, half of them on the
-    # sphere.  The padded gather solves each column's own system, and a batch
-    # of empty supports steps nowhere
+    # padding slot) and partial ones of 1-5 atoms, the clamp putting some
+    # of them on the sphere.  The padded gather solves each column's own
+    # system, and a batch of empty supports steps nowhere, with nu = 0
     atoms = uniform_sphere_matrix(8, 6, substream(68, 0))
     gram, table = atoms.T @ atoms, coders._kkt_table(atoms.T @ atoms)
     rng = substream(68, 1)
@@ -866,17 +876,18 @@ def test_newton_step_mixes_empty_partial_and_full_supports():
     on = np.zeros((6, n_sig), dtype=bool)
     for i in range(n_sig):
         on[rng.choice(6, (0, 6, 1 + i % 5)[i % 3], replace=False), i] = True
-    sphere = np.arange(n_sig) % 2 == 0
-    border = np.where(on, np.sign(rng.standard_normal((6, n_sig))), 0.0) * sphere
+    s = np.where(on, np.sign(rng.standard_normal((6, n_sig))), 0.0)
     top = atoms.T @ rng.standard_normal((8, n_sig))
-    last = sphere * rng.uniform(-0.1, 0.1, n_sig)
-    step = coders._newton_step(table, on, border, top, last)
-    ref = _kkt_reference(gram, on, border, top, last)
+    last = rng.uniform(-0.1, 0.1, n_sig)
+    step, nu = coders._newton_step(table, s, top, last)
+    ref, bordered = _kkt_reference(gram, s, top, last)
     assert sorted(set(on.sum(axis=0))) == [0, 1, 2, 3, 4, 5, 6]
+    assert 0 < bordered.sum() < n_sig
+    assert np.array_equal(nu > 0.0, bordered)
     assert not step[~on].any()
     assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
-    empty = np.zeros((6, 4), dtype=bool)
-    assert not coders._newton_step(table, empty, np.zeros((6, 4)), top[:, :4], np.zeros(4)).any()
+    step, nu = coders._newton_step(table, np.zeros((6, 4)), top[:, :4], np.full(4, -0.1))
+    assert not step.any() and not nu.any()
 
 
 def test_l1_coefficients_are_c_ordered_for_any_input_layout():
@@ -892,15 +903,32 @@ def test_l1_coefficients_are_c_ordered_for_any_input_layout():
             assert np.abs(got_errors - errors).max() <= ERR_TOL
 
 
+def _tropp_bed(d, k, seed, count=40):
+    # exactly k-sparse Gaussian codes on random supports, scaled to
+    # ||a*||_1 = 1, and their signals D a*
+    rng = substream(68, seed)
+    truth = np.zeros((d.p, count))
+    for j in range(count):
+        truth[rng.choice(d.p, k, replace=False), j] = rng.standard_normal(k)
+    truth /= np.abs(truth).sum(axis=0)
+    return truth, d.atoms @ truth
+
+
 def test_l1_recovers_under_tropp_condition():
     # Tropp (2004): where babel(D, k - 1) + babel(D, k) < 1, a k-sparse a* is
-    # the unique minimizer of ||a||_1 subject to D a = D a*, so at lam =
-    # ||a*||_1 the l1 coder returns a*, and greedy and exact pursuit its
-    # support.  The problem is homogeneous, so the codes are scaled to
-    # ||a*||_1 = 1 and coded at lam = 1 in one batch.  On sphere dictionaries
-    # at n = 64, p = 8, k = 3, 8 of 30 meet the condition.  A certified
-    # error h <= ERR_TOL on the true support puts the coefficients within
-    # h / sigma_min(D_S) of a*, and sigma_min^2 >= 1 - babel(D, k - 1)
+    # the unique minimizer of ||a||_1 subject to D a = D a*, and greedy
+    # pursuit picks its support in k steps; any 2k atoms are independent
+    # (babel is subadditive), so it is also the unique exact k-sparse fit.
+    # So at lam = ||a*||_1 the l1 coder returns a*, and greedy, exact and
+    # the linear-kernel greedy coder return it too.  The problem is
+    # homogeneous, so the codes are scaled to ||a*||_1 = 1 and coded at
+    # lam = 1 in one batch: each optimum lies on the sphere with nu = 0, on
+    # the edge between the KKT solve's two sides.  On sphere dictionaries at
+    # n = 64, p = 8, k = 3, 8 of 30 meet the condition.  A certified error
+    # h <= ERR_TOL on the true support puts the l1 coefficients within
+    # h / sigma_min(D_S) of a*, and sigma_min^2 >= 1 - babel(D, k - 1); the
+    # pursuits' least-squares solves on D_S, whose condition number is then
+    # at most 2, are within rounding of a*
     n, p, k, kept = 64, 8, 3, 0
     for i in range(30):
         d = Dictionary(uniform_sphere_matrix(n, p, substream(67, i)))
@@ -908,19 +936,43 @@ def test_l1_recovers_under_tropp_condition():
         if near + babel(d, k).value >= 1.0:
             continue
         kept += 1
-        rng = substream(68, i)
-        truth = np.zeros((p, 40))
-        for j in range(40):
-            truth[rng.choice(p, k, replace=False), j] = rng.standard_normal(k)
-        truth /= np.abs(truth).sum(axis=0)
-        signals = d.atoms @ truth
+        truth, signals = _tropp_bed(d, k, i)
         coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, 1.0)
         assert errors.max() <= ERR_TOL
         assert np.array_equal(coeffs != 0.0, truth != 0.0)
         assert np.abs(coeffs - truth).max() <= 2 * ERR_TOL / math.sqrt(1.0 - near)
-        assert np.array_equal(greedy_ksparse_batch(d, signals, k)[0] != 0.0, truth != 0.0)
-        assert np.array_equal(exact_ksparse_batch(d, signals, k)[0] != 0.0, truth != 0.0)
+        kd = KernelDictionary.build(d.atoms.T, linear_kernel())
+        kernel = np.stack([kernel_greedy_ksparse(x, kd, linear_kernel(), k).coeffs.values for x in signals.T],
+                          axis=1)
+        for coeffs in (greedy_ksparse_batch(d, signals, k)[0], exact_ksparse_batch(d, signals, k)[0], kernel):
+            assert np.array_equal(coeffs != 0.0, truth != 0.0)
+            assert np.abs(coeffs - truth).max() <= 1e-13
     assert kept == 8
+
+
+def test_tropp_near_twin_control_misses_the_support():
+    # the negative control of test_l1_recovers_under_tropp_condition: its
+    # first kept dictionary with atom 7 made a near-twin of atom 0 at delta
+    # = 1e-2 breaks the condition, and on the same kind of codes greedy
+    # pursuit and the l1 coder then miss some supports (the l1 coder with a
+    # certified error, at another point of the ball that fits the signal).
+    # No 6 atoms are dependent, so the exact coder still returns a*
+    n, p, k = 64, 8, 3
+    atoms = uniform_sphere_matrix(n, p, substream(67, 5))
+    u = uniform_sphere_matrix(n, 1, substream(69, 0))[:, 0]
+    v = u - (u @ atoms[:, 0]) * atoms[:, 0]
+    atoms[:, 7] = atoms[:, 0] + 1e-2 * v / np.linalg.norm(v)
+    d = Dictionary(atoms / np.linalg.norm(atoms, axis=0))
+    assert babel(d, k - 1).value + babel(d, k).value >= 1.0
+    truth, signals = _tropp_bed(d, k, 5)
+    coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, 1.0)
+    assert errors.max() <= ERR_TOL
+    missed = lambda c: np.any((c != 0.0) != (truth != 0.0), axis=0)
+    assert missed(coeffs).sum() >= 5
+    assert missed(greedy_ksparse_batch(d, signals, k)[0]).sum() >= 5
+    exact = exact_ksparse_batch(d, signals, k)[0]
+    assert not missed(exact).any()
+    assert np.abs(exact - truth).max() <= 1e-12
 
 
 def test_l1_batch_matches_single():
@@ -940,21 +992,23 @@ def test_l1_round_counts_are_pinned():
     # the lockstep round counts of three batches: a cold one of gengap-l1's
     # shape (n = 8, p = 12, lam = 1, N = 2,000), a cold one of criterion 3's
     # (pair 0's D, N = 50, lam = 2), and the first again from its optimum
-    # with every coefficient perturbed by 1%.  A cheaper round must make the
-    # same moves, so these stay as they are.  Every 20th column of the large
-    # batches, and every column of the small one, matches its own l1_solve
+    # with every coefficient perturbed by 1%, which holds every optimum's
+    # support and signs, so one round's KKT solve certifies it.  These pin
+    # the moves: a cheaper round must make the same ones.  Every 20th column
+    # of the large batches, and every column of the small one, matches its
+    # own l1_solve
     d, lam, signals = _gengap_regime_bed(65, 2000)
     coeffs, errors, iters, _residual = l1_solve_batch(d, signals, lam)
-    assert iters == 14
+    assert iters == 13
     guess = coeffs * (1.0 + 0.01 * substream(66, 0).standard_normal(coeffs.shape))
     _coeffs, warm_errors, warm_iters, _residual = l1_solve_batch(d, signals, lam, guess)
-    assert warm_iters == 8
+    assert warm_iters == 1
     single = np.array([l1_solve(d, signals[:, j], lam).error for j in range(0, 2000, 20)])
     assert np.abs(single - errors[::20]).max() <= 1e-12
     assert np.abs(single - warm_errors[::20]).max() <= 1e-12
     d, _d2, signals = _criterion3_pair(0)
     _coeffs, errors, iters, _residual = l1_solve_batch(d, signals, 2.0)
-    assert iters == 14
+    assert iters == 11
     single = np.array([l1_solve(d, x, 2.0).error for x in signals.T])
     assert np.abs(single - errors).max() <= 1e-12
 
@@ -1043,7 +1097,7 @@ def test_l1_iteration_cap_warns(monkeypatch):
 def test_l1_cut_off_columns_take_the_finish_and_share_one_warning(monkeypatch):
     # the bed of test_l1_precision_floor_recentres_and_warns at ERR_TOL / 2,
     # where some optima stay above the tolerance at the precision floor, with
-    # the rounds cut off at 12 of the 19 they need.  The columns still in the
+    # the rounds cut off at 12 of the 17 they need.  The columns still in the
     # rounds take the same Newton finish as the floor columns, and one
     # warning names every column left uncertified, floor and cut-off alike,
     # and counts the cut-off ones: those whose own call takes over 12 rounds
@@ -1115,11 +1169,33 @@ def test_l1_guess_of_its_own_output_certifies_in_one_round():
         assert np.abs(guessed_errors - errors).max() <= ERR_TOL
         assert np.abs(guessed).sum(axis=0).max() <= lam * (1 + 1e-12)
         assert residual <= 1e-9
-    # a sphere point a few eps inside lam, as rounding leaves the solver's, is
-    # solved on the sphere: one round certifies it
+    # a sphere point a few eps inside lam, as rounding leaves the solver's,
+    # is put back on the sphere by the KKT solve: one round certifies it
     d, lam, signals = cases[0]
     coeffs = l1_solve_batch(d, signals, lam)[0] * (1 - 4 * np.finfo(float).eps)
     assert l1_solve_batch(d, signals, lam, coeffs)[2] == 1
+
+
+def test_l1_perturbed_optimum_certifies_in_one_round():
+    # every coefficient of the optimum scaled by 1 +- 1% (random signs)
+    # keeps its support and signs, and a sphere optimum's guess lands inside
+    # the ball or beyond it.  The first round's KKT solve picks the ball's
+    # side either way, so it certifies every column: on gengap-l1's regime,
+    # whose optima lie on the sphere, and on criterion 3's pair 314, whose
+    # optima at lam = 2 lie on both sides
+    d, _d2, pair = _criterion3_pair(314)
+    for i, (d, lam, signals) in enumerate([_gengap_regime_bed(63, 200), (d, 2.0, pair)]):
+        coeffs, errors, _iters, _residual = l1_solve_batch(d, signals, lam)
+        guess = coeffs * (1.0 + 0.01 * substream(70, i).choice([-1.0, 1.0], coeffs.shape))
+        sphere, norm1 = np.abs(coeffs).sum(axis=0) >= lam * (1 - 1e-12), np.abs(guess).sum(axis=0)
+        assert (sphere & (norm1 < lam)).sum() >= 10 and (sphere & (norm1 > lam)).sum() >= 10
+        assert i == 0 or (~sphere).sum() >= 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_errors, iters, _residual = l1_solve_batch(d, signals, lam, guess)
+        assert iters == 1
+        assert _l1_slack_reference(d.atoms, got, signals, lam).max() <= ERR_TOL
+        assert np.abs(got_errors - errors).max() <= ERR_TOL
 
 
 def _guess_kinds(d, lam, signals, coeffs):
@@ -1129,13 +1205,9 @@ def _guess_kinds(d, lam, signals, coeffs):
     atom added whose KKT solution takes the other sign; a needed atom left
     out, whose KKT solution keeps the signs but is not certified; zero."""
     gram, top = d.atoms.T @ d.atoms, d.atoms.T @ signals
-    on_sphere = np.abs(coeffs).sum(axis=0) >= lam * (1 - 1e-12)
 
     def kkt(j, guess):
-        s = np.sign(guess)[:, None]
-        a = _kkt_reference(gram, s != 0, s * on_sphere[j], top[:, j:j + 1],
-                           np.array([lam * on_sphere[j]]))
-        return a[:, 0]
+        return _kkt_reference(gram, np.sign(guess)[:, None], top[:, j:j + 1], np.array([lam]))[0][:, 0]
 
     kinds = {}
     for j in range(signals.shape[1]):
@@ -1203,9 +1275,10 @@ def test_l1_guesses_that_fail_their_check_take_more_rounds():
 
 def test_l1_sphere_guess_of_an_inside_optimum_moves_inside():
     # p < n at lam = 50: every optimum is least squares, well inside the
-    # ball.  Guesses scaled onto the sphere start there; their KKT solutions
-    # on the sphere have nu < 0, so the ball does not bind and each column
-    # goes back inside, where its least-squares solution certifies
+    # ball.  Guesses scaled onto the sphere hold the optima's supports and
+    # signs; their KKT solutions lie inside the ball, so the ball does not
+    # bind (nu = 0), and the first round certifies each least-squares
+    # solution
     d = Dictionary(uniform_sphere_matrix(8, 5, substream(32, 0)))
     signals = uniform_sphere_matrix(8, 40, substream(32, 1))
     lam = 50.0
@@ -1213,8 +1286,9 @@ def test_l1_sphere_guess_of_an_inside_optimum_moves_inside():
     assert np.abs(coeffs).sum(axis=0).max() < lam / 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, got_errors, _iters, _residual = l1_solve_batch(d, signals, lam,
-                                                            coeffs * (lam / np.abs(coeffs).sum(axis=0)))
+        got, got_errors, iters, _residual = l1_solve_batch(d, signals, lam,
+                                                           coeffs * (lam / np.abs(coeffs).sum(axis=0)))
+    assert iters == 1
     assert np.abs(got_errors - errors).max() <= ERR_TOL
     assert _l1_slack_reference(d.atoms, got, signals, lam).max() <= ERR_TOL
 
