@@ -37,19 +37,18 @@ from .core import (
 from .coherence import BabelValue, babel, babel_bruteforce, babel_from_gram, coherence
 from .coders import (
     CodingResult,
-    coeff_l1_bound,
     exact_ksparse,
     exact_ksparse_batch,
     greedy_ksparse,
     greedy_ksparse_batch,
     l1_solve,
     l1_solve_batch,
-    project_l1,
     repr_error,
 )
 from .bounds import (
     BoundInputs,
     BoundReport,
+    coeff_l1_bound,
     ksparse_generalization_bound,
     l1_generalization_bound,
     log_cover_ksparse,

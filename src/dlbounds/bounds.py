@@ -18,7 +18,8 @@ Variants:
             at weight alpha* = W(cm)/c; a K picked from data pays ln|K grid|.
 
 The k-sparse family is the l1 family at lam = k / (1 - delta), where
-delta bounds the order-(k-1) Babel value of the dictionary.
+delta bounds the order-(k-1) Babel value of the dictionary; `coeff_l1_bound`
+is that radius at one dictionary's delta = mu_{k-1}, times its gamma.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import InapplicableError, _finite, as_count
+from .core import Dictionary, InapplicableError, _finite, as_count, validate_dictionary
+from .coherence import babel
 
 L1_VARIANTS = ("maurer", "slow", "fast")
 
@@ -104,6 +106,18 @@ def _check_delta(delta) -> float:
 def _ksparse_lam(k, delta) -> float:
     """The l1 radius k / (1 - delta) that covers the k-sparse class."""
     return as_count(k, "k") / (1.0 - _check_delta(delta))
+
+
+def coeff_l1_bound(d: Dictionary, k: int) -> float:
+    """Upper bound gamma * k / (1 - mu_{k-1}) on the l1 norm of an optimal
+    k-sparse coefficient vector for a unit signal: the k-sparse radius at
+    delta = mu_{k-1}, times gamma.  Valid when column norms lie in [1, gamma]
+    and mu_{k-1}(D) < 1, else InapplicableError; mu_0 = 0 (an empty sum)."""
+    k = as_count(k, "k", d.p)
+    problems = validate_dictionary(d)
+    if problems:
+        raise ValueError("dictionary invalid: " + "; ".join(problems))
+    return _ksparse_lam(k, babel(d, k - 1).value if k > 1 else 0.0) * d.gamma
 
 
 def _l1_cover(n, p, lam) -> tuple[float, int]:

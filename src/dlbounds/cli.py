@@ -144,21 +144,30 @@ def _parse_synth(spec: str, seed: int, default_p: int | None):
             if not eq or not key or key in fields:
                 raise ValueError(f"bad synth spec item {item!r}")
             fields[key] = value
-    try:
-        n = int(fields.pop("n"))
-    except KeyError:
-        raise ValueError("synth spec needs n=<dimension>") from None
-    m = int(fields.pop("m")) if "m" in fields else None
+
+    def number(key: str, cast, default):
+        """fields[key] (default when absent) read by cast; a bad number names its field."""
+        value = fields.pop(key, default)
+        try:
+            return value if value is None else cast(value)
+        except ValueError:
+            what = "an integer" if cast is int else "a number"
+            raise ValueError(f"synth spec {key}={value} is not {what}") from None
+
+    n = number("n", int, None)
+    if n is None:
+        raise ValueError("synth spec needs n=<dimension>")
+    m = number("m", int, None)
     if kind == "sphere":
         if fields:
             raise ValueError(f"sphere spec does not take {sorted(fields)}")
         return sphere_source(n, seed=seed), m
     if kind == "dict":
-        ptrue = int(fields.pop("ptrue", default_p if default_p is not None else 0))
+        ptrue = number("ptrue", int, default_p if default_p is not None else 0)
         if ptrue < 1:
             raise ValueError("dict spec needs ptrue=<atoms> (or a --p to default to)")
-        ktrue = int(fields.pop("ktrue", 1))
-        sigma = float(fields.pop("sigma", 0.0))
+        ktrue = number("ktrue", int, 1)
+        sigma = number("sigma", float, 0.0)
         if fields:
             raise ValueError(f"dict spec does not take {sorted(fields)}")
         truth = Dictionary(uniform_sphere_matrix(n, ptrue, substream(seed, TRUTH_STREAM)))

@@ -9,29 +9,13 @@ with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 (L1Ball).  One engine per minimization codes the columns of an n x N matrix
 held to core's array rule; `repr_error` codes one signal as its N=1 case, and
 `exact_ksparse`, `greedy_ksparse` and `l1_solve` are its views.  The
-exhaustive engine is the ground truth: one stacked QR and one matrix product
-per block of supports score the full-rank supports by the energy they
-capture, each winner is solved from the QR that scored it, and ties go to
-the smallest support in lexicographic order (for k >= rank(D), the first
-basis).  The greedy engine is the fast heuristic, a
-batch OMP on D^T D and D^T X that the kernel coder runs on a Gram matrix,
-with a 1e-12 ridge on rank-deficient supports.  The l1 engine,
-`l1_solve_batch`, is exact and certified: active-set rounds (Osborne,
-Presnell & Turlach, 2000) solve each column's KKT system on its support and
-signs, whose solution lies inside the ball or on the sphere ||a||_1 = lam,
-all columns in lockstep and by one batched LU per round, starting from a
-guess's supports and signs (the learner's previous codes, or the codes
-under a nearby dictionary) or from each signal's most correlated atom.  A
-round pads every column's system to the largest support and gathers them
-all by one fancy index from the table [[G + RIDGE I, 0], [0, I]], built
-once per call.  Between rounds a column drops the first atom whose sign
-flips or adds the atom most correlated with its residual.  The Frank-Wolfe
-duality gap proves each column's error within ERR_TOL = 1e-10 of the
-optimum, and a proved column retires.  Every column still uncertified when
-the rounds end, at the rounding floor of the gap or cut off at MAX_ITERS
-rounds, takes at most NEWTON_STEPS Newton steps on its KKT system, from an
-exactly rounded residual after the first; one RuntimeWarning names the
-columns still uncertified after them.
+exhaustive engine is the ground truth, refused above EXACT_GUARD supports;
+ties go to the smallest support in lexicographic order.  The greedy engine
+is the fast heuristic, a batch OMP that the kernel coder runs on a Gram
+matrix.  The l1 engine, `l1_solve_batch`, is exact and certified: its
+duality gap proves each column's error within ERR_TOL of the optimum, and
+one RuntimeWarning names every column it leaves uncertified.  Each engine's
+docstring describes its algorithm, `l1_solve_batch`'s the l1 one.
 """
 
 from __future__ import annotations
@@ -51,14 +35,10 @@ from .core import (
     HardK,
     L1Ball,
     SparsityConstraint,
-    _finite,
     as_count,
     as_matrix,
     as_vector,
-    validate_dictionary,
 )
-from .coherence import babel
-from .bounds import _ksparse_lam
 
 # Exhaustive coding is allowed up to this many supports.
 EXACT_GUARD = 10**6
@@ -71,9 +51,7 @@ RIDGE = 1e-12
 # Q^T, and both are padded with at most 7 zero rows.
 SCORE_BLOCK = 2**18
 
-# l1 solver: the active-set rounds run at most MAX_ITERS in lockstep; a
-# column whose duality gap does not certify its error to within ERR_TOL of
-# the optimum then takes at most NEWTON_STEPS Newton steps on its KKT system.
+# l1 solver (see l1_solve_batch): certificate tolerance, cap on rounds, Newton-finish steps.
 ERR_TOL = 1e-10
 MAX_ITERS = 10_000
 NEWTON_STEPS = 3
@@ -257,15 +235,6 @@ def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.
     """
     dense, errors, _supports = _exact_columns(d, as_matrix(signals, "signals", d.n), k)
     return dense, errors
-
-
-def project_l1(v, radius: float) -> np.ndarray:
-    """Euclidean projection of a vector onto the l1 ball of the given radius."""
-    v = as_vector(v, "vector")
-    radius = _finite(radius, "lam", strict=False)
-    if radius == 0.0:
-        return np.zeros_like(v)
-    return _project_l1_columns(v[:, None], radius)[:, 0]
 
 
 def _project_l1_columns(mat: np.ndarray, radius: float) -> np.ndarray:
@@ -522,11 +491,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
 
 def l1_solve(d: Dictionary, x, lam: float) -> CodingResult:
     """Representation under the l1-ball constraint ||a||_1 <= lam: the N=1
-    case of l1_solve_batch's active-set rounds and Newton finish, with the
-    duality gap that certifies it.
-
-    lam = 0 returns the zero vector as a valid result.
-    """
+    case of l1_solve_batch, with the duality gap that certifies it.  lam = 0
+    returns the zero vector as a valid result."""
     return repr_error(d, x, L1Ball(lam))
 
 
@@ -557,17 +523,3 @@ def repr_error(d: Dictionary, x, constraint: SparsityConstraint, exact: bool = F
     error = float(np.linalg.norm(d.atoms @ dense[:, 0] - signal[:, 0]))
     return CodingResult(CoeffVector(dense[:, 0], tuple(support)), error, method, **extra)
 
-
-def coeff_l1_bound(d: Dictionary, k: int) -> float:
-    """Upper bound gamma * k / (1 - mu_{k-1}) on the l1 norm of an optimal
-    k-sparse coefficient vector for a unit signal: the k-sparse radius of
-    the bounds (bounds._ksparse_lam at delta = mu_{k-1}) times gamma.
-
-    Valid when column norms lie in [1, gamma] and mu_{k-1}(D) < 1, else
-    InapplicableError; order 0 is an empty sum, so mu_0 = 0.
-    """
-    k = as_count(k, "k", d.p)
-    problems = validate_dictionary(d)
-    if problems:
-        raise ValueError("dictionary invalid: " + "; ".join(problems))
-    return _ksparse_lam(k, babel(d, k - 1).value if k > 1 else 0.0) * d.gamma

@@ -42,6 +42,9 @@ class SearchFailureError(RuntimeError):
 NORM_TOL = 1e-9
 # A Gram matrix may differ from its transpose by this much.
 SYMMETRY_TOL = 1e-12
+# A column (a sphere draw, a drawn signal or coefficient row, a learned atom)
+# with norm below this is dead: it is redrawn, dropped or resampled.
+DEAD_ATOM_TOL = 1e-12
 
 
 def _as_array(values, name: str, ndim: int, rows: int | None) -> np.ndarray:
@@ -97,22 +100,32 @@ def _finite(value, name: str, floor: float = 0.0, strict: bool = True) -> float:
     return v
 
 
-def as_count(value, name: str, limit: int | None = None, limit_name: str = "p") -> int:
-    """A positive integer count, at most limit when limit is given; a
-    non-integral value raises instead of being truncated by int().  The one
-    rule for every bounded count: k <= p atoms (min(n, p) for greedy
-    pursuit), a Babel order k <= p - 1, a source's k_true <= p.  limit_name
-    words the limit in the message, e.g. "k must satisfy 1 <= k <= p = 5,
-    got 7"."""
+def _integer(value, name: str, floor: int) -> int:
+    """value as an int >= floor; a non-integral value raises, never truncated by int()."""
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
-    if count is None or count != value or count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if count is None or count != value or count < floor:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    return count
+
+
+def as_count(value, name: str, limit: int | None = None, limit_name: str = "p") -> int:
+    """A positive integer count, at most limit when limit is given.  The one
+    rule for every bounded count: k <= p atoms (min(n, p) for greedy
+    pursuit), a Babel order k <= p - 1, a source's k_true <= p.  limit_name
+    words the limit in the message, e.g. "k must satisfy 1 <= k <= p = 5,
+    got 7"."""
+    count = _integer(value, name, 1)
     if limit is not None and count > limit:
         raise ValueError(f"{name} must satisfy 1 <= {name} <= {limit_name} = {limit}, got {count}")
     return count
+
+
+def as_seed(value) -> int:
+    """The seed rule: every master seed is an integer >= 0, in as_count's wording."""
+    return _integer(value, "seed", 0)
 
 
 def _read_only(values) -> np.ndarray:
@@ -309,8 +322,8 @@ def uniform_sphere_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarra
     """n x p matrix whose columns are independent uniform unit-sphere draws.
 
     Each column is a standard Gaussian vector divided by its norm; draws
-    with norm below 1e-12 are rejected and redrawn.  Each try draws into
-    one length-n buffer, divided into the next column once kept, so the
+    with norm below DEAD_ATOM_TOL are rejected and redrawn.  Each try draws
+    into one length-n buffer, divided into the next column once kept, so the
     output is the one n x p array made.  Its bits and the generator's end
     state are those of a loop of rng.standard_normal(n) until p are kept.
     """
@@ -318,7 +331,7 @@ def uniform_sphere_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarra
     out, draw = np.empty((n, p)), np.empty(n)
     for column in out.T:
         norm = 0.0
-        while norm < 1e-12:
+        while norm < DEAD_ATOM_TOL:
             norm = float(np.linalg.norm(rng.standard_normal(out=draw)))
         np.divide(draw, norm, out=column)
     return out
@@ -327,8 +340,9 @@ def uniform_sphere_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarra
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Counter-derived RNG substream: substream(seed, i) is the i-th worker
     stream of a master seed, identical whether trials run serially or in
-    parallel."""
-    return default_rng(SeedSequence([int(master_seed), *[int(k) for k in key]]))
+    parallel.  The seed is held to as_seed, and SeedSequence refuses a key
+    that is not an integer >= 0."""
+    return default_rng(SeedSequence([as_seed(master_seed), *key]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .core import (
     SparsityConstraint,
     _finite,
     as_count,
+    as_seed,
     as_vector,
     me_norm,
     substream,
@@ -63,6 +64,9 @@ FAST_K_GRID = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
 # (stratification: Shawe-Taylor, Bartlett, Williamson & Anthony, IEEE Trans.
 # Inf. Theory 1998).
 DELTA_GRID = tuple(j / 20 for j in range(20))
+
+# gap_trend_nonincreasing's slack, in combined standard errors of two gaps.
+GAP_TREND_SE = 2.0
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ def mc_babel(n: int, p: int, k: int, trials: int, threshold: float = 0.5,
     does after copying them: one n x p array, so no heap trim and refault.
     """
     n, p, k, trials = as_count(n, "n"), as_count(p, "p"), as_count(k, "k"), as_count(trials, "trials")
-    threads = as_count(threads, "threads")
+    threads, seed = as_count(threads, "threads"), as_seed(seed)
     threshold = _finite(threshold, "threshold", strict=False)
     bound = babel_tail_bound(n, p, k)  # which also holds k to p - 1 at any threshold
     if threshold != 0.5:
@@ -396,7 +400,7 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
                x: float = 2.0, threads: int = 1) -> tuple[list[TrialRecord], list[GapPoint]]:
     """For each m: train on a fresh stream, measure train/test errors of the
     learned dictionary with exact coding, and evaluate the selected bound
-    variants with matched parameters.
+    variants (nonempty, none repeated) with matched parameters.
 
     k-sparse variants take delta = measured babel(D, k-1) per point, rounded
     up to DELTA_GRID at x + ln|DELTA_GRID| when k >= 2 (GapPoint.delta keeps
@@ -416,6 +420,8 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
     unknown = [v for v in variants if v not in L1_VARIANTS]
     if unknown:
         raise ValueError(f"unknown variants {unknown}; choose from {L1_VARIANTS}")
+    if not variants or len(set(variants)) < len(variants):
+        raise ValueError(f"variants must be nonempty and distinct, got {list(variants)}")
     constraint = config.constraint
     family = "l1" if isinstance(constraint, L1Ball) else "ksparse"
     k_column = float(constraint.lam) if family == "l1" else constraint.k
@@ -453,11 +459,11 @@ def gengap_run(source: SignalSource, config: LearnerConfig, m_grid: Sequence[int
     return records, points
 
 
-def gap_trend_nonincreasing(points: Sequence[GapPoint], num_se: float = 2.0) -> bool:
+def gap_trend_nonincreasing(points: Sequence[GapPoint]) -> bool:
     """True when each successive measured gap is no larger than the previous
-    one plus num_se combined standard errors."""
+    one plus GAP_TREND_SE combined standard errors."""
     ordered = sorted(points, key=lambda pt: pt.m)
     for prev, cur in zip(ordered, ordered[1:]):
-        if cur.gap > prev.gap + num_se * math.hypot(prev.gap_se, cur.gap_se):
+        if cur.gap > prev.gap + GAP_TREND_SE * math.hypot(prev.gap_se, cur.gap_se):
             return False
     return True

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEAD_ATOM_TOL,
     Dictionary,
     HardK,
     L1Ball,
@@ -24,6 +25,7 @@ from .core import (
     _read_only,
     as_count,
     as_matrix,
+    as_seed,
     substream,
     uniform_sphere_matrix,
     validate_dictionary,
@@ -33,9 +35,8 @@ from .coherence import babel
 
 INIT_KINDS = ("sample-atoms", "random-sphere")
 
-# Dictionary-update regularizer and the dead-atom threshold.
+# Dictionary-update regularizer.
 UPDATE_RIDGE = 1e-9
-DEAD_ATOM_TOL = 1e-12
 # synth_sample's dictionary branch draws blocks of about this many entries
 # of the gathered n x c x k_true atoms (c signals per block).
 SAMPLE_BLOCK = 2**18
@@ -64,7 +65,7 @@ class SignalSource:
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_count(self.n, "n"))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         object.__setattr__(self, "sigma", _finite(self.sigma, "sigma", strict=False))
         d = self.dictionary
         if d is not None and d.n != self.n:
@@ -147,7 +148,7 @@ class LearnerConfig:
             raise ValueError(f"constraint must be HardK or L1Ball, got {self.constraint!r}")
         if isinstance(self.constraint, L1Ball) and not self.exact_coder:
             raise ValueError("no greedy l1 coder: exact_coder=False needs a HardK constraint")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", as_seed(self.seed))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ from scipy.stats import binom
 
 from dlbounds.bounds import (
     BoundInputs,
+    coeff_l1_bound,
     ksparse_generalization_bound,
     l1_generalization_bound,
     log_integral_check,
 )
 from dlbounds.cli import RunManifest, argv_from_manifest, main
-from dlbounds.coders import coeff_l1_bound, exact_ksparse, greedy_ksparse
+from dlbounds.coders import exact_ksparse, greedy_ksparse
 from dlbounds.coherence import babel, babel_bruteforce
 from dlbounds.core import (
     Dictionary,

@@ -97,7 +97,6 @@ def test_flag_census():
 # tuple) it exports.  A new knob or field is declared here.
 DEFAULTED = {
     "dictionary_source": ("seed",),
-    "gap_trend_nonincreasing": ("num_se",),
     "gengap_run": ("variants", "x", "threads"),
     "kernel_cover_log": ("gamma", "lam", "k", "delta"),
     "l1_solve_batch": ("guess",),
@@ -144,7 +143,7 @@ def test_library_census():
                              if param.default is not param.empty)
                  for name, fn in functions.items()}
     assert {name: names for name, names in defaulted.items() if names} == DEFAULTED
-    assert len(functions) == 55 and sum(map(len, DEFAULTED.values())) == 24
+    assert len(functions) == 54 and sum(map(len, DEFAULTED.values())) == 23
     records = {name: tuple(f.name for f in dataclasses.fields(obj)) if dataclasses.is_dataclass(obj)
                else obj._fields
                for name, obj in exported.items()
@@ -393,7 +392,10 @@ def test_learn_synth_requires_m(capsys, tmp_path):
     ("dict:n=5", 0, "dict spec needs ptrue=<atoms> (or a --p to default to)"),
     ("dict:n=5,ptrue=3,tau=1", 3, "dict spec does not take ['tau']"),
     ("cube:n=5", 3, "unknown synth kind 'cube'; use sphere or dict"),
-], ids=["item", "repeat", "no-n", "sphere-extra", "ptrue-0", "p-0", "dict-extra", "kind"])
+    ("dict:n=8.5", 3, "synth spec n=8.5 is not an integer"),
+    ("dict:n=8,sigma=abc", 3, "synth spec sigma=abc is not a number"),
+], ids=["item", "repeat", "no-n", "sphere-extra", "ptrue-0", "p-0", "dict-extra", "kind", "int-field",
+        "float-field"])
 def test_bad_synth_spec_fails_the_cli(capsys, tmp_path, spec, p, message):
     code, _, err = run(capsys, "gengap", "--synth", spec, "--p", p, "--k", 1,
                        "--mgrid", 12, "--test-size", 20, "--out", tmp_path / "g")
@@ -437,6 +439,16 @@ def test_gengap_rejects_m_in_synth_spec(capsys, tmp_path):
     code, _, err = run(capsys, "gengap", "--synth", "sphere:n=5,m=100", "--p", 3,
                        "--k", 1, "--mgrid", "32", "--test-size", 100, "--out", tmp_path)
     assert code == 1 and "--mgrid" in err
+
+
+@pytest.mark.parametrize("variants, shown", [("", "[]"), ("slow,slow", "['slow', 'slow']")],
+                         ids=["empty", "repeat"])
+def test_gengap_refuses_empty_or_repeated_variants(capsys, tmp_path, variants, shown):
+    # an empty list would write a header-only gengap.csv, a repeated name every record twice
+    code, _, err = run(capsys, "gengap", "--synth", "sphere:n=5", "--p", 3, "--k", 1, "--mgrid", 12,
+                       "--test-size", 20, "--variants", variants, "--out", tmp_path / "g")
+    assert code == 1 and err == f"error: variants must be nonempty and distinct, got {shown}\n"
+    assert not (tmp_path / "g").exists()
 
 
 # ------------------------------------------------------- demo-nonlipschitz

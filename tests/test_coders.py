@@ -11,18 +11,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from dlbounds import coders
+from dlbounds.bounds import coeff_l1_bound
 from dlbounds.coders import (
     ERR_TOL,
     EXACT_GUARD,
     CodingResult,
-    coeff_l1_bound,
     exact_ksparse,
     exact_ksparse_batch,
     greedy_ksparse,
     greedy_ksparse_batch,
     l1_solve,
     l1_solve_batch,
-    project_l1,
     repr_error,
 )
 from dlbounds.core import (
@@ -1342,11 +1341,12 @@ def test_l1_near_twin_guesses_warn_no_more_than_a_cold_start():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 5.0, exclude_min=True))
 def test_project_l1_is_euclidean_projection(seed, radius):
+    # the fixed-point residual's projection, which takes a radius > 0
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(6) * 3
-    proj = project_l1(v, radius)
+    proj = coders._project_l1_columns(v[:, None], radius)[:, 0]
     assert np.abs(proj).sum() <= radius + 1e-9
     # no feasible point is closer
     z = rng.standard_normal(6)
@@ -1358,7 +1358,7 @@ def test_project_l1_is_euclidean_projection(seed, radius):
 
 def test_project_l1_inside_ball_untouched():
     v = np.array([0.2, -0.1, 0.05])
-    assert np.array_equal(project_l1(v, 1.0), v)
+    assert np.array_equal(coders._project_l1_columns(v[:, None], 1.0)[:, 0], v)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
@@ -1367,8 +1367,7 @@ def test_l1_rejects_bad_radius(lam):
     # solver on NaNs, so both are rejected with core._finite's message
     d = Dictionary(uniform_sphere_matrix(4, 6, substream(40, 0)))
     signals = uniform_sphere_matrix(4, 3, substream(40, 1))
-    for call in (lambda: project_l1(signals[:, 0], lam), lambda: l1_solve(d, signals[:, 0], lam),
-                 lambda: l1_solve_batch(d, signals, lam)):
+    for call in (lambda: l1_solve(d, signals[:, 0], lam), lambda: l1_solve_batch(d, signals, lam)):
         with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
             call()
 

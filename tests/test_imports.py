@@ -129,6 +129,22 @@ def test_cli_import_leaves_scipy_unloaded_until_used():
     assert run.returncode == 0, run.stderr
 
 
+def package_imports(source: str) -> list[str]:
+    """The package modules a module imports from, at any level."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return sorted(found)
+
+
+def test_coders_imports_only_core_from_the_package():
+    # the coders module holds only the coders: no bound calculator, no Babel value
+    source = "from . import core\nfrom .bounds import x\ndef f():\n    from .coherence import y\n"
+    assert package_imports(source) == ["bounds", "coherence", "core"]
+    assert package_imports((PACKAGE / "coders.py").read_text(encoding="utf-8")) == ["core"]
+
+
 def distribution_names(requirements: list[str]) -> list[str]:
     """The distribution name of each requirement string, "numpy>=1.23" -> "numpy"."""
     return [re.match(r"[\w.-]+", req).group() for req in requirements]

@@ -15,6 +15,7 @@ import pytest
 from dlbounds import experiments
 from dlbounds.bounds import (
     BoundInputs,
+    coeff_l1_bound,
     fast_rate_generic,
     ksparse_generalization_bound,
     l1_generalization_bound,
@@ -27,14 +28,12 @@ from dlbounds.bounds import (
 )
 from dlbounds.cli import main
 from dlbounds.coders import (
-    coeff_l1_bound,
     exact_ksparse,
     exact_ksparse_batch,
     greedy_ksparse,
     greedy_ksparse_batch,
     l1_solve,
     l1_solve_batch,
-    project_l1,
     repr_error,
 )
 from dlbounds.coherence import babel, babel_bruteforce, babel_from_gram
@@ -73,6 +72,7 @@ from dlbounds.kernels import (
 )
 from dlbounds.learn import (
     LearnerConfig,
+    SignalSource,
     dictionary_source,
     learn_dictionary,
     near_orthogonal_dictionary,
@@ -136,6 +136,28 @@ def test_non_integral_count_raises(name, call):
     # int() would truncate 2.5 to 2 and run at the wrong count
     with pytest.raises(ValueError, match=r"must be an integer >= 1, got (10)?2\.5$"):
         call()
+
+
+def seed_calls(s):
+    yield "substream", lambda: substream(s)
+    yield "SignalSource", lambda: SignalSource(n=3, seed=s)
+    yield "LearnerConfig", lambda: LearnerConfig(p=2, constraint=HardK(1), seed=s)
+    yield "mc_babel", lambda: mc_babel(6, 4, 1, 2, seed=s)
+    yield "nonlipschitz_demo", lambda: nonlipschitz_demo(8, 8, 2, 1e-3, seed=s, search_samples=64,
+                                                         target=0.999)
+
+
+@pytest.mark.parametrize("value", [2.5, -1], ids=["non-integral", "negative"])
+@pytest.mark.parametrize("name", [n for n, _ in seed_calls(0)])
+def test_bad_seed_raises(name, value):
+    # int() would truncate 2.5 to 2, and SeedSequence words -1 its own way
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {value}$"):
+        dict(seed_calls(value))[name]()
+
+
+def test_mc_babel_records_its_checked_seed():
+    records = mc_babel(6, 4, 1, 2, seed=3.0).records
+    assert [(type(r.seed), r.seed) for r in records] == [(int, 3)] * 2
 
 
 # Every count with a limit, as (entry, the count's name, the limit as the
@@ -343,7 +365,6 @@ def array_calls():
     yield "greedy_ksparse_batch", "signals", n, X, lambda x: greedy_ksparse_batch(D, x, 2)
     yield "exact_ksparse_batch", "signals", n, X, lambda x: exact_ksparse_batch(D, x, 2)
     yield "l1_solve_batch", "signals", n, X, lambda x: l1_solve_batch(D, x, 1.0)
-    yield "project_l1", "vector", None, X[:, 0], lambda v: project_l1(v, 1.0)
     yield "babel_from_gram", "gram", None, D.atoms.T @ D.atoms, lambda g: babel_from_gram(g, 1)
     yield "KernelFn x", "x", None, X[:, 0], lambda v: lin(v, X[:, 1])
     yield "KernelFn y", "y", None, X[:, 0], lambda v: lin(X[:, 1], v)
