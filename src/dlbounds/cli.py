@@ -25,6 +25,7 @@ from pathlib import Path
 from . import __version__
 from .core import (
     Dictionary,
+    as_count,
     load_dictionary,
     load_matrix,
     load_signal,
@@ -262,12 +263,24 @@ def _cmd_mc_babel(args) -> Path:
     return out
 
 
+def _comma_list(flag: str, text: str, cast=str) -> list:
+    """The entries of a comma-separated flag value, each read by cast ("" is
+    the empty list); an empty entry, or one that cast refuses, names the flag."""
+    items = text.split(",") if text else []
+    try:
+        if "" in items:
+            raise ValueError("an entry is empty")
+        return [cast(v) for v in items]
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r}: {exc}") from None
+
+
 def _cmd_gengap(args) -> Path:
     source, m = _parse_synth(args.synth, args.seed, args.p)
     if m is not None:
         raise ValueError("gengap takes its sample sizes from --mgrid, not the synth spec")
-    m_grid = [int(v) for v in args.mgrid.split(",") if v]
-    variants = tuple(v for v in args.variants.split(",") if v)
+    m_grid = _comma_list("--mgrid", args.mgrid, lambda v: as_count(float(v), "each entry"))
+    variants = tuple(_comma_list("--variants", args.variants))
     records, points = gengap_run(source, _learner_config(args), m_grid, args.test_size,
                                  variants=variants, x=args.x, threads=args.threads)
     out = Path(args.out)

@@ -47,8 +47,9 @@ EXACT_GUARD = 10**6
 RANK_RTOL = 1e-10
 RIDGE = 1e-12
 # Exhaustive scoring takes supports in blocks holding about this many entries
-# of Q and Q^T X, which bounds its memory; Q^T X is formed from one copy of
-# Q^T, and both are padded with at most 7 zero rows.
+# of Q and Q^T y (span coordinates, see _exact_columns), which bounds its
+# memory; Q^T y is formed from one copy of Q^T, and both are padded with at
+# most 7 zero rows.
 SCORE_BLOCK = 2**18
 
 # l1 solver (see l1_solve_batch): certificate tolerance, cap on rounds, Newton-finish steps.
@@ -138,12 +139,25 @@ def greedy_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np
     return dense, np.linalg.norm(d.atoms @ dense - signals, axis=0)
 
 
-def _first_basis(atoms: np.ndarray, k: int) -> list[int] | None:
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve R a = b for R upper triangular with a nonzero diagonal, r as
+    (..., k, k) and b as (..., k) broadcast along the leading axes: one
+    vectorized step per row, from the last."""
+    a = np.empty(np.broadcast_shapes(r.shape[:-1], b.shape))
+    for i in range(b.shape[-1] - 1, -1, -1):
+        a[..., i] = (b[..., i] - (r[..., i, i + 1:] * a[..., i + 1:]).sum(axis=-1)) / r[..., i, i]
+    return a
+
+
+def _first_basis(atoms: np.ndarray, k: int, r: np.ndarray | None = None) -> list[int] | None:
     """The lexicographically first basis of the atoms' span (independence by
     _full_rank's test), or None once more than k atoms are independent.
-    Usually atoms 0..k are: each prefix's R is the leading block of theirs,
-    so one QR answers for the whole incremental search."""
-    if k < atoms.shape[1] and _full_rank(np.linalg.qr(atoms[:, :k + 1], mode="r")):
+    Usually atoms 0..k are: each prefix's R is the leading block of the R of
+    all the atoms, r (factored here when not given), so one QR answers for
+    the whole incremental search."""
+    if r is None:
+        r = np.linalg.qr(atoms, mode="r")
+    if k < atoms.shape[1] and _full_rank(r[:k + 1, :k + 1]):
         return None
     basis: list[int] = []
     for j in range(atoms.shape[1]):
@@ -157,46 +171,65 @@ def _first_basis(atoms: np.ndarray, k: int) -> list[int] | None:
 def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     """Exhaustive k-sparse coding of the columns of an n x N matrix.
 
-    One stacked QR per block of supports, and one product of X with the
-    block's Q^T rows, stacked in C order and zero-padded to a multiple of 8
-    rows: BLAS runs other kernels on F-ordered operands and on row tails, so
-    this keeps every bit independent of the blocking.  A support scores a
-    column by the energy it captures, ||Q^T x||^2, or -inf if it fails the
-    rank test (a full-rank support spans at least as much).  Only a strictly
-    higher score wins, so ties go to the lexicographically smallest support.
-    Each column keeps its winner's R and Q^T x, and one stacked solve of
-    R a = Q^T x gives every column's coefficients, so each support is
-    factored once.  For k >= rank(D) every column takes the projection onto
-    span(D) on the first basis, padded with the lowest other atoms.  Returns
-    (coeffs p x N, errors N, supports k x N).
+    Only span(D) matters, so D = U R is factored once and supports are
+    scored in its coordinates, C = U^T D and y = U^T X (min(n, p) rows).
+    C^T is one product of D^T stacked in C order and zero-padded to a
+    multiple of 8 rows, like the block's Q^T rows below: BLAS runs other
+    kernels on F-ordered operands and on row tails, so identical atoms get
+    bit-identical columns of C, and every bit is independent of the
+    blocking.  One stacked QR per block of supports factors each C_S, and
+    one product of y with the block's Q^T rows scores it: a support scores
+    a column by the energy it captures, ||Q^T y||^2, or -inf if it fails
+    the rank test (a full-rank support spans at least as much).  Every
+    support factors its columns in one canonical order, a lexsort of C's
+    columns each signed by its first nonzero entry; supports equal up to a
+    repeated or negated atom then get the same Q (a negated column keeps
+    its Householder reflector) and tie exactly, and as only a strictly
+    higher score wins, ties go to the lexicographically smallest support.
+    Each column keeps its winner's R and Q^T y for one back-substitution
+    over all columns, so each support is factored once.  For k >= rank(D)
+    every column takes the projection onto span(D) on the first basis,
+    padded with the lowest other atoms.  Returns (coeffs p x N, errors N,
+    supports k x N).
     """
     k = as_count(k, "k", d.p)
     if comb(d.p, k) > EXACT_GUARD:
         raise GuardExceededError(f"C({d.p},{k}) = {comb(d.p, k)} exceeds guard {EXACT_GUARD}")
     atoms, n_sig = d.atoms, signals.shape[1]
-    basis = _first_basis(atoms, k)
+    u, r = np.linalg.qr(atoms)
+    basis = _first_basis(atoms, k, r)
+    dim = u.shape[1]
+    coords_t = np.zeros((d.p + -d.p % 8, d.n))
+    coords_t[:d.p] = atoms.T
+    coords = (coords_t @ u)[:d.p].T
+    y = u.T @ signals
+    dense = np.zeros((d.p, n_sig))
     if basis is not None:
         # every support then captures at most the projection, which the
         # basis attains exactly
         pad = [j for j in range(d.p) if j not in basis][:k - len(basis)]
-        dense = np.zeros((d.p, n_sig))
         if basis:
-            q, r = np.linalg.qr(atoms[:, basis])
-            # as below: R is upper triangular, so solve's LU swaps no rows
-            dense[basis] = np.linalg.solve(r, q.T @ signals)
+            q, r = np.linalg.qr(coords[:, basis])
+            dense[basis] = _back_substitute(r, y.T @ q).T
         supports = np.repeat(np.array(sorted(basis + pad))[:, None], n_sig, axis=1)
     else:
         subsets = np.array(list(combinations(range(d.p), k)))
+        lead = coords[np.argmax(coords != 0.0, axis=0), np.arange(d.p)]
+        order = np.lexsort(np.where(lead < 0.0, -coords, coords)[::-1])
+        rank = np.empty(d.p, dtype=int)
+        rank[order] = np.arange(d.p)
+        # each support's columns in the canonical order
+        columns = order[np.sort(rank[subsets], axis=1)]
         best_score = np.full(n_sig, -np.inf)
         best_sub = np.zeros(n_sig, dtype=int)
         best_r = np.zeros((n_sig, k, k))
-        best_qtx = np.zeros((n_sig, k))
-        block = max(1, SCORE_BLOCK // (k * (d.n + n_sig)))
+        best_qty = np.zeros((n_sig, k))
+        block = max(1, SCORE_BLOCK // (k * (dim + n_sig)))
         for lo in range(0, len(subsets), block):
-            q, r = np.linalg.qr(atoms[:, subsets[lo:lo + block]].transpose(1, 0, 2))
-            qt = np.zeros((len(q) * k + -len(q) * k % 8, d.n))
-            qt[:len(q) * k].reshape(len(q), k, d.n)[:] = q.transpose(0, 2, 1)
-            proj = (qt @ signals)[:len(q) * k].reshape(len(q), k, n_sig)
+            q, r = np.linalg.qr(coords[:, columns[lo:lo + block]].transpose(1, 0, 2))
+            qt = np.zeros((len(q) * k + -len(q) * k % 8, dim))
+            qt[:len(q) * k].reshape(len(q), k, dim)[:] = q.transpose(0, 2, 1)
+            proj = (qt @ y)[:len(q) * k].reshape(len(q), k, n_sig)
             score = np.einsum("sij,sij->sj", proj, proj)
             score[~_full_rank(r)] = -np.inf
             top = np.argmax(score, axis=0)
@@ -205,12 +238,9 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
             best_score[better] = top_score[better]
             best_sub[better] = lo + top[better]
             best_r[better] = r[top[better]]
-            best_qtx[better] = proj[top[better], :, better]
-        # R is exactly upper triangular, so the LU inside solve swaps no rows
-        coef = np.linalg.solve(best_r, best_qtx[..., None])[..., 0]
+            best_qty[better] = proj[top[better], :, better]
+        dense[columns[best_sub].T, np.arange(n_sig)] = _back_substitute(best_r, best_qty).T
         supports = subsets[best_sub].T
-        dense = np.zeros((d.p, n_sig))
-        dense[supports, np.arange(n_sig)] = coef.T
     # the errors take one n x N array: the residual, squared in place
     resid = atoms @ dense
     resid -= signals

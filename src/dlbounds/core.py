@@ -123,9 +123,10 @@ def as_count(value, name: str, limit: int | None = None, limit_name: str = "p") 
     return count
 
 
-def as_seed(value) -> int:
-    """The seed rule: every master seed is an integer >= 0, in as_count's wording."""
-    return _integer(value, "seed", 0)
+def as_seed(value, name: str = "seed") -> int:
+    """The seed rule: every master seed, and every stream key a caller
+    passes on to substream, is an integer >= 0, in as_count's wording."""
+    return _integer(value, name, 0)
 
 
 def _read_only(values) -> np.ndarray:
@@ -240,11 +241,12 @@ class CoeffVector:
 
     def __post_init__(self):
         v = as_vector(self.values, "coefficients")
-        support = tuple(sorted(int(i) for i in self.support))
-        if len(set(support)) != len(support):
-            raise ValueError("support indices must be distinct")
+        support = tuple(sorted(self.support))
         if support and (support[0] < 0 or support[-1] >= v.size):
             raise ValueError("support index out of range")
+        support = tuple(_integer(i, "support index", 0) for i in support)
+        if len(set(support)) != len(support):
+            raise ValueError("support indices must be distinct")
         off = np.ones(v.size, dtype=bool)
         off[list(support)] = False
         if np.any(v[off] != 0.0):

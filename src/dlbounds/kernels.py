@@ -117,7 +117,8 @@ def kernel_from_name(name: str) -> KernelFn:
         if base == "gaussian" and arg:
             return gaussian_kernel(float(arg))
         if base == "poly" and arg:
-            return polynomial_kernel(int(arg))
+            # read as a number, so that the degree is held to the count rule
+            return polynomial_kernel(float(arg))
     except ValueError as exc:
         raise ValueError(f"bad kernel spec {name!r}: {exc}") from None
     raise ValueError(f"unknown kernel {name!r}; use linear, gaussian:SIGMA, or poly:DEGREE")

@@ -94,7 +94,7 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
     noise only if sigma > 0.  Signals with a coefficient or signal norm
     below DEAD_ATOM_TOL are dropped and replaced from further blocks."""
     m = as_count(m, "m")
-    rng = substream(source.seed, stream)
+    rng = substream(source.seed, as_seed(stream, "stream"))
     if source.dictionary is None:
         return SignalBatch(uniform_sphere_matrix(source.n, m, rng))
     atoms, k, sigma = source.dictionary.atoms, source.k_true, source.sigma

@@ -328,6 +328,9 @@ def test_exact_matches_lstsq_reference():
         *((Dictionary(uniform_sphere_matrix(8, 12, substream(2, i))), 3,
            sample_uniform_sphere(8, substream(3, i)).values[:, None]) for i in range(30)),
         (Dictionary(_repeated_atom(5, 8, 5)), 2, uniform_sphere_matrix(5, 6, substream(5, 1))),
+        # n >> p, where the supports are scored in p span coordinates
+        (Dictionary(uniform_sphere_matrix(64, 8, substream(7, 0))), 3,
+         uniform_sphere_matrix(64, 20, substream(7, 1))),
     ]
     for d, k, signals in cases:
         coeffs, errors, supports = coders._exact_columns(d, signals, k)
@@ -341,6 +344,25 @@ def test_exact_matches_lstsq_reference():
             assert single.coeffs.values[list(support)] == pytest.approx(coef, abs=1e-10)
             assert coeffs[list(support), j] == pytest.approx(coef, abs=1e-10)
             assert not np.delete(coeffs[:, j], list(support)).any()
+
+
+def test_exact_ties_go_to_the_smallest_support():
+    # atom p - 1 copies or negates atom j, so a support holding p - 1 but
+    # not j spans what the same support with j in its place spans, and is
+    # the larger of the two: it ties exactly and never wins
+    for sign in (1.0, -1.0):
+        for i in range(300):
+            rng = substream(900, i)
+            n, p = int(rng.integers(4, 9)), int(rng.integers(5, 9))
+            j = int(rng.integers(p - 1))
+            atoms = uniform_sphere_matrix(n, p, rng)
+            signals = uniform_sphere_matrix(n, 20, rng)
+            atoms[:, p - 1] = sign * atoms[:, j]
+            d = Dictionary(atoms)
+            supports = coders._exact_columns(d, signals, 2)[2]
+            larger = (supports == p - 1).any(axis=0) & ~(supports == j).any(axis=0)
+            assert not larger.any(), (sign, i, supports[:, larger])
+            assert p - 1 not in exact_ksparse(d, signals[:, 0], 2).coeffs.support
 
 
 def test_exact_factors_each_support_once(monkeypatch):

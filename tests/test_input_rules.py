@@ -78,6 +78,7 @@ from dlbounds.learn import (
     near_orthogonal_dictionary,
     signals_to_matrix,
     sphere_source,
+    synth_sample,
 )
 
 D = Dictionary(uniform_sphere_matrix(4, 6, substream(21, 0)))
@@ -153,6 +154,39 @@ def test_bad_seed_raises(name, value):
     # int() would truncate 2.5 to 2, and SeedSequence words -1 its own way
     with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {value}$"):
         dict(seed_calls(value))[name]()
+
+
+def test_non_integral_stream_key_raises():
+    # the seed rule's wording, not SeedSequence's TypeError
+    with pytest.raises(ValueError, match=r"^stream must be an integer >= 0, got 2\.5$"):
+        synth_sample(SignalSource(n=3), 4, stream=2.5)
+
+
+def test_non_integral_support_index_raises():
+    # int() would truncate 0.7 to support (0,)
+    with pytest.raises(ValueError, match=r"^support index must be an integer >= 0, got 0\.7$"):
+        CoeffVector(np.array([1.0, 0.0, 0.0]), (0.7,))
+
+
+def test_non_integral_poly_degree_raises():
+    message = r"^bad kernel spec 'poly:2\.5': degree must be an integer >= 1, got 2\.5$"
+    with pytest.raises(ValueError, match=message):
+        kernel_from_name("poly:2.5")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--mgrid", "12.5", "each entry must be an integer >= 1, got 12.5"),
+    ("--mgrid", "12,,16", "an entry is empty"),
+    ("--variants", "slow,", "an entry is empty"),
+], ids=["non-integral", "empty-entry", "variants-empty-entry"])
+def test_bad_comma_list_fails_the_cli(flag, value, message, tmp_path, capsys):
+    # an empty entry was dropped, so 12,,16 ran m = 12, 16
+    lists = {"--mgrid": "12", "--variants": "slow", flag: value}
+    rc = main(["gengap", "--synth", "sphere:n=4", "--p", "3", "--k", "1", "--test-size", "20",
+               *(arg for item in lists.items() for arg in item), "--out", str(tmp_path / "g")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag} {value!r}: {message}\n"
+    assert not (tmp_path / "g").exists()
 
 
 def test_mc_babel_records_its_checked_seed():
