@@ -149,14 +149,12 @@ def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
-def _first_basis(atoms: np.ndarray, k: int, r: np.ndarray | None = None) -> list[int] | None:
+def _first_basis(atoms: np.ndarray, k: int, r: np.ndarray) -> list[int] | None:
     """The lexicographically first basis of the atoms' span (independence by
     _full_rank's test), or None once more than k atoms are independent.
-    Usually atoms 0..k are: each prefix's R is the leading block of the R of
-    all the atoms, r (factored here when not given), so one QR answers for
-    the whole incremental search."""
-    if r is None:
-        r = np.linalg.qr(atoms, mode="r")
+    Usually atoms 0..k are: each prefix's R is the leading block of r, the R
+    of all the atoms, so the caller's one QR answers for the whole
+    incremental search."""
     if k < atoms.shape[1] and _full_rank(r[:k + 1, :k + 1]):
         return None
     basis: list[int] = []

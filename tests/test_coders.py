@@ -3,7 +3,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -349,12 +349,15 @@ def test_exact_matches_lstsq_reference():
 def test_exact_ties_go_to_the_smallest_support():
     # atom p - 1 copies or negates atom j, so a support holding p - 1 but
     # not j spans what the same support with j in its place spans, and is
-    # the larger of the two: it ties exactly and never wins
-    for sign in (1.0, -1.0):
+    # the larger of the two: it ties exactly and never wins.  With p > 8 the
+    # copy and its original (j < 8) sit in different 8-row groups of the
+    # padded products
+    beds = [(900, (4, 9), (5, 9)), (901, (4, 17), (9, 21))]  # (key, n range, p range)
+    for (key, n_range, p_range), sign in product(beds, (1.0, -1.0)):
         for i in range(300):
-            rng = substream(900, i)
-            n, p = int(rng.integers(4, 9)), int(rng.integers(5, 9))
-            j = int(rng.integers(p - 1))
+            rng = substream(key, i)
+            n, p = int(rng.integers(*n_range)), int(rng.integers(*p_range))
+            j = int(rng.integers(min(p - 1, 8)))
             atoms = uniform_sphere_matrix(n, p, rng)
             signals = uniform_sphere_matrix(n, 20, rng)
             atoms[:, p - 1] = sign * atoms[:, j]
@@ -377,7 +380,7 @@ def test_exact_factors_each_support_once(monkeypatch):
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
-    assert coders._first_basis(d.atoms, k) is None
+    assert coders._first_basis(d.atoms, k, np.linalg.qr(d.atoms, mode="r")) is None
     basis_calls = len(calls)
     # C(9, 3) = 84 supports: one block by default, 9 blocks of 10
     for budget, blocks in ((coders.SCORE_BLOCK, 1), (10 * k * (d.n + signals.shape[1]), 9)):
@@ -412,12 +415,13 @@ def test_first_basis_agrees_with_incremental_search(monkeypatch):
         near[:, 1] = (base[:, 0] + delta * orth) / np.linalg.norm(base[:, 0] + delta * orth)
         cases.append(near)
     for atoms in cases:
+        r = np.linalg.qr(atoms, mode="r")
         for k in range(1, atoms.shape[1] + 1):  # up to k = p, past k = rank
-            assert coders._first_basis(atoms, k) == _first_basis_reference(atoms, k)
+            assert coders._first_basis(atoms, k, r) == _first_basis_reference(atoms, k)
     # when atoms 0..k are independent, one QR decides
     calls, qr = [], np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(1) or qr(*args, **kwargs))
-    assert coders._first_basis(base, 3) is None and len(calls) == 1
+    assert coders._first_basis(base, 3, np.linalg.qr(base, mode="r")) is None and len(calls) == 1
 
 
 def test_exact_rank_deficient_support_never_wins():
