@@ -10,11 +10,13 @@ with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 held to core's array rule; `repr_error` codes one signal as its N=1 case, and
 `exact_ksparse`, `greedy_ksparse` and `l1_solve` are its views.  The
 exhaustive engine is the ground truth, refused above EXACT_GUARD supports;
-ties go to the smallest support in lexicographic order.  The greedy engine
-is the fast heuristic, a batch OMP that the kernel coder runs on a Gram
-matrix.  The l1 engine, `l1_solve_batch`, is exact and certified: its
-duality gap proves each column's error within ERR_TOL of the optimum, and
-one RuntimeWarning names every column it leaves uncertified.  Each engine's
+ties between supports equal up to a repeated or negated atom go to the
+lexicographically smallest, since a copy is never scored, and supports of
+distinct atoms with one span tie only up to rounding.  The greedy engine is
+the fast heuristic, a batch OMP that the kernel coder runs on a Gram matrix.
+The l1 engine, `l1_solve_batch`, is exact and certified: its duality gap
+proves each column's error within ERR_TOL of the optimum, and one
+RuntimeWarning names every column it leaves uncertified.  Each engine's
 docstring describes its algorithm, `l1_solve_batch`'s the l1 one.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -46,10 +48,9 @@ EXACT_GUARD = 10**6
 # Least-squares rank test and the ridge applied when it fails.
 RANK_RTOL = 1e-10
 RIDGE = 1e-12
-# Exhaustive scoring takes supports in blocks holding about this many entries
-# of Q and Q^T y (span coordinates, see _exact_columns), which bounds its
-# memory; Q^T y is formed from one copy of Q^T, and both are padded with at
-# most 7 zero rows.
+# Exhaustive scoring draws and scores supports in blocks holding about this many
+# entries of Q and Q^T y (span coordinates, see _exact_columns), which bounds
+# its memory; Q^T y is formed from one copy of Q^T, padded with <= 7 zero rows.
 SCORE_BLOCK = 2**18
 
 # l1 solver (see l1_solve_batch): certificate tolerance, cap on rounds, Newton-finish steps.
@@ -169,76 +170,71 @@ def _first_basis(atoms: np.ndarray, k: int, r: np.ndarray) -> list[int] | None:
 def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     """Exhaustive k-sparse coding of the columns of an n x N matrix.
 
-    Only span(D) matters, so D = U R is factored once and supports are
-    scored in its coordinates, C = U^T D and y = U^T X (min(n, p) rows).
-    C^T is one product of D^T stacked in C order and zero-padded to a
-    multiple of 8 rows, like the block's Q^T rows below: BLAS runs other
-    kernels on F-ordered operands and on row tails, so identical atoms get
-    bit-identical columns of C, and every bit is independent of the
-    blocking.  One stacked QR per block of supports factors each C_S, and
-    one product of y with the block's Q^T rows scores it: a support scores
-    a column by the energy it captures, ||Q^T y||^2, or -inf if it fails
-    the rank test (a full-rank support spans at least as much).  Every
-    support factors its columns in one canonical order, a lexsort of C's
-    columns each signed by its first nonzero entry; supports equal up to a
-    repeated or negated atom then get the same Q (a negated column keeps
-    its Householder reflector) and tie exactly, and as only a strictly
-    higher score wins, ties go to the lexicographically smallest support.
-    Each column keeps its winner's R and Q^T y for one back-substitution
-    over all columns, so each support is factored once.  For k >= rank(D)
-    every column takes the projection onto span(D) on the first basis,
-    padded with the lowest other atoms.  Returns (coeffs p x N, errors N,
-    supports k x N).
+    Only span(D) matters, so D = U R is factored once and supports are scored
+    in its coordinates, R and y = U^T X (min(n, p) rows).  Each block of
+    supports, drawn as it is scored, takes one stacked QR of its R_S and one
+    product of y with its Q^T rows, zero-padded to a multiple of 8 (BLAS runs
+    other kernels on row tails, so every bit is independent of the blocking): a
+    support scores a column by the energy it captures, ||Q^T y||^2, or -inf if
+    it fails the rank test (a full-rank support spans at least as much).  Only
+    a strictly higher score wins, so ties go to the lexicographically smallest
+    support.  An atom equal to an earlier one up to sign makes R fail the rank
+    test, and then such copies are left out: a support holding one spans what
+    the smaller support holding the original spans, so those ties hold by
+    construction; supports of distinct atoms with one span tie only up to
+    rounding.  Each column keeps its winning support, R and Q^T y for one
+    back-substitution over all columns, so each support is factored once.  For
+    k >= rank(D) every column takes the projection onto span(D) on the first
+    basis, padded with the lowest other atoms.  Returns (coeffs p x N, errors
+    N, supports k x N).
     """
     k = as_count(k, "k", d.p)
     if comb(d.p, k) > EXACT_GUARD:
         raise GuardExceededError(f"C({d.p},{k}) = {comb(d.p, k)} exceeds guard {EXACT_GUARD}")
-    atoms, n_sig = d.atoms, signals.shape[1]
+    atoms = d.atoms
     u, r = np.linalg.qr(atoms)
     basis = _first_basis(atoms, k, r)
-    dim = u.shape[1]
-    coords_t = np.zeros((d.p + -d.p % 8, d.n))
-    coords_t[:d.p] = atoms.T
-    coords = (coords_t @ u)[:d.p].T
     y = u.T @ signals
+    dim, n_sig = y.shape
     dense = np.zeros((d.p, n_sig))
     if basis is not None:
         # every support then captures at most the projection, which the
         # basis attains exactly
         pad = [j for j in range(d.p) if j not in basis][:k - len(basis)]
         if basis:
-            q, r = np.linalg.qr(coords[:, basis])
+            q, r = np.linalg.qr(r[:, basis])
             dense[basis] = _back_substitute(r, y.T @ q).T
         supports = np.repeat(np.array(sorted(basis + pad))[:, None], n_sig, axis=1)
     else:
-        subsets = np.array(list(combinations(range(d.p), k)))
-        lead = coords[np.argmax(coords != 0.0, axis=0), np.arange(d.p)]
-        order = np.lexsort(np.where(lead < 0.0, -coords, coords)[::-1])
-        rank = np.empty(d.p, dtype=int)
-        rank[order] = np.arange(d.p)
-        # each support's columns in the canonical order
-        columns = order[np.sort(rank[subsets], axis=1)]
+        distinct = range(d.p)
+        if not _full_rank(r):
+            # the atoms, each signed by its first nonzero entry, compared bit for bit
+            lead = atoms[np.argmax(atoms != 0.0, axis=0), np.arange(d.p)]
+            signed = np.ascontiguousarray(np.where(lead < 0.0, -atoms, atoms).T) + 0.0  # no -0.0
+            distinct = np.sort(np.unique(signed.view(f"V{8 * d.n}")[:, 0], return_index=True)[1]).tolist()
+        todo = combinations(distinct, k)  # over k + 1 or more atoms, as more than k are independent
         best_score = np.full(n_sig, -np.inf)
-        best_sub = np.zeros(n_sig, dtype=int)
+        best_sup = np.zeros((n_sig, k), dtype=np.intp)
         best_r = np.zeros((n_sig, k, k))
         best_qty = np.zeros((n_sig, k))
         block = max(1, SCORE_BLOCK // (k * (dim + n_sig)))
-        for lo in range(0, len(subsets), block):
-            q, r = np.linalg.qr(coords[:, columns[lo:lo + block]].transpose(1, 0, 2))
+        for _ in range(0, comb(len(distinct), k), block):
+            subs = np.fromiter(chain.from_iterable(islice(todo, block)), dtype=np.intp).reshape(-1, k)
+            q, rs = np.linalg.qr(r[:, subs].transpose(1, 0, 2))
             qt = np.zeros((len(q) * k + -len(q) * k % 8, dim))
             qt[:len(q) * k].reshape(len(q), k, dim)[:] = q.transpose(0, 2, 1)
             proj = (qt @ y)[:len(q) * k].reshape(len(q), k, n_sig)
             score = np.einsum("sij,sij->sj", proj, proj)
-            score[~_full_rank(r)] = -np.inf
+            score[~_full_rank(rs)] = -np.inf
             top = np.argmax(score, axis=0)
             top_score = score[top, np.arange(n_sig)]
             better = np.flatnonzero(top_score > best_score)
             best_score[better] = top_score[better]
-            best_sub[better] = lo + top[better]
-            best_r[better] = r[top[better]]
+            best_sup[better] = subs[top[better]]
+            best_r[better] = rs[top[better]]
             best_qty[better] = proj[top[better], :, better]
-        dense[columns[best_sub].T, np.arange(n_sig)] = _back_substitute(best_r, best_qty).T
-        supports = subsets[best_sub].T
+        dense[best_sup.T, np.arange(n_sig)] = _back_substitute(best_r, best_qty).T
+        supports = best_sup.T
     # the errors take one n x N array: the residual, squared in place
     resid = atoms @ dense
     resid -= signals
@@ -249,7 +245,9 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
 def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
     """Exhaustive k-sparse coder: the best of every size-k support.
 
-    Ties break toward the lexicographically smallest support.  Refuses
+    Ties between supports equal up to a repeated or negated atom go to the
+    lexicographically smallest, since a copy is never scored; supports of
+    distinct atoms with one span tie only up to rounding.  Refuses
     instances with more than EXACT_GUARD supports.
     """
     return repr_error(d, x, HardK(k), exact=True)

@@ -396,9 +396,9 @@ def load_dictionary(path) -> Dictionary:
     gamma = None
     if meta_path.exists():
         meta = json.loads(meta_path.read_text())
-        if "n" in meta and int(meta["n"]) != atoms.shape[0]:
+        if "n" in meta and as_count(meta["n"], f"{path}: sidecar n") != atoms.shape[0]:
             raise ValueError(f"{path}: sidecar n={meta['n']} but file has {atoms.shape[0]} rows")
-        if "p" in meta and int(meta["p"]) != atoms.shape[1]:
+        if "p" in meta and as_count(meta["p"], f"{path}: sidecar p") != atoms.shape[1]:
             raise ValueError(f"{path}: sidecar p={meta['p']} but file has {atoms.shape[1]} columns")
         if "gamma" in meta:
             gamma = float(meta["gamma"])

@@ -368,6 +368,47 @@ def test_exact_ties_go_to_the_smallest_support():
             assert p - 1 not in exact_ksparse(d, signals[:, 0], 2).coeffs.support
 
 
+def test_exact_ties_within_one_span_of_distinct_atoms_hold_up_to_rounding():
+    # atom p - 1 lies in the plane of atoms 0 and 1, so (0, 1), (0, p - 1)
+    # and (1, p - 1) share one span and tie only up to rounding: which of
+    # them wins is not pinned, but every winner is full rank and optimal
+    for i in range(300):
+        rng = substream(4243, i)
+        n, p = int(rng.integers(3, 6)), int(rng.integers(4, 7))
+        atoms = uniform_sphere_matrix(n, p, rng)
+        plane = atoms[:, :2] @ rng.standard_normal(2)
+        atoms[:, p - 1] = plane / np.linalg.norm(plane)
+        signals = uniform_sphere_matrix(n, 50, rng)
+        d = Dictionary(atoms)
+        optimum = np.full(50, np.inf)
+        for support in combinations(range(p), 2):
+            fit = atoms[:, support] @ np.linalg.lstsq(atoms[:, support], signals, rcond=None)[0]
+            optimum = np.minimum(optimum, np.linalg.norm(signals - fit, axis=0))
+        _coeffs, errors, supports = coders._exact_columns(d, signals, 2)
+        assert errors == pytest.approx(optimum, abs=1e-12)
+        winners = {tuple(s) for s in supports.T}
+        for j in range(3):
+            single = exact_ksparse(d, signals[:, j], 2)
+            assert single.error == pytest.approx(optimum[j], abs=1e-12)
+            winners.add(single.coeffs.support)
+        assert all(np.linalg.matrix_rank(atoms[:, s]) == 2 for s in winners), (i, winners)
+
+
+def test_exact_memory_is_bounded_by_the_block_size():
+    # C(18, 9) = 48,620 supports: each block's supports are drawn as it is
+    # scored, so no table of all of them is ever built
+    d = Dictionary(uniform_sphere_matrix(10, 18, substream(50, 0)))
+    x = uniform_sphere_matrix(10, 1, substream(50, 1))
+    tracemalloc.start()
+    try:
+        _coeffs, errors, _supports = coders._exact_columns(d, x, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * coders.SCORE_BLOCK * 8
+    assert errors[0] <= greedy_ksparse(d, x[:, 0], 9).error + 1e-12
+
+
 def test_exact_factors_each_support_once(monkeypatch):
     # the winners are solved from the QRs that scored them: one stacked QR
     # per scoring block, plus the first-basis search, and no QR per winner

@@ -379,6 +379,9 @@ def test_dictionary_roundtrip_with_sidecar(tmp_path):
 @pytest.mark.parametrize("field, value, message", [
     ("n", 5, "sidecar n=5 but file has 4 rows"),
     ("p", 7, "sidecar p=7 but file has 6 columns"),
+    ("n", 4.5, "sidecar n must be an integer >= 1, got 4.5"),
+    ("p", 6.9, "sidecar p must be an integer >= 1, got 6.9"),
+    ("n", "x", "sidecar n must be an integer >= 1, got 'x'"),
 ])
 def test_dictionary_refuses_a_sidecar_that_does_not_match(tmp_path, field, value, message):
     path = tmp_path / "d.csv"
