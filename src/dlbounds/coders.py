@@ -48,9 +48,11 @@ EXACT_GUARD = 10**6
 # Least-squares rank test and the ridge applied when it fails.
 RANK_RTOL = 1e-10
 RIDGE = 1e-12
-# Exhaustive scoring draws and scores supports in blocks holding about this many
-# entries of Q and Q^T y (span coordinates, see _exact_columns), which bounds
-# its memory; Q^T y is formed from one copy of Q^T, padded with <= 7 zero rows.
+# Exhaustive scoring bounds its working memory by this many entries: it draws
+# and scores supports in blocks holding about this many entries of Q and Q^T y
+# (span coordinates, see _exact_columns), y taken in chunks of columns whose
+# n-row residual holds at most a quarter of it.  Only the outputs, y and each
+# column's best-support record grow with the number of signals.
 SCORE_BLOCK = 2**18
 
 # l1 solver (see l1_solve_batch): certificate tolerance, cap on rounds, Newton-finish steps.
@@ -167,26 +169,43 @@ def _first_basis(atoms: np.ndarray, k: int, r: np.ndarray) -> list[int] | None:
     return basis
 
 
+def _padded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with b's columns zero-padded to a multiple of 8, the product's
+    padding columns kept (they are zero where b's are).  BLAS runs other
+    kernels on column tails, and numpy a matrix-vector product on one column,
+    so each column's bits then depend on that column alone, not on how many
+    columns share the product, wherever BLAS runs one thread: some threaded
+    kernel sets (Haswell, Nehalem) round a wide product differently."""
+    tail = -b.shape[1] % 8
+    if tail:
+        b = np.concatenate([b, np.zeros((b.shape[0], tail))], axis=1)
+    return a @ b
+
+
 def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     """Exhaustive k-sparse coding of the columns of an n x N matrix.
 
     Only span(D) matters, so D = U R is factored once and supports are scored
     in its coordinates, R and y = U^T X (min(n, p) rows).  Each block of
-    supports, drawn as it is scored, takes one stacked QR of its R_S and one
-    product of y with its Q^T rows, zero-padded to a multiple of 8 (BLAS runs
-    other kernels on row tails, so every bit is independent of the blocking): a
-    support scores a column by the energy it captures, ||Q^T y||^2, or -inf if
-    it fails the rank test (a full-rank support spans at least as much).  Only
-    a strictly higher score wins, so ties go to the lexicographically smallest
-    support.  An atom equal to an earlier one up to sign makes R fail the rank
-    test, and then such copies are left out: a support holding one spans what
-    the smaller support holding the original spans, so those ties hold by
-    construction; supports of distinct atoms with one span tie only up to
-    rounding.  Each column keeps its winning support, R and Q^T y for one
-    back-substitution over all columns, so each support is factored once.  For
-    k >= rank(D) every column takes the projection onto span(D) on the first
-    basis, padded with the lowest other atoms.  Returns (coeffs p x N, errors
-    N, supports k x N).
+    supports, drawn as it is scored, takes one stacked QR of its R_S; its Q^T
+    rows, zero-padded to a multiple of 8, then score y one chunk of columns
+    at a time, and the residual's errors are summed chunk by chunk too.
+    Every product's columns are padded like its rows (_padded_product), so on
+    one BLAS thread every bit is independent of the blocking and the
+    chunking.  A support scores a column by the energy it captures,
+    ||Q^T y||^2, or -inf if it fails the rank test (a full-rank support spans
+    at least as much).  Only a strictly higher score wins, so ties go to the
+    lexicographically smallest support.  An atom equal to an earlier one up
+    to sign makes R fail the rank test, and then such copies are left out: a
+    support holding one spans what the smaller support holding the original
+    spans, so those ties hold by construction; supports of distinct atoms
+    with one span tie only up to rounding.  Each column keeps its winning
+    support, R and Q^T y for one back-substitution, so each support is
+    factored once.  For k >= rank(D) every column takes the projection onto
+    span(D) on the first basis, padded with the lowest other atoms.
+    SCORE_BLOCK sizes the support blocks and the column chunks, so only the
+    outputs, y and each column's best score, support, R and Q^T y grow with
+    N.  Returns (coeffs p x N, errors N, supports k x N).
     """
     k = as_count(k, "k", d.p)
     if comb(d.p, k) > EXACT_GUARD:
@@ -194,8 +213,13 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     atoms = d.atoms
     u, r = np.linalg.qr(atoms)
     basis = _first_basis(atoms, k, r)
-    y = u.T @ signals
-    dim, n_sig = y.shape
+    dim, n_sig = r.shape[0], signals.shape[1]
+    # chunks of a multiple of 8 columns, so only the last one is padded; the
+    # residual's n x width chunk is then at most a quarter of SCORE_BLOCK.
+    # Each holds its columns, their count and their padded y
+    width = min(n_sig, 8 * max(1, SCORE_BLOCK // (32 * d.n)))
+    chunks = [(slice(lo, lo + width), min(width, n_sig - lo), _padded_product(u.T, signals[:, lo:lo + width]))
+              for lo in range(0, n_sig, width)]
     dense = np.zeros((d.p, n_sig))
     if basis is not None:
         # every support then captures at most the projection, which the
@@ -203,7 +227,8 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
         pad = [j for j in range(d.p) if j not in basis][:k - len(basis)]
         if basis:
             q, r = np.linalg.qr(r[:, basis])
-            dense[basis] = _back_substitute(r, y.T @ q).T
+            for cols, w, y in chunks:
+                dense[basis, cols] = _back_substitute(r, (y.T @ q)[:w]).T
         supports = np.repeat(np.array(sorted(basis + pad))[:, None], n_sig, axis=1)
     else:
         distinct = range(d.p)
@@ -217,29 +242,36 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
         best_sup = np.zeros((n_sig, k), dtype=np.intp)
         best_r = np.zeros((n_sig, k, k))
         best_qty = np.zeros((n_sig, k))
-        block = max(1, SCORE_BLOCK // (k * (dim + n_sig)))
+        block = max(1, SCORE_BLOCK // (k * (dim + width)))
         for _ in range(0, comb(len(distinct), k), block):
             subs = np.fromiter(chain.from_iterable(islice(todo, block)), dtype=np.intp).reshape(-1, k)
             q, rs = np.linalg.qr(r[:, subs].transpose(1, 0, 2))
             qt = np.zeros((len(q) * k + -len(q) * k % 8, dim))
             qt[:len(q) * k].reshape(len(q), k, dim)[:] = q.transpose(0, 2, 1)
-            proj = (qt @ y)[:len(q) * k].reshape(len(q), k, n_sig)
-            score = np.einsum("sij,sij->sj", proj, proj)
-            score[~_full_rank(rs)] = -np.inf
-            top = np.argmax(score, axis=0)
-            top_score = score[top, np.arange(n_sig)]
-            better = np.flatnonzero(top_score > best_score)
-            best_score[better] = top_score[better]
-            best_sup[better] = subs[top[better]]
-            best_r[better] = rs[top[better]]
-            best_qty[better] = proj[top[better], :, better]
-        dense[best_sup.T, np.arange(n_sig)] = _back_substitute(best_r, best_qty).T
+            failed = ~_full_rank(rs)
+            for cols, w, y in chunks:
+                proj = (qt @ y)[:len(q) * k].reshape(len(q), k, -1)
+                score = np.einsum("sij,sij->sj", proj, proj)[:, :w]
+                score[failed] = -np.inf
+                top = np.argmax(score, axis=0)
+                top_score = score[top, np.arange(w)]
+                better = np.flatnonzero(top_score > best_score[cols])
+                into = cols.start + better
+                best_score[into] = top_score[better]
+                best_sup[into] = subs[top[better]]
+                best_r[into] = rs[top[better]]
+                best_qty[into] = proj[top[better], :, better]
+        for cols, w, _y in chunks:
+            dense[best_sup[cols].T, cols.start + np.arange(w)] = _back_substitute(best_r[cols], best_qty[cols]).T
         supports = best_sup.T
-    # the errors take one n x N array: the residual, squared in place
-    resid = atoms @ dense
-    resid -= signals
-    resid *= resid
-    return dense, np.sqrt(resid.sum(axis=0)), supports
+    # the errors take one n x width array per chunk: the residual, squared in place
+    errors = np.empty(n_sig)
+    for cols, w, _y in chunks:
+        resid = _padded_product(atoms, dense[:, cols])
+        resid[:, :w] -= signals[:, cols]
+        resid *= resid
+        errors[cols] = np.sqrt(resid.sum(axis=0))[:w]
+    return dense, errors, supports
 
 
 def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:

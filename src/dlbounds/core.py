@@ -205,7 +205,9 @@ class SignalBatch(Sequence):
     """m unit-norm signals in R^n, stored as the columns of one read-only
     n x m array (`values`), checked once by the matrix rule (as_matrix) and
     every column by Signal's unit-sphere test.  The array is a C-contiguous
-    copy, since numpy's products round a strided matrix differently.  An
+    copy of the caller's, since numpy's products round a strided matrix
+    differently; the library's samplers hand their fresh output over
+    uncopied (_adopt), so a sampled batch holds its one n x m array.  An
     integer index yields a Signal; a slice (or an index array) yields a
     SignalBatch of those columns, which must be nonempty.  Equality and
     hashing are by identity."""
@@ -213,11 +215,24 @@ class SignalBatch(Sequence):
     values: np.ndarray
 
     def __post_init__(self):
-        v = as_matrix(_read_only(self.values), "signal batch")
+        self._hold(_read_only(self.values))
+
+    def _hold(self, values: np.ndarray) -> None:
+        v = as_matrix(values, "signal batch")
         # einsum's column norms make no n x m temporary
         if np.any(np.abs(np.sqrt(np.einsum("ij,ij->j", v, v)) - 1.0) > NORM_TOL):
             raise ValueError("signal flagged as unit-sphere has norm != 1")
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "SignalBatch":
+        """The batch of a float, C-contiguous array that its maker hands
+        over and never writes again: the constructor's checks, but the
+        array itself is kept, its write flag turned off, not copied."""
+        values.flags.writeable = False
+        batch = object.__new__(cls)
+        batch._hold(values)
+        return batch
 
     def __len__(self) -> int:
         return self.values.shape[1]
@@ -401,7 +416,7 @@ def load_dictionary(path) -> Dictionary:
         if "p" in meta and as_count(meta["p"], f"{path}: sidecar p") != atoms.shape[1]:
             raise ValueError(f"{path}: sidecar p={meta['p']} but file has {atoms.shape[1]} columns")
         if "gamma" in meta:
-            gamma = float(meta["gamma"])
+            gamma = _finite(meta["gamma"], f"{path}: sidecar gamma", 1.0, strict=False)
     if gamma is None:
         gamma = max(1.0, float(np.sqrt((atoms * atoms).sum(axis=0)).max()))
     return Dictionary(atoms, gamma=gamma)

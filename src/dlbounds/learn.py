@@ -86,8 +86,9 @@ def sphere_source(n: int, seed: int = 0) -> SignalSource:
 
 def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
     """Draw m unit-norm signals as the columns of one checked n x m
-    SignalBatch; identical streams for identical (source.seed, stream),
-    independent streams otherwise.
+    SignalBatch, which keeps the array they were drawn into rather than a
+    copy; identical streams for identical (source.seed, stream), independent
+    streams otherwise.
 
     A dictionary source draws, per block of signals, every support (the
     first k_true of a random permutation), every coefficient row, then the
@@ -96,7 +97,7 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
     m = as_count(m, "m")
     rng = substream(source.seed, as_seed(stream, "stream"))
     if source.dictionary is None:
-        return SignalBatch(uniform_sphere_matrix(source.n, m, rng))
+        return SignalBatch._adopt(uniform_sphere_matrix(source.n, m, rng))
     atoms, k, sigma = source.dictionary.atoms, source.k_true, source.sigma
     n, p = atoms.shape
     out = np.empty((n, m))
@@ -115,7 +116,7 @@ def synth_sample(source: SignalSource, m: int, stream: int = 0) -> SignalBatch:
         x = x[:, live] / norms[live]
         out[:, kept:kept + x.shape[1]] = x
         kept += x.shape[1]
-    return SignalBatch(out)
+    return SignalBatch._adopt(out)
 
 
 def signals_to_matrix(signals) -> np.ndarray:

@@ -409,6 +409,30 @@ def test_exact_memory_is_bounded_by_the_block_size():
     assert errors[0] <= greedy_ksparse(d, x[:, 0], 9).error + 1e-12
 
 
+def test_exact_memory_beyond_the_columns_is_bounded_by_the_block_size():
+    # N = 50,000 signals at n = 64, p = 8, k = 3: the supports are scored,
+    # and the residual's errors summed, one chunk of columns at a time, so
+    # beyond the per-column state (coefficients, y, and each column's best
+    # score, support, R, Q^T y and error) the peak stays within two blocks
+    n, p, k, n_sig = 64, 8, 3, 50_000
+    d = Dictionary(uniform_sphere_matrix(n, p, substream(51, 0)))
+    x = uniform_sphere_matrix(n, n_sig, substream(51, 1))
+    tracemalloc.start()
+    try:
+        coeffs, errors, supports = coders._exact_columns(d, x, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_sig * (p + min(n, p) + k * k + 2 * k + 2) + 2 * coders.SCORE_BLOCK * 8
+    # chunks of 1,024 columns; a threaded BLAS may round a wide product
+    # differently, so the bits are pinned by the chunk test alone
+    for j in (0, 1023, 1024, n_sig - 1):
+        single = exact_ksparse(d, x[:, j], k)
+        assert tuple(supports[:, j]) == single.coeffs.support
+        assert coeffs[:, j] == pytest.approx(single.coeffs.values, abs=1e-12)
+        assert errors[j] == pytest.approx(single.error, abs=1e-12)
+
+
 def test_exact_factors_each_support_once(monkeypatch):
     # the winners are solved from the QRs that scored them: one stacked QR
     # per scoring block, plus the first-basis search, and no QR per winner
@@ -569,6 +593,41 @@ def test_exact_narrow_batches_are_invisible_to_blocking(monkeypatch):
     # the others on two to four supports each: the smallest wins in every split
     assert [tuple(s) for s in one_block[2].T] == [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
     assert list(one_block[1]) == [1 / 8] * 3
+
+
+def test_exact_chunk_boundaries_are_invisible(monkeypatch):
+    # SCORE_BLOCK = 32 n and 64 n score, and sum the errors of, chunks of 8
+    # and 16 columns, so N = 1 to 40 signals split at every offset, with a
+    # tail of 1 to 7 columns; the one-chunk run, each column coded alone and
+    # the single-signal coder give the same bits.  The repeated-atom and
+    # identity beds tie exactly, and k = 8 sums eight squares per score
+    cases = [  # (atoms, k, 40 signals)
+        (_repeated_atom(5, 8, 5), 2, uniform_sphere_matrix(5, 40, substream(5, 1))),
+        (uniform_sphere_matrix(6, 9, substream(6, 0)), 3, uniform_sphere_matrix(6, 40, substream(6, 1))),
+        (uniform_sphere_matrix(12, 10, substream(6, 2)), 8, uniform_sphere_matrix(12, 40, substream(6, 3))),
+        (np.eye(3)[:, [0, 1, 2, 0, 1]], 2,
+         np.tile(np.array([[0.5, 0.25, 0.125], [0.25, 0.125, 0.5]]).T, 20)),
+    ]
+    for atoms, k, signals in cases:
+        d = Dictionary(atoms)
+        alone = [coders._exact_columns(d, signals[:, [j]], k) for j in range(40)]
+        for j, x in enumerate(signals.T):
+            single = exact_ksparse(d, x, k)
+            assert single.coeffs.support == tuple(alone[j][2][:, 0])
+            assert np.array_equal(single.coeffs.values, alone[j][0][:, 0])
+        for n_sig in range(1, 41):
+            x = np.ascontiguousarray(signals[:, :n_sig])
+            one_chunk = coders._exact_columns(d, x, k)
+            for j in range(n_sig):
+                for got, want in zip(one_chunk, alone[j]):
+                    assert np.array_equal(got[..., j], want[..., 0]), (d.n, d.p, k, n_sig, j)
+            for budget in (32 * d.n, 64 * d.n):
+                monkeypatch.setattr(coders, "SCORE_BLOCK", budget)
+                for got, want in zip(coders._exact_columns(d, x, k), one_chunk):
+                    assert np.array_equal(got, want), (d.n, d.p, k, n_sig, budget)
+            monkeypatch.undo()
+    # the ties go to the smallest support in every split
+    assert [tuple(s) for s in one_chunk[2][:, :2].T] == [(0, 1), (0, 2)]
 
 
 @pytest.mark.parametrize("batch_coder", [

@@ -111,6 +111,7 @@ def test_signal_batch_checks_like_signal(bad, scale, message):
     if bad is not None:
         x[1, 2] = bad
     for make, name in ((lambda: SignalBatch(x), "signal batch"),
+                       (lambda: SignalBatch._adopt(x.copy()), "signal batch"),
                        (lambda: Signal(x[:, 2], unit=True), "signal")):
         with pytest.raises(ValueError, match=f"^{message.format(name)}$"):
             make()
@@ -382,6 +383,8 @@ def test_dictionary_roundtrip_with_sidecar(tmp_path):
     ("n", 4.5, "sidecar n must be an integer >= 1, got 4.5"),
     ("p", 6.9, "sidecar p must be an integer >= 1, got 6.9"),
     ("n", "x", "sidecar n must be an integer >= 1, got 'x'"),
+    ("gamma", "x", "sidecar gamma must be >= 1 and finite, got 'x'"),
+    ("gamma", 0.5, "sidecar gamma must be >= 1 and finite, got 0.5"),
 ])
 def test_dictionary_refuses_a_sidecar_that_does_not_match(tmp_path, field, value, message):
     path = tmp_path / "d.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,24 @@ def test_sampler_matches_the_per_signal_reference(monkeypatch, block):
             batch = synth_sample(src, m, stream=stream)
             _assert_matches_reference(batch, _sampler_reference(src, m, substream(9, stream)))
             assert signals_to_matrix(batch) is batch.values
+
+
+def test_sampled_batch_holds_its_one_array():
+    # m = 10,000 signals at n = 64 (gengap-ksparse's test set): the batch
+    # keeps the array the sampler filled instead of copying it, so beyond
+    # the n x m output only one block's draws are ever held
+    n, m = 64, 10_000
+    d = Dictionary(uniform_sphere_matrix(n, 8, substream(52, 0)))
+    for source in (dictionary_source(d, 3, 0.0, seed=52), dictionary_source(d, 3, 0.1, seed=52),
+                   sphere_source(n, seed=52)):
+        tracemalloc.start()
+        try:
+            batch = synth_sample(source, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * m + 2 * learn.SAMPLE_BLOCK * 8
+        assert batch.values.shape == (n, m) and not batch.values.flags.writeable
 
 
 def test_dictionary_supports_are_uniform_k_subsets():
