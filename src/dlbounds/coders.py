@@ -7,17 +7,17 @@ set A is
 
 with A either the k-sparse vectors (HardK) or the l1 ball of radius lam
 (L1Ball).  One engine per minimization codes the columns of an n x N matrix
-held to core's array rule; `repr_error` codes one signal as its N=1 case, and
-`exact_ksparse`, `greedy_ksparse` and `l1_solve` are its views.  The
-exhaustive engine is the ground truth, refused above EXACT_GUARD supports;
-ties between supports equal up to a repeated or negated atom go to the
-lexicographically smallest, since a copy is never scored, and supports of
-distinct atoms with one span tie only up to rounding.  The greedy engine is
-the fast heuristic, a batch OMP that the kernel coder runs on a Gram matrix.
-The l1 engine, `l1_solve_batch`, is exact and certified: its duality gap
-proves each column's error within ERR_TOL of the optimum, and one
-RuntimeWarning names every column it leaves uncertified.  Each engine's
-docstring describes its algorithm, `l1_solve_batch`'s the l1 one.
+held to core's array rule, each error ||D a - x||_2 from one chunked residual;
+`repr_error` codes one signal as its N=1 case, and `exact_ksparse`,
+`greedy_ksparse` and `l1_solve` are its views.  The exhaustive engine is the
+ground truth, refused above EXACT_GUARD supports; ties between supports equal
+up to a repeated or negated atom go to the lexicographically smallest, since a
+copy is never scored, and supports of distinct atoms with one span tie only up
+to rounding.  The greedy engine is the fast heuristic, a batch OMP that the
+kernel coder runs on a Gram matrix.  The l1 engine, `l1_solve_batch`, is exact
+and certified: its duality gap proves each column's error within ERR_TOL of
+the optimum, and one RuntimeWarning names every column it leaves uncertified.
+Each engine's docstring describes its algorithm.
 """
 
 from __future__ import annotations
@@ -50,9 +50,10 @@ RANK_RTOL = 1e-10
 RIDGE = 1e-12
 # Exhaustive scoring bounds its working memory by this many entries: it draws
 # and scores supports in blocks holding about this many entries of Q and Q^T y
-# (span coordinates, see _exact_columns), y taken in chunks of columns whose
-# n-row residual holds at most a quarter of it.  Only the outputs, y and each
-# column's best-support record grow with the number of signals.
+# (span coordinates, see _exact_columns), y and every coder's residual taken
+# in chunks of columns (_chunks) whose n rows hold at most a quarter of it.
+# Only the outputs, y and each column's (score, support, coefficients) record
+# grow with the number of signals.
 SCORE_BLOCK = 2**18
 
 # l1 solver (see l1_solve_batch): certificate tolerance, cap on rounds, Newton-finish steps.
@@ -63,7 +64,7 @@ NEWTON_STEPS = 3
 
 @dataclass(frozen=True)
 class CodingResult:
-    """Coefficients, the achieved error ||D a - x||_2, and how they were found."""
+    """Coefficients, the engine's error ||D a - x||_2 (_errors), and how they were found."""
 
     coeffs: CoeffVector
     error: float
@@ -88,8 +89,10 @@ def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
     its largest initial |corr|, as after an exact fit) and refits on G_SS,
     adding RIDGE unless eig_min > RANK_RTOL eig_max.  That bounds cond(G_SS), the matrix
     solved; RANK_RTOL^2, the QR test's threshold in Gram terms, is below what
-    eigvalsh resolves and passes exactly repeated atoms.  Returns (coeffs
-    p x N, supports N x k padded with -1, ridge_used N)."""
+    eigvalsh resolves and passes exactly repeated atoms.  It holds about
+    (k + 3) p + k^2 + 4k floats a column: corr, coefficients, supports and a
+    round's score, gather and refit.  Returns (coeffs p x N, supports N x k
+    padded with -1, ridge_used N)."""
     p, n_sig = corr.shape
     supports = np.full((n_sig, k), -1)
     coef = np.zeros((n_sig, k))
@@ -124,22 +127,22 @@ def _greedy_columns(gram: np.ndarray, corr: np.ndarray, k: int):
 
 
 def _greedy_signals(d: Dictionary, signals: np.ndarray, k: int):
+    """The greedy engine: (coeffs p x N, errors N, supports N x k, ridge_used N)."""
     k = as_count(k, "k", min(d.n, d.p), "min(n, p)")
-    return _greedy_columns(d.atoms.T @ d.atoms, d.atoms.T @ signals, k)
+    dense, supports, ridge_used = _greedy_columns(d.atoms.T @ d.atoms, d.atoms.T @ signals, k)
+    return dense, _errors(d.atoms, dense, signals), supports, ridge_used
 
 
 def greedy_ksparse(d: Dictionary, x, k: int) -> CodingResult:
-    """Greedy pursuit: repeatedly pick the atom most correlated with the
-    residual (ties break toward the lowest index), then refit by least
-    squares on the selected support.  The N=1 case of greedy_ksparse_batch."""
+    """Greedy pursuit, greedy_ksparse_batch's N=1 case, its error included:
+    pick the atom most correlated with the residual (ties to the lowest
+    index), refit by least squares on the support, and repeat."""
     return repr_error(d, x, HardK(k))
 
 
 def greedy_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy coder over the columns of an n x N matrix: (coeffs p x N, errors N)."""
-    signals = as_matrix(signals, "signals", d.n)
-    dense = _greedy_signals(d, signals, k)[0]
-    return dense, np.linalg.norm(d.atoms @ dense - signals, axis=0)
+    return _greedy_signals(d, as_matrix(signals, "signals", d.n), k)[:2]
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,6 +185,27 @@ def _padded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def _chunks(n: int, n_sig: int) -> list[tuple[slice, int]]:
+    """(columns, count) of each chunk of N columns: 8 max(1, SCORE_BLOCK //
+    32 n) wide, a multiple of 8 so that only the last one is padded, and an
+    n x width array then holds at most a quarter of SCORE_BLOCK."""
+    width = 8 * max(1, SCORE_BLOCK // (32 * n))
+    return [(slice(lo, lo + width), min(width, n_sig - lo)) for lo in range(0, n_sig, width)]
+
+
+def _errors(atoms: np.ndarray, coeffs: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """||D a - x||_2 of each column, the one place a coder's error is
+    computed: the residual of one chunk at a time, by _padded_product and
+    squared in place, so each column's bits depend on that column alone."""
+    errors = np.empty(signals.shape[1])
+    for cols, w in _chunks(*signals.shape):
+        resid = _padded_product(atoms, coeffs[:, cols])
+        resid[:, :w] -= signals[:, cols]
+        resid *= resid
+        errors[cols] = np.sqrt(resid.sum(axis=0))[:w]
+    return errors
+
+
 def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     """Exhaustive k-sparse coding of the columns of an n x N matrix.
 
@@ -189,7 +213,7 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     in its coordinates, R and y = U^T X (min(n, p) rows).  Each block of
     supports, drawn as it is scored, takes one stacked QR of its R_S; its Q^T
     rows, zero-padded to a multiple of 8, then score y one chunk of columns
-    at a time, and the residual's errors are summed chunk by chunk too.
+    at a time (_chunks), and _errors sums the residual over the same chunks.
     Every product's columns are padded like its rows (_padded_product), so on
     one BLAS thread every bit is independent of the blocking and the
     chunking.  A support scores a column by the energy it captures,
@@ -199,13 +223,13 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     to sign makes R fail the rank test, and then such copies are left out: a
     support holding one spans what the smaller support holding the original
     spans, so those ties hold by construction; supports of distinct atoms
-    with one span tie only up to rounding.  Each column keeps its winning
-    support, R and Q^T y for one back-substitution, so each support is
-    factored once.  For k >= rank(D) every column takes the projection onto
-    span(D) on the first basis, padded with the lowest other atoms.
-    SCORE_BLOCK sizes the support blocks and the column chunks, so only the
-    outputs, y and each column's best score, support, R and Q^T y grow with
-    N.  Returns (coeffs p x N, errors N, supports k x N).
+    with one span tie only up to rounding.  A support that wins a column is
+    back-substituted there, on its block's R_S and Q^T y, so each support is
+    factored once and each column keeps (score, support, coefficients).  For
+    k >= rank(D) every column takes the projection onto span(D) on the first
+    basis, padded with the lowest other atoms.  SCORE_BLOCK sizes the support
+    blocks and the column chunks, so only the outputs, y and each column's
+    record grow with N.  Returns (coeffs p x N, errors N, supports k x N).
     """
     k = as_count(k, "k", d.p)
     if comb(d.p, k) > EXACT_GUARD:
@@ -214,12 +238,7 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
     u, r = np.linalg.qr(atoms)
     basis = _first_basis(atoms, k, r)
     dim, n_sig = r.shape[0], signals.shape[1]
-    # chunks of a multiple of 8 columns, so only the last one is padded; the
-    # residual's n x width chunk is then at most a quarter of SCORE_BLOCK.
-    # Each holds its columns, their count and their padded y
-    width = min(n_sig, 8 * max(1, SCORE_BLOCK // (32 * d.n)))
-    chunks = [(slice(lo, lo + width), min(width, n_sig - lo), _padded_product(u.T, signals[:, lo:lo + width]))
-              for lo in range(0, n_sig, width)]
+    chunks = [(cols, w, _padded_product(u.T, signals[:, cols])) for cols, w in _chunks(d.n, n_sig)]
     dense = np.zeros((d.p, n_sig))
     if basis is not None:
         # every support then captures at most the projection, which the
@@ -240,9 +259,8 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
         todo = combinations(distinct, k)  # over k + 1 or more atoms, as more than k are independent
         best_score = np.full(n_sig, -np.inf)
         best_sup = np.zeros((n_sig, k), dtype=np.intp)
-        best_r = np.zeros((n_sig, k, k))
-        best_qty = np.zeros((n_sig, k))
-        block = max(1, SCORE_BLOCK // (k * (dim + width)))
+        best_coef = np.zeros((n_sig, k))
+        block = max(1, SCORE_BLOCK // (k * (dim + chunks[0][1])))
         for _ in range(0, comb(len(distinct), k), block):
             subs = np.fromiter(chain.from_iterable(islice(todo, block)), dtype=np.intp).reshape(-1, k)
             q, rs = np.linalg.qr(r[:, subs].transpose(1, 0, 2))
@@ -256,22 +274,12 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
                 top = np.argmax(score, axis=0)
                 top_score = score[top, np.arange(w)]
                 better = np.flatnonzero(top_score > best_score[cols])
-                into = cols.start + better
-                best_score[into] = top_score[better]
-                best_sup[into] = subs[top[better]]
-                best_r[into] = rs[top[better]]
-                best_qty[into] = proj[top[better], :, better]
-        for cols, w, _y in chunks:
-            dense[best_sup[cols].T, cols.start + np.arange(w)] = _back_substitute(best_r[cols], best_qty[cols]).T
+                best_score[cols][better] = top_score[better]
+                best_sup[cols][better] = subs[top[better]]
+                best_coef[cols][better] = _back_substitute(rs[top[better]], proj[top[better], :, better])
+        dense[best_sup.T, np.arange(n_sig)] = best_coef.T
         supports = best_sup.T
-    # the errors take one n x width array per chunk: the residual, squared in place
-    errors = np.empty(n_sig)
-    for cols, w, _y in chunks:
-        resid = _padded_product(atoms, dense[:, cols])
-        resid[:, :w] -= signals[:, cols]
-        resid *= resid
-        errors[cols] = np.sqrt(resid.sum(axis=0))[:w]
-    return dense, errors, supports
+    return dense, _errors(atoms, dense, signals), supports
 
 
 def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
@@ -280,19 +288,15 @@ def exact_ksparse(d: Dictionary, x, k: int) -> CodingResult:
     Ties between supports equal up to a repeated or negated atom go to the
     lexicographically smallest, since a copy is never scored; supports of
     distinct atoms with one span tie only up to rounding.  Refuses
-    instances with more than EXACT_GUARD supports.
+    instances with more than EXACT_GUARD supports.  The N=1 case of
+    exact_ksparse_batch, to the bit on one BLAS thread, error included.
     """
     return repr_error(d, x, HardK(k), exact=True)
 
 
 def exact_ksparse_batch(d: Dictionary, signals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive coder over a batch: signals as columns of an n x N matrix.
-
-    Returns (coeffs, errors) with coeffs p x N dense and errors length N.
-    Same engine as exact_ksparse, run on all columns at once.
-    """
-    dense, errors, _supports = _exact_columns(d, as_matrix(signals, "signals", d.n), k)
-    return dense, errors
+    """Exhaustive coder over the columns of an n x N matrix: (coeffs p x N, errors N)."""
+    return _exact_columns(d, as_matrix(signals, "signals", d.n), k)[:2]
 
 
 def _project_l1_columns(mat: np.ndarray, radius: float) -> np.ndarray:
@@ -461,7 +465,8 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
     atoms = d.atoms
     lip = float(np.linalg.svd(atoms, compute_uv=False)[0]) ** 2
     if lam == 0.0 or lip == 0.0:
-        return np.zeros((p, n_sig)), np.linalg.norm(signals, axis=0), 0, 0.0
+        out = np.zeros((p, n_sig))
+        return out, _errors(atoms, out, signals), 0, 0.0
     gram = atoms.T @ atoms
     table = _kkt_table(gram)
     corr = atoms.T @ signals
@@ -541,10 +546,9 @@ def l1_solve_batch(d: Dictionary, signals: np.ndarray, lam: float,
                       f"after {NEWTON_STEPS} Newton steps, {np.isin(fix, cols).sum()} of them cut off "
                       f"at MAX_ITERS = {MAX_ITERS} rounds (worst error slack {slack[fix].max():.3g} "
                       f"> ERR_TOL = {ERR_TOL:g})", RuntimeWarning, stacklevel=2)
-    resid = atoms @ out - signals
-    fp = out - _project_l1_columns(out - (atoms.T @ resid) / lip, lam)
+    fp = out - _project_l1_columns(out - (atoms.T @ (atoms @ out - signals)) / lip, lam)
     residual = float(np.sqrt((fp * fp).sum(axis=0)).max(initial=0.0))
-    return out, np.sqrt((resid * resid).sum(axis=0)), iterations, residual
+    return out, _errors(atoms, out, signals), iterations, residual
 
 
 def l1_solve(d: Dictionary, x, lam: float) -> CodingResult:
@@ -560,24 +564,23 @@ def repr_error(d: Dictionary, x, constraint: SparsityConstraint, exact: bool = F
 
     HardK uses the greedy coder unless exact=True; L1Ball always uses the
     certified l1 solver (error within ERR_TOL of the optimum, by its duality
-    gap).  The error is ||D a - x||_2 of the returned coefficients.
+    gap).  The error is the engine's ||D a - x||_2 (_errors).
     """
     signal = as_vector(x, "signal", d.n)[:, None]
     extra = {}
     if isinstance(constraint, HardK) and exact:
-        dense, _errors, supports = _exact_columns(d, signal, constraint.k)
+        dense, errors, supports = _exact_columns(d, signal, constraint.k)
         method, support = "exact", supports[:, 0]
     elif isinstance(constraint, HardK):
-        dense, supports, ridge_used = _greedy_signals(d, signal, constraint.k)
+        dense, errors, supports, ridge_used = _greedy_signals(d, signal, constraint.k)
         method, support = "greedy", supports[0][supports[0] >= 0]
         extra["ridge_used"] = bool(ridge_used[0])
     elif isinstance(constraint, L1Ball):
-        dense, _errors, iterations, _residual = l1_solve_batch(d, signal, constraint.lam)
+        dense, errors, iterations, _residual = l1_solve_batch(d, signal, constraint.lam)
         method, support = "l1", np.flatnonzero(dense[:, 0])
         gap = float(_l1_slack(d.atoms, dense, constraint.lam, d.atoms @ dense - signal)[0][0])
         extra.update(iterations=iterations, gap=gap)
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
-    error = float(np.linalg.norm(d.atoms @ dense[:, 0] - signal[:, 0]))
-    return CodingResult(CoeffVector(dense[:, 0], tuple(support)), error, method, **extra)
+    return CodingResult(CoeffVector(dense[:, 0], tuple(support)), float(errors[0]), method, **extra)
 

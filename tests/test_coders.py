@@ -413,7 +413,8 @@ def test_exact_memory_beyond_the_columns_is_bounded_by_the_block_size():
     # N = 50,000 signals at n = 64, p = 8, k = 3: the supports are scored,
     # and the residual's errors summed, one chunk of columns at a time, so
     # beyond the per-column state (coefficients, y, and each column's best
-    # score, support, R, Q^T y and error) the peak stays within two blocks
+    # score, support and coefficients, and its error) the peak stays within
+    # two blocks
     n, p, k, n_sig = 64, 8, 3, 50_000
     d = Dictionary(uniform_sphere_matrix(n, p, substream(51, 0)))
     x = uniform_sphere_matrix(n, n_sig, substream(51, 1))
@@ -423,7 +424,7 @@ def test_exact_memory_beyond_the_columns_is_bounded_by_the_block_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * n_sig * (p + min(n, p) + k * k + 2 * k + 2) + 2 * coders.SCORE_BLOCK * 8
+    assert peak <= 8 * n_sig * (p + min(n, p) + 2 * k + 2) + 2 * coders.SCORE_BLOCK * 8
     # chunks of 1,024 columns; a threaded BLAS may round a wide product
     # differently, so the bits are pinned by the chunk test alone
     for j in (0, 1023, 1024, n_sig - 1):
@@ -431,6 +432,24 @@ def test_exact_memory_beyond_the_columns_is_bounded_by_the_block_size():
         assert tuple(supports[:, j]) == single.coeffs.support
         assert coeffs[:, j] == pytest.approx(single.coeffs.values, abs=1e-12)
         assert errors[j] == pytest.approx(single.error, abs=1e-12)
+
+
+def test_greedy_memory_is_bounded_by_its_rounds_and_the_block_size():
+    # N = 50,000 signals at n = 64, p = 8, k = 3: the errors are summed one
+    # chunk of columns at a time, so beyond the rounds' stated per-column
+    # state, (k + 3) p + k^2 + 4k floats, the peak stays within two blocks
+    n, p, k, n_sig = 64, 8, 3, 50_000
+    d = Dictionary(uniform_sphere_matrix(n, p, substream(52, 0)))
+    x = uniform_sphere_matrix(n, n_sig, substream(52, 1))
+    tracemalloc.start()
+    try:
+        coeffs, errors = greedy_ksparse_batch(d, x, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_sig * ((k + 3) * p + k * k + 4 * k) + 2 * coders.SCORE_BLOCK * 8
+    cols = [0, 1023, 1024, n_sig - 1]
+    assert errors[cols] == pytest.approx(np.linalg.norm(d.atoms @ coeffs[:, cols] - x[:, cols], axis=0), abs=1e-12)
 
 
 def test_exact_factors_each_support_once(monkeypatch):
@@ -599,7 +618,7 @@ def test_exact_chunk_boundaries_are_invisible(monkeypatch):
     # SCORE_BLOCK = 32 n and 64 n score, and sum the errors of, chunks of 8
     # and 16 columns, so N = 1 to 40 signals split at every offset, with a
     # tail of 1 to 7 columns; the one-chunk run, each column coded alone and
-    # the single-signal coder give the same bits.  The repeated-atom and
+    # the single-signal coder, its error included, give the same bits.  The repeated-atom and
     # identity beds tie exactly, and k = 8 sums eight squares per score
     cases = [  # (atoms, k, 40 signals)
         (_repeated_atom(5, 8, 5), 2, uniform_sphere_matrix(5, 40, substream(5, 1))),
@@ -615,6 +634,7 @@ def test_exact_chunk_boundaries_are_invisible(monkeypatch):
             single = exact_ksparse(d, x, k)
             assert single.coeffs.support == tuple(alone[j][2][:, 0])
             assert np.array_equal(single.coeffs.values, alone[j][0][:, 0])
+            assert single.error == alone[j][1][0], (d.n, d.p, k, j)
         for n_sig in range(1, 41):
             x = np.ascontiguousarray(signals[:, :n_sig])
             one_chunk = coders._exact_columns(d, x, k)
