@@ -260,7 +260,7 @@ def _exact_columns(d: Dictionary, signals: np.ndarray, k: int):
         best_score = np.full(n_sig, -np.inf)
         best_sup = np.zeros((n_sig, k), dtype=np.intp)
         best_coef = np.zeros((n_sig, k))
-        block = max(1, SCORE_BLOCK // (k * (dim + chunks[0][1])))
+        block = max(1, SCORE_BLOCK // (k * (dim + chunks[0][1])))  # the first chunk is the widest
         for _ in range(0, comb(len(distinct), k), block):
             subs = np.fromiter(chain.from_iterable(islice(todo, block)), dtype=np.intp).reshape(-1, k)
             q, rs = np.linalg.qr(r[:, subs].transpose(1, 0, 2))
