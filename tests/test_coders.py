@@ -618,8 +618,9 @@ def test_exact_chunk_boundaries_are_invisible(monkeypatch):
     # SCORE_BLOCK = 32 n and 64 n score, and sum the errors of, chunks of 8
     # and 16 columns, so N = 1 to 40 signals split at every offset, with a
     # tail of 1 to 7 columns; the one-chunk run, each column coded alone and
-    # the single-signal coder, its error included, give the same bits.  The repeated-atom and
-    # identity beds tie exactly, and k = 8 sums eight squares per score
+    # the single-signal coder, its error included, give the same bits.  The
+    # repeated-atom and identity beds tie exactly, and k = 8 sums eight
+    # squares per score
     cases = [  # (atoms, k, 40 signals)
         (_repeated_atom(5, 8, 5), 2, uniform_sphere_matrix(5, 40, substream(5, 1))),
         (uniform_sphere_matrix(6, 9, substream(6, 0)), 3, uniform_sphere_matrix(6, 40, substream(6, 1))),
